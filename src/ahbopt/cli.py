@@ -134,6 +134,8 @@ def _resolve_x0(x0_spec, dim, fallback_seed):
         raise InvalidSpecError(f"unknown x0 kind '{kind}'")
     seed = int(x0_spec.get("seed", 0 if fallback_seed is None else fallback_seed))
     norm = float(x0_spec.get("norm", 1.0))
+    if not math.isfinite(norm) or norm < 0.0:
+        raise InvalidSpecError(f"x0 norm must be finite and non-negative, got {norm}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)
     direction *= norm / np.linalg.norm(direction)
@@ -153,7 +155,9 @@ def _write_json(path, payload):
 
 def _execute_run(spec, obj, cfg, x0_spec, out_dir, fallback_seed, name):
     x0, x0_seed = _resolve_x0(x0_spec, obj.dim, fallback_seed)
-    run_trace = run_solver(obj, cfg, x0, problem_spec=spec, x0_seed=x0_seed)
+    # overflow surfaces as NumericalFailureError (exit 2), not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        run_trace = run_solver(obj, cfg, x0, problem_spec=spec, x0_seed=x0_seed)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     trace.write_csv(run_trace, csv_path)
     summary = trace.summarize(run_trace)

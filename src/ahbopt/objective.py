@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _radon
 from .errors import CapabilityError, DeskScaleLimitError, InvalidInputError, InvalidSpecError
 
 Array = np.ndarray
@@ -338,6 +337,8 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
         raise InvalidSpecError("num_angles and rays_per_angle must be positive")
     if phantom not in PHANTOMS:
         raise InvalidSpecError(f"unknown phantom '{phantom}'; expected one of {PHANTOMS}")
+
+    from . import _radon  # scipy loads only for radon problems
 
     a = _radon.system_matrix(grid_n, int(num_angles), int(rays_per_angle))
     x_true = _radon.phantom_image(phantom, grid_n).ravel()

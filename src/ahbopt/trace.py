@@ -112,7 +112,10 @@ def read_csv(path) -> Trace:
     meta_path = str(path) + ".meta.json"
     if os.path.exists(meta_path):
         with open(meta_path) as handle:
-            meta = json.load(handle)
+            try:
+                meta = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(f"malformed meta sidecar {meta_path}: {exc}") from exc
     return Trace(records=records, meta=meta)
 
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +76,27 @@ def test_overflowing_run_reports_numerical_failure(tmp_path, capsys):
                      "--max-iters", "5", "--out", str(tmp_path)])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("norm", ["NaN", "Infinity", "-Infinity", "-1.0"])
+def test_bad_start_norm_is_a_config_error(norm, tmp_path, capsys):
+    code = main(["solve", "--problem", "quadratic", "--max-iters", "5",
+                 "--x0", f'{{"seed": 1, "norm": {norm}}}', "--out", str(tmp_path)])
+    assert code == 1
+    assert "x0 norm" in capsys.readouterr().err
+    assert not (tmp_path / "ahb.csv").exists()
+
+
+def test_overflowing_start_reports_only_the_numerical_failure(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--problem", "quadratic",
+                     "--params", '{"spectrum": [1.0, 10.0]}',
+                     "--x0", '{"seed": 1, "norm": 1e308}',
+                     "--max-iters", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith("numerical failure")
 
 
 def test_out_path_collision_is_a_config_error(tmp_path, capsys):
@@ -207,3 +230,12 @@ def test_module_invocation_smoke(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.strip().endswith("ahb.csv")
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(sys.modules["ahbopt"].__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, ahbopt.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

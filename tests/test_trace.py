@@ -79,6 +79,14 @@ def test_meta_sidecar(tmp_path):
     assert read_csv(path).meta == meta
 
 
+def test_read_rejects_malformed_meta_sidecar(tmp_path):
+    path = tmp_path / "run.csv"
+    write_csv(Trace(records=[record(0)]), path)
+    (tmp_path / "run.csv.meta.json").write_text("{bad")
+    with pytest.raises(TraceParseError, match="meta sidecar"):
+        read_csv(path)
+
+
 def test_read_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("k,fval\n0,1\n")
