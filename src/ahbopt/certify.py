@@ -4,6 +4,14 @@ Every check samples or constructs concrete points, evaluates both sides
 of the claimed inequality, and reports the count of violations together
 with the worst observed ratio and the witness achieving it. Checks never
 prove a condition; they hunt for counterexamples at desk scale.
+
+The sampling checks draw uniform points of a ball B_r(c) in
+d dimensions: each point takes d + 2 standard normals g and is
+c + r * g[:d] / |g|, because the first d coordinates of a uniform point
+on the sphere S^(d+1) are uniform in the d-ball (Voelker, Gosmann &
+Stewart, 2017). Candidates are drawn in chunks, and the generator fills
+a chunk row by row, so a report depends on the seed and not on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -14,12 +22,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (CapabilityError, EmptyRegionError, InvalidInputError)
+from .errors import (CapabilityError, EmptyRegionError, InvalidInputError,
+                     NumericalFailureError)
 from .prox import moreau_value, ppa_run
 
 REL_TOL = 1e-9
 
 _REJECTION_FACTOR = 100
+
+# ball candidates drawn per generator call, and the cap on the floats one
+# chunk holds, so that high-dimensional objectives draw small chunks
+_CHUNK_ROWS = 1024
+_CHUNK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,7 +69,8 @@ class CertReport:
     the inequality beyond tolerance, ``worst_ratio`` the largest
     left/right ratio seen, and ``witness`` the sample achieving it.
     ``fitted`` carries (C, alpha, residual) when the check fits a power
-    law. ``per_tau`` and ``notes`` hold check-specific extras.
+    law. ``trials`` counts the ball points a sampling check drew.
+    ``per_tau`` and ``notes`` hold check-specific extras.
     """
 
     checked: int
@@ -65,6 +80,7 @@ class CertReport:
     fitted: Optional[tuple] = None
     per_tau: Optional[list] = None
     notes: tuple = ()
+    trials: Optional[int] = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -76,6 +92,8 @@ class CertReport:
                 "C": self.fitted[0], "alpha": self.fitted[1], "residual": self.fitted[2],
             },
         }
+        if self.trials is not None:
+            out["trials"] = self.trials
         if self.per_tau is not None:
             out["per_tau"] = self.per_tau
         if self.notes:
@@ -83,19 +101,45 @@ class CertReport:
         return out
 
 
-def _uniform_ball(rng, center, radius):
+def _ball_points(rng, center, radius, count):
+    """Draw ``count`` uniform points of the ball B_radius(center), one per
+    row, from a single ``standard_normal`` call.
+
+    Returns the points and a mask of the rows whose normal draw had a
+    nonzero norm; the other rows hold no point.
+    """
     d = center.size
-    u = rng.standard_normal(d)
-    norm = float(np.linalg.norm(u))
-    while norm == 0.0:
-        u = rng.standard_normal(d)
-        norm = float(np.linalg.norm(u))
-    return center + (radius * rng.random() ** (1.0 / d) / norm) * u
+    g = rng.standard_normal((count, d + 2))
+    norms = np.linalg.norm(g, axis=1)
+    drawn = norms > 0.0
+    scale = radius / np.where(drawn, norms, 1.0)
+    return center + scale[:, None] * g[:, :d], drawn
+
+
+def _ball_candidates(rng, center, radius, max_trials):
+    """Yield ``max_trials`` ball points in draw order, ``None`` for a row
+    that holds no point. Chunks are only drawn as they are consumed."""
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_FLOATS // (center.size + 2)))
+    remaining = max_trials
+    while remaining > 0:
+        count = min(rows, remaining)
+        remaining -= count
+        points, drawn = _ball_points(rng, center, radius, count)
+        for x, ok in zip(points, drawn):
+            yield x if ok else None
+
+
+def _shortfall_notes(checked, requested, trials):
+    if checked >= requested:
+        return ()
+    return (f"only {checked} of {int(requested)} requested samples were accepted "
+            f"in {trials} trials",)
 
 
 def _sample_level_slice(obj, xbar, r, eta, num_samples, seed):
     """Uniform points of B_r(xbar) with value strictly between f(xbar)
-    and f(xbar) + eta, by rejection (100 trials per requested point)."""
+    and f(xbar) + eta, by rejection (at most 100 trials per requested
+    point). Returns the points, their gaps and the number of trials."""
     if not r > 0:
         raise InvalidInputError("r must be positive")
     if not (eta > 0 and math.isfinite(eta)):
@@ -105,21 +149,24 @@ def _sample_level_slice(obj, xbar, r, eta, num_samples, seed):
         raise InvalidInputError("num_samples must be positive")
     rng = np.random.default_rng(seed)
     fbar = obj.value(xbar)
-    cap = _REJECTION_FACTOR * num_samples
     points, gaps = [], []
     trials = 0
-    while len(points) < num_samples and trials < cap:
+    for x in _ball_candidates(rng, xbar, float(r), _REJECTION_FACTOR * num_samples):
         trials += 1
-        x = _uniform_ball(rng, xbar, float(r))
+        if x is None:
+            continue
         gap = obj.value(x) - fbar
         if 0.0 < gap < eta:
-            points.append(x)
+            # a view would keep its whole chunk alive
+            points.append(x.copy())
             gaps.append(gap)
+            if len(points) == num_samples:
+                break
     if not points:
         raise EmptyRegionError(
             f"no sample of {trials} landed in the level slice (0, {eta:g}) "
             f"within radius {r:g}")
-    return points, gaps
+    return points, gaps, trials
 
 
 def _min_subgradient_norm_fn(obj):
@@ -135,7 +182,7 @@ def check_kl(obj, xbar, r, eta, phi, num_samples=200, seed=0) -> CertReport:
     phi'(f(x) - f(xbar)) * dist(0, df(x)) >= 1."""
     xbar = np.asarray(xbar, dtype=float)
     slope_at = _min_subgradient_norm_fn(obj)
-    points, gaps = _sample_level_slice(obj, xbar, r, eta, num_samples, seed)
+    points, gaps, trials = _sample_level_slice(obj, xbar, r, eta, num_samples, seed)
     worst, witness, violations = -math.inf, points[0], 0
     for x, gap in zip(points, gaps):
         product = phi.derivative(gap) * slope_at(x)
@@ -145,7 +192,9 @@ def check_kl(obj, xbar, r, eta, phi, num_samples=200, seed=0) -> CertReport:
         if ratio > worst:
             worst, witness = ratio, x
     return CertReport(checked=len(points), violations=violations,
-                      worst_ratio=worst, witness=[float(w) for w in witness])
+                      worst_ratio=worst, witness=[float(w) for w in witness],
+                      trials=trials,
+                      notes=_shortfall_notes(len(points), num_samples, trials))
 
 
 def certify_growth_direct(obj, xbar, r, eta, phi, factor=1.0,
@@ -160,7 +209,7 @@ def certify_growth_direct(obj, xbar, r, eta, phi, factor=1.0,
     xbar = np.asarray(xbar, dtype=float)
     if obj.solution_oracle is None:
         raise CapabilityError("solution_oracle")
-    points, gaps = _sample_level_slice(obj, xbar, r, eta, num_samples, seed)
+    points, gaps, trials = _sample_level_slice(obj, xbar, r, eta, num_samples, seed)
     worst, witness, violations = -math.inf, points[0], 0
     for x, gap in zip(points, gaps):
         dist = obj.distance(x)
@@ -171,7 +220,9 @@ def certify_growth_direct(obj, xbar, r, eta, phi, factor=1.0,
         if ratio > worst:
             worst, witness = ratio, x
     return CertReport(checked=len(points), violations=violations,
-                      worst_ratio=worst, witness=[float(w) for w in witness])
+                      worst_ratio=worst, witness=[float(w) for w in witness],
+                      trials=trials,
+                      notes=_shortfall_notes(len(points), num_samples, trials))
 
 
 def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
@@ -182,7 +233,9 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
     tau, the slack of the derived distance bound
     2 * sqrt(2 tau gap) + 2 phi(gap) - dist(x, S); with an exact
     distance oracle the slacks must shrink monotonically as tau does,
-    with their tau-dependent part scaling like sqrt(tau).
+    with their tau-dependent part scaling like sqrt(tau). A start gap,
+    path length, bound or slack that is not finite raises
+    NumericalFailureError.
     """
     taus = [float(t) for t in tau_list]
     if not taus or any(t <= 0 for t in taus):
@@ -194,6 +247,8 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
         raise CapabilityError("min_value")
     x0 = np.asarray(x, dtype=float)
     gap0 = max(obj.value(x0) - obj.min_value, 0.0)
+    if not math.isfinite(gap0):
+        raise NumericalFailureError(0, f"non-finite gap {gap0} at the start point")
     dist0 = obj.distance(x0) if obj.solution_oracle is not None else None
 
     per_tau, violations = [], 0
@@ -209,6 +264,11 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
             worst, worst_tau = ratio, tau
         dist = dist0 if dist0 is not None else float(np.linalg.norm(run.points[-1] - x0))
         slack = 2.0 * math.sqrt(2.0 * tau * gap0) + 2.0 * phi(gap0) - dist
+        if not all(map(math.isfinite, (path, bound, slack))):
+            raise NumericalFailureError(
+                len(run.step_norms) - 1,
+                f"non-finite certificate at tau={tau:g}: path length {path}, "
+                f"bound {bound}, slack {slack}")
         per_tau.append({"tau": tau, "path_length": path, "bound": bound,
                         "slack": slack})
 
@@ -289,14 +349,16 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
     env_min = moreau_value(obj, lam, xbar)
     samples = []
     trials = 0
-    cap = _REJECTION_FACTOR * num_samples
-    while len(samples) < num_samples and trials < cap:
+    for x in _ball_candidates(rng, xbar, float(r), _REJECTION_FACTOR * num_samples):
         trials += 1
-        x = _uniform_ball(rng, xbar, float(r))
+        if x is None:
+            continue
         gap = moreau_value(obj, lam, x) - env_min
         dist = obj.distance(x)
         if gap > 0 and dist > 0:
             samples.append((gap, dist))
+            if len(samples) == num_samples:
+                break
     if len(samples) < 8:
         raise EmptyRegionError(
             f"only {len(samples)} usable envelope samples in {trials} trials")
@@ -305,7 +367,8 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
     deviation = abs(alpha_hat - target)
     return CertReport(checked=len(samples), violations=0 if deviation <= 0.05 else 1,
                       worst_ratio=deviation / 0.05, witness=[alpha_hat],
-                      fitted=(c, alpha_hat, rms))
+                      fitted=(c, alpha_hat, rms), trials=trials,
+                      notes=_shortfall_notes(len(samples), num_samples, trials))
 
 
 def check_growth_implies_kl(obj, xbar, r, eta, c, alpha,
@@ -318,7 +381,7 @@ def check_growth_implies_kl(obj, xbar, r, eta, c, alpha,
         raise InvalidInputError("alpha must lie in (0, 1]")
     xbar = np.asarray(xbar, dtype=float)
     slope_at = _min_subgradient_norm_fn(obj)
-    points, gaps = _sample_level_slice(obj, xbar, r, eta, num_samples, seed)
+    points, gaps, trials = _sample_level_slice(obj, xbar, r, eta, num_samples, seed)
     worst, witness, violations = -math.inf, points[0], 0
     for x, gap in zip(points, gaps):
         lhs = gap ** (1.0 - alpha)
@@ -329,7 +392,9 @@ def check_growth_implies_kl(obj, xbar, r, eta, c, alpha,
         if ratio > worst:
             worst, witness = ratio, x
     return CertReport(checked=len(points), violations=violations,
-                      worst_ratio=worst, witness=[float(w) for w in witness])
+                      worst_ratio=worst, witness=[float(w) for w in witness],
+                      trials=trials,
+                      notes=_shortfall_notes(len(points), num_samples, trials))
 
 
 def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:

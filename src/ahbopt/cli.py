@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import certify, trace
+from ._io import atomic_write
 from .errors import InvalidInputError, InvalidSpecError, NumericalFailureError, ToolkitError
 from .objective import PROBLEM_KINDS, ProblemSpec
 from .solvers import SolverConfig, run_solver
@@ -90,6 +91,18 @@ def _add_solver_flags(parser):
                         help='"zeros" or JSON like {"seed": 1, "norm": 10}')
 
 
+def _add_gauge_flags(parser):
+    parser.add_argument("--phi-c", dest="phi_c", type=float, default=1.0)
+    parser.add_argument("--phi-alpha", dest="phi_alpha", type=float, default=0.5)
+
+
+def _add_slice_flags(parser):
+    parser.add_argument("--xbar", default="zeros")
+    parser.add_argument("--r", type=float, default=1.0)
+    parser.add_argument("--eta", type=float, default=1.0)
+    _add_gauge_flags(parser)
+
+
 def _load_config_file(path):
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
@@ -149,8 +162,7 @@ def _out_dir(args, file_data):
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _execute_run(spec, obj, cfg, x0_spec, out_dir, fallback_seed, name):
@@ -237,39 +249,39 @@ def _emit_report(report) -> int:
     return EXIT_OK if report.violations == 0 else EXIT_VIOLATIONS
 
 
-def cmd_certify(args) -> int:
+def _certify_report(args):
     if args.certify_cmd == "rate":
         # the recursion check is self-contained; no problem needed
-        report = certify.verify_recursive_rate(args.delta0, args.c, args.theta,
-                                               args.steps)
-        return _emit_report(report)
+        return certify.verify_recursive_rate(args.delta0, args.c, args.theta, args.steps)
     spec = _problem_from(args, {})
     obj = spec.build()
     seed = args.seed if args.seed is not None else 0
+    if args.certify_cmd == "moreau":
+        return certify.check_moreau_exponent(obj, args.lam,
+                                             _parse_point(args.xbar, obj.dim),
+                                             args.r, num_samples=args.samples, seed=seed)
+    phi = certify.HolderFunction(c=args.phi_c, alpha=args.phi_alpha)
+    if args.certify_cmd == "growth-ppa":
+        taus = [float(t) for t in args.tau_list.split(",") if t]
+        return certify.certify_growth_via_ppa(obj, _parse_point(args.x, obj.dim),
+                                              phi, taus, num_steps=args.steps)
     notes = []
+    xbar, eta = _parse_point(args.xbar, obj.dim), _finite_eta(args, notes)
     if args.certify_cmd == "kl":
-        phi = certify.HolderFunction(c=args.phi_c, alpha=args.phi_alpha)
-        report = certify.check_kl(obj, _parse_point(args.xbar, obj.dim), args.r,
-                                  _finite_eta(args, notes), phi,
+        report = certify.check_kl(obj, xbar, args.r, eta, phi,
                                   num_samples=args.samples, seed=seed)
-    elif args.certify_cmd == "growth":
-        phi = certify.HolderFunction(c=args.phi_c, alpha=args.phi_alpha)
-        report = certify.certify_growth_direct(obj, _parse_point(args.xbar, obj.dim),
-                                               args.r, _finite_eta(args, notes), phi,
+    else:
+        report = certify.certify_growth_direct(obj, xbar, args.r, eta, phi,
                                                factor=args.factor,
                                                num_samples=args.samples, seed=seed)
-    elif args.certify_cmd == "growth-ppa":
-        phi = certify.HolderFunction(c=args.phi_c, alpha=args.phi_alpha)
-        taus = [float(t) for t in args.tau_list.split(",") if t]
-        report = certify.certify_growth_via_ppa(obj, _parse_point(args.x, obj.dim),
-                                                phi, taus, num_steps=args.steps)
-    else:
-        report = certify.check_moreau_exponent(obj, args.lam,
-                                               _parse_point(args.xbar, obj.dim),
-                                               args.r, num_samples=args.samples,
-                                               seed=seed)
-    if notes:
-        report.notes = report.notes + tuple(notes)
+    report.notes = report.notes + tuple(notes)
+    return report
+
+
+def cmd_certify(args) -> int:
+    # overflow surfaces as NumericalFailureError (exit 2), not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = _certify_report(args)
     return _emit_report(report)
 
 
@@ -310,26 +322,17 @@ def build_parser() -> _Parser:
         return p
 
     kl = _cert_parser("kl", help="sharpness of the gauge derivative")
-    kl.add_argument("--xbar", default="zeros")
-    kl.add_argument("--r", type=float, default=1.0)
-    kl.add_argument("--eta", type=float, default=1.0)
-    kl.add_argument("--phi-c", dest="phi_c", type=float, default=1.0)
-    kl.add_argument("--phi-alpha", dest="phi_alpha", type=float, default=0.5)
+    _add_slice_flags(kl)
     kl.add_argument("--samples", type=int, default=200)
 
     growth = _cert_parser("growth", help="distance bounded by the gauged gap")
-    growth.add_argument("--xbar", default="zeros")
-    growth.add_argument("--r", type=float, default=1.0)
-    growth.add_argument("--eta", type=float, default=1.0)
-    growth.add_argument("--phi-c", dest="phi_c", type=float, default=1.0)
-    growth.add_argument("--phi-alpha", dest="phi_alpha", type=float, default=0.5)
+    _add_slice_flags(growth)
     growth.add_argument("--factor", type=float, default=1.0)
     growth.add_argument("--samples", type=int, default=200)
 
     ppa = _cert_parser("growth-ppa", help="growth via proximal path lengths")
     ppa.add_argument("--x", required=True, help="start point as JSON")
-    ppa.add_argument("--phi-c", dest="phi_c", type=float, default=1.0)
-    ppa.add_argument("--phi-alpha", dest="phi_alpha", type=float, default=0.5)
+    _add_gauge_flags(ppa)
     ppa.add_argument("--tau-list", dest="tau_list", default="1,0.1,0.01")
     ppa.add_argument("--steps", type=int, default=200)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (CapabilityError, DeskScaleLimitError, InnerSolveError,
                      InvalidInputError, NumericalFailureError)
-from .trace import _atomic_write, _fmt
+from ._io import atomic_write, fmt
 
 INNER_MAX_ITERS = 100_000
 
@@ -50,9 +50,9 @@ class PpaRun:
         header = "k," + ",".join(f"x{i}" for i in range(dim)) + ",fval,step_norm"
         lines = [header]
         for k, (pt, val, sn) in enumerate(zip(self.points, self.values, self.step_norms)):
-            coords = ",".join(_fmt(c) for c in np.asarray(pt, dtype=float))
-            lines.append(f"{k},{coords},{_fmt(val)},{_fmt(sn)}")
-        _atomic_write(path, "\n".join(lines) + "\n")
+            coords = ",".join(fmt(c) for c in np.asarray(pt, dtype=float))
+            lines.append(f"{k},{coords},{fmt(val)},{fmt(sn)}")
+        atomic_write(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import certify
+from ._io import atomic_write, fmt
 from .errors import InvalidInputError, TraceParseError
 
 CSV_HEADER = "k,fval,gap,gnorm,alpha,beta,step_norm,dist"
@@ -47,26 +48,6 @@ class Trace:
         return self.records[-1]
 
 
-def _fmt(value) -> str:
-    # 17 significant digits round-trip any double exactly.
-    return f"{float(value):.17g}"
-
-
-def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-write-")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def write_csv(trace, path) -> None:
     """Write a trace as CSV with LF endings plus a JSON meta sidecar.
 
@@ -75,14 +56,14 @@ def write_csv(trace, path) -> None:
     """
     lines = [CSV_HEADER]
     for r in trace.records:
-        dist = "" if r.dist is None else _fmt(r.dist)
+        dist = "" if r.dist is None else fmt(r.dist)
         lines.append(",".join([
-            str(int(r.k)), _fmt(r.fval), _fmt(r.gap), _fmt(r.gnorm),
-            _fmt(r.alpha), _fmt(r.beta), _fmt(r.step_norm), dist,
+            str(int(r.k)), fmt(r.fval), fmt(r.gap), fmt(r.gnorm),
+            fmt(r.alpha), fmt(r.beta), fmt(r.step_norm), dist,
         ]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
     meta_text = json.dumps(trace.meta, indent=2, sort_keys=True) + "\n"
-    _atomic_write(str(path) + ".meta.json", meta_text)
+    atomic_write(str(path) + ".meta.json", meta_text)
 
 
 def read_csv(path) -> Trace:
@@ -123,8 +104,6 @@ def summarize(trace) -> dict:
     """Aggregate a run: final gap and distance, iteration count, the
     momentum coefficient range, and fitted convergence rates when the
     trace has enough positive distances to fit."""
-    from . import certify  # deferred: certify consumes traces
-
     last = trace.records[-1]
     betas = [r.beta for r in trace.records]
     summary = {

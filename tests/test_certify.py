@@ -26,6 +26,7 @@ from ahbopt import (
     make_quadratic,
     verify_recursive_rate,
 )
+from ahbopt import certify
 
 SQRT2 = math.sqrt(2.0)
 
@@ -100,6 +101,71 @@ def test_level_slice_rejects_bad_region():
         check_kl(obj, [0.0], 1.0, math.inf, phi)
     with pytest.raises(InvalidInputError):
         check_kl(obj, [0.0], 1.0, 0.5, phi, num_samples=0)
+
+
+def test_level_slice_shortfall_is_reported():
+    # the slice 0 < f < 1e-2 covers 2e-3 of the unit disc, so the cap of
+    # 100 trials per requested point leaves about 20 of 100 points
+    report = check_kl(make_quadratic([1.0, 100.0]), [0.0, 0.0], 1.0, 1e-2,
+                      HolderFunction(SQRT2, 0.5), num_samples=100)
+    assert 0 < report.checked < 100
+    assert report.trials == 10_000
+    assert report.notes == (f"only {report.checked} of 100 requested samples "
+                            "were accepted in 10000 trials",)
+
+    full = check_kl(make_quadratic([1.0]), [0.0], 1.0, 0.5, HolderFunction(SQRT2, 0.5))
+    assert full.checked == 200 and full.notes == ()
+    assert full.trials >= full.checked
+
+
+def _sampling_reports():
+    phi = HolderFunction(SQRT2, 0.5)
+    quadratic = make_quadratic([1.0, 10.0])
+    return [
+        check_kl(quadratic, [0.0, 0.0], 1.0, 0.05, phi, num_samples=60, seed=3),
+        check_kl(make_quadratic([1.0, 100.0]), [0.0, 0.0], 1.0, 1e-2, phi,
+                 num_samples=20, seed=4),
+        certify_growth_direct(quadratic, [0.5, 0.0], 1.0, 0.5, phi,
+                              num_samples=60, seed=5),
+        check_growth_implies_kl(quadratic, [0.0, 0.0], 1.0, 0.5, SQRT2, 0.5,
+                                num_samples=60, seed=6),
+        check_moreau_exponent(make_abs_value(), 1.0, [0.0], 0.5, seed=7),
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_sampling_reports_do_not_depend_on_the_chunk_size(rows, monkeypatch):
+    default = _sampling_reports()
+    assert default[1].trials == 2000  # stops at the trial cap
+    monkeypatch.setattr(certify, "_CHUNK_ROWS", rows)
+    assert _sampling_reports() == default
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_ball_points_are_uniform(d):
+    n = 20_000
+    center = np.linspace(-1.0, 2.0, d)
+    radius = 1.5
+    points, drawn = certify._ball_points(np.random.default_rng(11), center, radius, n)
+    assert points.shape == (n, d) and drawn.all()
+    radii = np.linalg.norm(points - center, axis=1) / radius
+    assert radii.max() <= 1.0 + 1e-12
+    # a uniform point of the d-ball has (|x - c| / r)^d uniform on (0, 1)
+    u = np.sort(radii ** d)
+    ranks = np.arange(1, n + 1) / n
+    ks = max(np.max(ranks - u), np.max(u - (ranks - 1.0 / n)))
+    assert ks < 1.63 / math.sqrt(n)
+    assert np.all(np.abs(points.mean(axis=0) - center) < 0.03)
+
+
+@pytest.mark.parametrize("d", [1, 4096])
+def test_ball_points_drawn_together_equal_drawn_one_by_one(d):
+    center = np.full(d, 0.25)
+    together, drawn = certify._ball_points(np.random.default_rng(5), center, 2.0, 50)
+    rng = np.random.default_rng(5)
+    single = [certify._ball_points(rng, center, 2.0, 1) for _ in range(50)]
+    assert np.array_equal(together, np.vstack([p for p, _ in single]))
+    assert np.array_equal(drawn, np.concatenate([m for _, m in single]))
 
 
 def test_growth_direct_abs_value_with_slop_factor():
@@ -409,13 +475,14 @@ def test_fit_rate_needs_enough_positive_records():
 def test_report_json_dict_round_trips_extras():
     report = CertReport(checked=3, violations=0, worst_ratio=0.5,
                         witness=[1.0], fitted=(2.0, 0.5, 1e-12),
-                        per_tau=[{"tau": 1.0}], notes=("proxy",))
+                        per_tau=[{"tau": 1.0}], notes=("proxy",), trials=7)
     out = report.to_json_dict()
+    assert out["trials"] == 7
     assert out["fitted"] == {"C": 2.0, "alpha": 0.5, "residual": 1e-12}
     assert out["per_tau"] == [{"tau": 1.0}]
     assert out["notes"] == ["proxy"]
 
     plain = CertReport(checked=1, violations=0, worst_ratio=0.0, witness=[0.0])
     out = plain.to_json_dict()
-    assert "per_tau" not in out and "notes" not in out
+    assert "per_tau" not in out and "notes" not in out and "trials" not in out
     assert out["fitted"] is None

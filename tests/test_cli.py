@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -196,6 +197,51 @@ def test_certify_growth_ppa_reports_per_tau(capsys):
     report = _json_stdout(capsys)
     assert report["violations"] == 0
     assert [row["tau"] for row in report["per_tau"]] == [1.0, 0.1]
+
+
+def test_certify_growth_ppa_non_finite_start_is_a_numerical_failure(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["certify", "growth-ppa", "--problem", "quadratic",
+                     "--params", '{"spectrum": [1]}', "--x", "[1e308]",
+                     "--tau-list", "1"])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure") and "RuntimeWarning" not in err
+
+
+def test_certify_kl_reports_trials_and_shortfall(capsys):
+    # about 2e-5 of the unit disc lies in the slice, so the 100k-trial cap
+    # accepts only a few of the 1000 requested points
+    code = main(["certify", "kl", "--problem", "quadratic",
+                 "--params", '{"spectrum": [1, 100]}', "--eta", "1e-4",
+                 "--samples", "1000"])
+    report = _json_stdout(capsys)
+    assert code == (3 if report["violations"] else 0)
+    assert 0 < report["checked"] < 1000
+    assert report["trials"] == 100_000
+    assert report["notes"] == [f"only {report['checked']} of 1000 requested samples "
+                               "were accepted in 100000 trials"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_get_the_mode_open_would_give(umask, tmp_path, capsys):
+    old = os.umask(umask)
+    try:
+        code = main(["compare", "--problem", "quadratic", "--max-iters", "5",
+                     "--x0", '{"seed": 1}', "--out", str(tmp_path)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(["compare.json"] + [
+        f"{m}{suffix}" for m in ("ahb", "alrhb", "nesterov", "gd")
+        for suffix in (".csv", ".csv.meta.json", ".summary.json")])
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 def test_fit_rate_reads_solver_trace(tmp_path, capsys):

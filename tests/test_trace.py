@@ -18,7 +18,7 @@ from ahbopt import (
     summarize,
     write_csv,
 )
-from ahbopt.trace import _fmt
+from ahbopt._io import fmt
 
 
 def record(k, **kwargs):
@@ -153,7 +153,7 @@ def test_summarize_fits_geometric_rate():
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_fmt_round_trips_doubles(value):
-    assert float(_fmt(value)) == value
+    assert float(fmt(value)) == value
 
 
 def test_final_property():
