@@ -8,6 +8,7 @@ failures inside a run, 3 when a certification check reports violations.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from . import certify, trace
 from ._io import atomic_write
 from .errors import InvalidInputError, InvalidSpecError, NumericalFailureError, ToolkitError
 from .objective import PROBLEM_KINDS, ProblemSpec
-from .solvers import SolverConfig, run_solver
+from .solvers import METHODS, SolverConfig, run_solver
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_VIOLATIONS = 0, 1, 2, 3
 
@@ -39,9 +40,6 @@ _DEFAULT_COMPARE_RUNS = (
     {"method": "nesterov", "nesterov_nu": 3.0},
     {"method": "gd", "gd_mu": 1.96},
 )
-
-_SOLVER_FLAG_FIELDS = ("method", "mu0", "beta_cap", "gd_mu", "nesterov_nu",
-                       "alrhb_beta", "max_iters", "gap_tol", "record_every")
 
 
 class _UsageError(Exception):
@@ -78,15 +76,9 @@ def _add_problem_flags(parser):
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--method", choices=("ahb", "gd", "nesterov", "alrhb"))
-    parser.add_argument("--mu0", type=float)
-    parser.add_argument("--beta-cap", dest="beta_cap", type=float)
-    parser.add_argument("--gd-mu", dest="gd_mu", type=float)
-    parser.add_argument("--nesterov-nu", dest="nesterov_nu", type=float)
-    parser.add_argument("--alrhb-beta", dest="alrhb_beta", type=float)
-    parser.add_argument("--max-iters", dest="max_iters", type=int)
-    parser.add_argument("--gap-tol", dest="gap_tol", type=float)
-    parser.add_argument("--record-every", dest="record_every", type=int)
+    for f in dataclasses.fields(SolverConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            choices=METHODS if f.name == "method" else None)
     parser.add_argument("--x0", default=None,
                         help='"zeros" or JSON like {"seed": 1, "norm": 10}')
 
@@ -131,8 +123,8 @@ def _problem_from(args, file_data):
 
 
 def _solver_overrides(args):
-    return {f: getattr(args, f) for f in _SOLVER_FLAG_FIELDS
-            if getattr(args, f, None) is not None}
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)
+            if getattr(args, f.name) is not None}
 
 
 def _resolve_x0(x0_spec, dim, fallback_seed):
@@ -233,6 +225,8 @@ def _parse_point(text, dim):
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.ndim != 1 or arr.size != dim:
         raise InvalidInputError(f"point must have dimension {dim}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"point must be finite, got {text}")
     return arr
 
 

@@ -1,19 +1,30 @@
-"""First-order solvers sharing one iteration loop and trace format.
+"""First-order solvers sharing one step, one iteration loop and one trace format.
 
-The centerpiece is a heavy ball scheme whose momentum coefficient is
-chosen fresh at every iterate: it maximizes the momentum weight subject
-to a computable surrogate certifying that the squared distance to the
-solution set still decreases. Three baselines (fixed-step gradient
-descent, Nesterov's accelerated method, and a heavy ball variant with an
-adaptive learning rate and fixed momentum) run through the same loop so
-traces are directly comparable.
+Every method takes the same step from x with momentum m = x - x_prev,
+
+    x+ = x - alpha * g(y) + beta * m,
+
+and only the rule for (alpha, beta, y) differs (L: gradient Lipschitz
+constant, gap: f(x) - min f, k: iteration number):
+
+    method    alpha                               beta                 y
+    ahb       (1 + mu0) / L                       ahb_beta, <= cap     x
+    gd        gd_mu / L                           0                    x
+    nesterov  1 / L                               (k - 1) / (k + nu)   x + beta * m
+    alrhb     1/(2L) + (gap + beta <g, m>)/|g|^2  alrhb_beta           x
+
+The centerpiece, ahb, takes the largest momentum weight up to the cap for
+which a computable surrogate certifies that the squared distance to the
+solution set still decreases. Nesterov's step is computed as y - alpha * g(y).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -51,6 +62,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method '{self.method}'; expected one of {METHODS}")
+        for f in fields(self)[1:]:  # every field after method is a number
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidInputError(f"{f.name} must be a number, got {value!r}")
+            if type(f.default) is int and value % 1 != 0:
+                raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
         if not 0.0 <= self.mu0 < 1.0:
             raise InvalidInputError("mu0 must lie in [0, 1)")
         if not self.beta_cap > 0.0:
@@ -69,12 +86,7 @@ class SolverConfig:
             raise InvalidInputError("record_every must be at least 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method, "mu0": self.mu0, "beta_cap": self.beta_cap,
-            "gd_mu": self.gd_mu, "nesterov_nu": self.nesterov_nu,
-            "alrhb_beta": self.alrhb_beta, "max_iters": self.max_iters,
-            "gap_tol": self.gap_tol, "record_every": self.record_every,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data) -> "SolverConfig":
@@ -155,151 +167,95 @@ def ahb_beta(alpha_k, g_k, m_k, gamma_tilde_k, beta_cap) -> float:
     return float(min(max(0.0, raw), beta_cap))
 
 
-@dataclass
-class _Eval:
-    # everything measured at the current iterate that advancing needs
-    fval: float
-    gap: float
-    g: Array
-    alpha: float
-    beta: float
-    m: Array
-    z: Optional[Array] = None
-    critical: bool = False
+# Each rule maps (state, cfg, L, gap, g, g_sq, m) to the step size alpha and
+# the momentum weight beta of x+ = x - alpha * g(y) + beta * m.
+
+def _ahb(state, cfg, lipschitz, gap, g, g_sq, m):
+    alpha = ahb_alpha(lipschitz, cfg.mu0)
+    return alpha, ahb_beta(alpha, g, m, state.gamma_tilde, cfg.beta_cap)
 
 
-def _require(obj, *names):
-    for name in names:
+def _gd(state, cfg, lipschitz, gap, g, g_sq, m):
+    return cfg.gd_mu / lipschitz, 0.0
+
+
+def _nesterov(state, cfg, lipschitz, gap, g, g_sq, m):
+    # reads neither g nor |g|^2: it runs before the gradient at y = x + beta * m
+    return 1.0 / lipschitz, (state.k - 1.0) / (state.k + cfg.nesterov_nu)
+
+
+def _alrhb(state, cfg, lipschitz, gap, g, g_sq, m):
+    if g_sq == 0.0:
+        return None, cfg.alrhb_beta  # critical point: the adaptive step is undefined
+    return (1.0 / (2.0 * lipschitz) + gap / g_sq
+            + cfg.alrhb_beta * float(g @ m) / g_sq), cfg.alrhb_beta
+
+
+# method: (rule, objective fields it requires, gradient taken at y = x + beta * m)
+_RULES = {
+    "ahb": (_ahb, ("gradient_fn", "lipschitz", "min_value"), False),
+    "gd": (_gd, ("gradient_fn", "lipschitz"), False),
+    "nesterov": (_nesterov, ("gradient_fn", "lipschitz"), True),
+    "alrhb": (_alrhb, ("gradient_fn", "lipschitz", "min_value"), False),
+}
+
+
+# everything measured at the current iterate that recording and advancing need
+_Eval = namedtuple("_Eval", "fval gap y g g_sq m alpha beta")
+
+
+def _measure(method, state, obj, cfg):
+    rule, needs, at_y = _RULES[method]
+    for name in needs:
         if getattr(obj, name) is None:
             raise CapabilityError(name)
-
-
-def _evaluate(state, obj):
     fval = obj.value(state.x)
-    g = obj.gradient(state.x)
-    if not math.isfinite(fval) or not np.all(np.isfinite(g)):
+    if not math.isfinite(fval):
         raise NumericalFailureError(state.k)
-    return fval, g
-
-
-def _gap(fval, obj):
-    if obj.min_value is None:
-        return float("nan")
-    return max(fval - obj.min_value, 0.0)
-
-
-def _record(state, obj, fval, gap, gnorm, alpha, beta, step_norm):
-    dist = None
-    if obj.solution_oracle is not None:
-        dist = float(obj.solution_oracle(state.x))
-    return IterationRecord(k=state.k, fval=fval, gap=gap, gnorm=gnorm,
-                           alpha=alpha, beta=beta, step_norm=step_norm, dist=dist)
-
-
-def _measure_ahb(state, obj, cfg):
-    _require(obj, "gradient_fn", "lipschitz", "min_value")
-    fval, g = _evaluate(state, obj)
-    alpha = ahb_alpha(obj.lipschitz, cfg.mu0)
+    gap = float("nan") if obj.min_value is None else max(fval - obj.min_value, 0.0)
     m = state.x - state.x_prev
-    beta = ahb_beta(alpha, g, m, state.gamma_tilde, cfg.beta_cap)
-    gap = _gap(fval, obj)
-    rec = _record(state, obj, fval, gap, float(np.linalg.norm(g)), alpha, beta,
-                  float(np.linalg.norm(m)))
-    return rec, _Eval(fval=fval, gap=gap, g=g, alpha=alpha, beta=beta, m=m)
+    y = state.x
+    if at_y:
+        alpha, beta = rule(state, cfg, obj.lipschitz, gap, None, None, m)
+        y = state.x + beta * m
+    g = obj.gradient(y)
+    if not np.all(np.isfinite(g)):
+        raise NumericalFailureError(state.k)
+    g_sq = float(g @ g)
+    if not at_y:
+        alpha, beta = rule(state, cfg, obj.lipschitz, gap, g, g_sq, m)
+    return _Eval(fval, gap, y, g, g_sq, m, alpha, beta)
 
 
-def _advance_ahb(state, ev, obj, cfg):
-    x_next = state.x - ev.alpha * ev.g + ev.beta * ev.m
+def _record(state, obj, ev):
+    # gnorm is the gradient actually computed, at y for Nesterov
+    dist = None if obj.solution_oracle is None else float(obj.solution_oracle(state.x))
+    return IterationRecord(k=state.k, fval=ev.fval, gap=ev.gap, gnorm=math.sqrt(ev.g_sq),
+                           alpha=0.0 if ev.alpha is None else ev.alpha, beta=ev.beta,
+                           step_norm=math.sqrt(float(ev.m @ ev.m)), dist=dist)
+
+
+def _advance(state, obj, ev):
+    x_next = ev.y - ev.alpha * ev.g
+    extrapolated = ev.y is not state.x
+    if not extrapolated:
+        x_next += ev.beta * ev.m
     nxt = SolverState(k=state.k + 1, x=x_next, x_prev=state.x,
-                      gamma_tilde=state.gamma_tilde,
-                      alpha_prev=ev.alpha, beta_prev=ev.beta,
-                      f_prev_gap=ev.gap, g_prev_norm_sq=float(ev.g @ ev.g))
+                      gamma_tilde=state.gamma_tilde, alpha_prev=ev.alpha,
+                      beta_prev=ev.beta, f_prev_gap=ev.gap, g_prev_norm_sq=ev.g_sq,
+                      z=ev.y if extrapolated else None)
     m_next = x_next - state.x
     nxt.gamma_tilde = update_gamma_tilde(nxt, float(m_next @ m_next), obj.lipschitz)
     return nxt
 
 
-def _measure_gd(state, obj, cfg):
-    _require(obj, "gradient_fn", "lipschitz")
-    fval, g = _evaluate(state, obj)
-    alpha = cfg.gd_mu / obj.lipschitz
-    m = state.x - state.x_prev
-    rec = _record(state, obj, fval, _gap(fval, obj), float(np.linalg.norm(g)),
-                  alpha, 0.0, float(np.linalg.norm(m)))
-    return rec, _Eval(fval=fval, gap=rec.gap, g=g, alpha=alpha, beta=0.0, m=m)
-
-
-def _advance_gd(state, ev, obj, cfg):
-    return SolverState(k=state.k + 1, x=state.x - ev.alpha * ev.g, x_prev=state.x,
-                       alpha_prev=ev.alpha, f_prev_gap=ev.gap,
-                       g_prev_norm_sq=float(ev.g @ ev.g))
-
-
-def _measure_nesterov(state, obj, cfg):
-    _require(obj, "gradient_fn", "lipschitz")
-    fval = obj.value(state.x)
-    if not math.isfinite(fval):
-        raise NumericalFailureError(state.k)
-    m = state.x - state.x_prev
-    coef = (state.k - 1.0) / (state.k + cfg.nesterov_nu)
-    z = state.x + coef * m
-    g = obj.gradient(z)
-    if not np.all(np.isfinite(g)):
-        raise NumericalFailureError(state.k)
-    alpha = 1.0 / obj.lipschitz
-    # gnorm is the gradient actually computed, i.e. at the extrapolated point
-    rec = _record(state, obj, fval, _gap(fval, obj), float(np.linalg.norm(g)),
-                  alpha, coef, float(np.linalg.norm(m)))
-    return rec, _Eval(fval=fval, gap=rec.gap, g=g, alpha=alpha, beta=coef, m=m, z=z)
-
-
-def _advance_nesterov(state, ev, obj, cfg):
-    return SolverState(k=state.k + 1, x=ev.z - ev.alpha * ev.g, x_prev=state.x,
-                       z=ev.z, alpha_prev=ev.alpha, beta_prev=ev.beta,
-                       f_prev_gap=ev.gap, g_prev_norm_sq=float(ev.g @ ev.g))
-
-
-def _measure_alrhb(state, obj, cfg):
-    _require(obj, "gradient_fn", "lipschitz", "min_value")
-    fval, g = _evaluate(state, obj)
-    gap = _gap(fval, obj)
-    g_sq = float(g @ g)
-    m = state.x - state.x_prev
-    if g_sq == 0.0:
-        # critical point: the adaptive step is undefined, the loop stops here
-        rec = _record(state, obj, fval, gap, 0.0, 0.0, cfg.alrhb_beta,
-                      float(np.linalg.norm(m)))
-        return rec, _Eval(fval=fval, gap=gap, g=g, alpha=0.0, beta=cfg.alrhb_beta,
-                          m=m, critical=True)
-    alpha = (1.0 / (2.0 * obj.lipschitz) + gap / g_sq
-             + cfg.alrhb_beta * float(g @ m) / g_sq)
-    rec = _record(state, obj, fval, gap, math.sqrt(g_sq), alpha, cfg.alrhb_beta,
-                  float(np.linalg.norm(m)))
-    return rec, _Eval(fval=fval, gap=gap, g=g, alpha=alpha, beta=cfg.alrhb_beta, m=m)
-
-
-def _advance_alrhb(state, ev, obj, cfg):
-    return SolverState(k=state.k + 1, x=state.x - ev.alpha * ev.g + ev.beta * ev.m,
-                       x_prev=state.x, alpha_prev=ev.alpha, beta_prev=ev.beta,
-                       f_prev_gap=ev.gap, g_prev_norm_sq=float(ev.g @ ev.g))
-
-
-_DISPATCH = {
-    "ahb": (_measure_ahb, _advance_ahb),
-    "gd": (_measure_gd, _advance_gd),
-    "nesterov": (_measure_nesterov, _advance_nesterov),
-    "alrhb": (_measure_alrhb, _advance_alrhb),
-}
-
-
 def _step(method, state, obj, cfg):
-    measure, advance = _DISPATCH[method]
-    rec, ev = measure(state, obj, cfg)
-    if ev.critical:
-        state.record = rec
-        state.stop = _STOP_CRITICAL
+    ev = _measure(method, state, obj, cfg)
+    rec = _record(state, obj, ev)
+    if ev.alpha is None:
+        state.record, state.stop = rec, _STOP_CRITICAL
         return state
-    nxt = advance(state, ev, obj, cfg)
+    nxt = _advance(state, obj, ev)
     nxt.record = rec
     return nxt
 
@@ -348,7 +304,6 @@ def run_solver(obj, cfg, x0, problem_spec=None, x0_seed=None) -> Trace:
     minimum value is known), when ``max_iters`` steps have been taken,
     or at a critical point for the adaptive learning rate method.
     """
-    measure, advance = _DISPATCH[cfg.method]
     state = initial_state(x0)
     meta = {
         "problem": problem_spec.to_dict() if problem_spec is not None else None,
@@ -361,23 +316,20 @@ def run_solver(obj, cfg, x0, problem_spec=None, x0_seed=None) -> Trace:
     started = time.perf_counter()
     records = []
     while True:
-        rec, ev = measure(state, obj, cfg)
-        recorded = rec.k % cfg.record_every == 0
-        if recorded:
-            records.append(rec)
-        if ev.critical:
+        ev = _measure(cfg.method, state, obj, cfg)
+        if ev.alpha is None:
             reason = _STOP_CRITICAL
-        elif obj.min_value is not None and rec.gap <= cfg.gap_tol:
+        elif obj.min_value is not None and ev.gap <= cfg.gap_tol:
             reason = _STOP_GAP
         elif state.k >= cfg.max_iters:
             reason = _STOP_MAX
         else:
             reason = None
+        if reason is not None or state.k % cfg.record_every == 0:
+            records.append(_record(state, obj, ev))
         if reason is not None:
-            if not recorded:
-                records.append(rec)
             break
-        state = advance(state, ev, obj, cfg)
+        state = _advance(state, obj, ev)
     meta["stop_reason"] = reason
     meta["wall_ms"] = (time.perf_counter() - started) * 1e3
     return Trace(records=records, meta=meta)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -141,6 +142,37 @@ def test_config_file_drives_solve(tmp_path):
     assert trace.records[-1].k == 7
 
 
+@pytest.mark.parametrize("entry", [{"max_iters": "10"}, {"mu0": "0.5"},
+                                   {"record_every": 2.5}, {"max_iters": True}],
+                         ids=["str-int", "str-float", "fractional-int", "bool"])
+def test_config_entry_of_the_wrong_type_is_a_config_error(entry, tmp_path, capsys):
+    config = {"problem": {"kind": "quadratic"}, "runs": [entry], "out_dir": str(tmp_path)}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {next(iter(entry))} must be")
+
+
+# SHA-256 of the help text at 80 columns (Python 3.11 argparse); the solver
+# flags are derived from SolverConfig and must print as they were written.
+HELP_DIGESTS = {
+    "compare": "e1893f3818d8baed776111d6f12adc47be845ecfaead2614d444465664862b45",
+    "solve": "5429155cc17ae2aa71976702c198f4f387a756d26d9f6a6b620ebdce8255fca7",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_solver_command_help_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
 def test_compare_rejects_disagreeing_embedded_problems(tmp_path, capsys):
     config = {
         "problem": {"kind": "quadratic", "params": {"spectrum": [1.0]}},
@@ -224,6 +256,18 @@ def test_certify_kl_reports_trials_and_shortfall(capsys):
     assert report["trials"] == 100_000
     assert report["notes"] == [f"only {report['checked']} of 1000 requested samples "
                                "were accepted in 100000 trials"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "--problem", "quadratic", "--xbar", "[NaN]"],
+    ["moreau", "--problem", "abs_value", "--xbar", "[Infinity]"],
+    ["growth-ppa", "--problem", "quadratic", "--x", "[NaN]"],
+], ids=["kl", "moreau", "growth-ppa"])
+def test_certify_non_finite_point_is_a_config_error(argv, capsys):
+    assert main(["certify"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: point must be finite")
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -19,11 +21,13 @@ from ahbopt import (
     gd_step,
     initial_state,
     make_abs_value,
+    make_least_squares,
     make_power,
     make_quadratic,
     nesterov_step,
     run_solver,
     update_gamma_tilde,
+    write_csv,
 )
 
 
@@ -320,3 +324,95 @@ def test_uncapped_momentum_accelerates_quartic_decay():
     trace = run_solver(obj, cfg, np.array([2.0]))
     exponent, _ = fit_rate_from_trace(trace, "power", k_min=100)
     assert exponent < -0.8
+
+
+# SHA-256 of each trace CSV followed by its meta sidecar (wall_ms nulled), as
+# written by the per-method solver code that preceded the shared step rule;
+# the traces must not move by a bit.
+GOLDEN_TRACES = {
+    ("ahb", "least_squares", 1): "393692178e6ea009c67ae4353334964791a6f5b71cbc8163d150fe13872b229e",
+    ("ahb", "least_squares", 7): "623e33535363960cf20f5c02296b45bfd1dcff8d845e0afcbbeb94acdb51020a",
+    ("ahb", "power", 1): "3eaf4b452f1441884c3a4036f69122851a26d8c6357b0fe9312a2d98afe69f2e",
+    ("ahb", "power", 7): "169e11e0d601e2fd8321084d35553bc0275c97b447876e4f63a3186b4d8cddf6",
+    ("ahb", "quadratic", 1): "ebf1518e942a221965240bd4eed836cbbc03a108c61fe4ab452bb9d98996d5ce",
+    ("ahb", "quadratic", 7): "88b5327ce8657ebce8b726e8e1c173965ee3255a260da4d27d6d464df229b3f3",
+    ("alrhb", "least_squares", 1): "2fb27e32951b3b4987a9b214bb81a6fbc53e94d733f29ccf5122e44749618d13",
+    ("alrhb", "least_squares", 7): "87ba22003f9dde3b9db8b46f32d08091096d43267a8dcb73c1afd5f4e948d8d4",
+    ("alrhb", "power", 1): "6aa6b8cf409bbd4fd06509dd9cd4f4563a6a507b9c21e289635e92b5220f7125",
+    ("alrhb", "power", 7): "d3498c56941c48f03379ec0b30940bfbc0d4d40bfbb643bc7e1063341db7ea43",
+    ("alrhb", "quadratic", 1): "37ebd2ecb8b4497a5b61fcf08514cf8771b154d63f6759eaa6c39dde4f01685d",
+    ("alrhb", "quadratic", 7): "78f9c71d97ce7fc7beb7c1341fdf670112c22fdbe51b95076a48c72a4a19e3a8",
+    ("gd", "least_squares", 1): "ddf6702f9055587b520c4f78ebce939c814af061e5de906f48e22d6421a527b7",
+    ("gd", "least_squares", 7): "7d7543b45d992251ce2b0ae498ea9f7c0f955b7a8fc72a035ae08e468ea0d6bb",
+    ("gd", "power", 1): "7014bd38a06dc48f4b4d19fb5160b20cf02bd9b165e0028fe7bd70b6a807651f",
+    ("gd", "power", 7): "c501b3a7b3cf540bc44673a40bbd039d7efeac35a0eac62100b573bbf9e58e0d",
+    ("gd", "quadratic", 1): "97744aea26a3f33d69eb0e07d6514bbeb83f70019ca2003c3daf63fc97c84632",
+    ("gd", "quadratic", 7): "677ece7cb5e4a249f5428b02b6d71148a82b6fabe7f33e39beff9ee3a797ecff",
+    ("nesterov", "least_squares", 1): "75ab4d5068752fc80d32788f90963b2b84e861cdce230c6b9b4ac47e243e96fe",
+    ("nesterov", "least_squares", 7): "e4f7c546bcb335a078b2d757ac570ab5865a3dd9b7008cc8350b99ab65190c4a",
+    ("nesterov", "power", 1): "660d3583cda2915e5258add4d3842d29f49cf900e63926c7746c4f882fa66ab7",
+    ("nesterov", "power", 7): "2a3e550ffeffad6a13c8a976ab64feca72897fb54a26c6db892cde0dc71c5c40",
+    ("nesterov", "quadratic", 1): "6d0e563e927c47d0a2f90ffb69cce38590d1c0d0540c4e37b545ee43256e3264",
+    ("nesterov", "quadratic", 7): "888d884a01cc99573d481747296f027f34fc20f5e3096236edb7745c54539af0",
+}
+
+# SHA-256 of 30 public step states per method on the least-squares problem
+# (x, the carried *_prev fields, gamma_tilde for ahb, z and the record).
+GOLDEN_STEPS = {
+    "ahb": "c6acf610d5981532cb5a7d15f3a7fe34e5102c2d80b222dd74a285a4925bc800",
+    "alrhb": "da7ba04f91149ca138b42228e7d6c36a0ac1f34c67c617ec251e7ad39f6ffb9a",
+    "gd": "0065b6c8fb9805113c3a7e61471df4b490313ea07a40944b53c6f7293d015909",
+    "nesterov": "8b1e21a59931afd9064acbc1b645a63d7cba814df4363bc3377ed1afc91654c7",
+}
+
+_LS = make_least_squares(200, 200, [1.0 / i for i in range(1, 201)], seed=5)
+_PROBLEMS = {
+    "quadratic": (make_quadratic([1.0, 10.0]), np.array([3.0, 1.0])),
+    "least_squares": (_LS, np.zeros(200)),
+    "power": (make_power(4.0, 1, 4.0), np.array([2.0])),
+}
+_STEPS = {"ahb": ahb_step, "gd": gd_step, "nesterov": nesterov_step, "alrhb": alrhb_step}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_TRACES))
+def test_traces_are_bitwise_golden(key, tmp_path):
+    method, problem, record_every = key
+    obj, x0 = _PROBLEMS[problem]
+    cfg = SolverConfig(method=method, max_iters=300, record_every=record_every)
+    trace = run_solver(obj, cfg, x0)
+    trace.meta["wall_ms"] = None
+    path = tmp_path / "trace.csv"
+    write_csv(trace, path)
+    blob = path.read_bytes() + (tmp_path / "trace.csv.meta.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_TRACES[key]
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_STEPS))
+def test_step_states_are_bitwise_golden(method):
+    step, cfg = _STEPS[method], SolverConfig(method=method)
+    state = initial_state(np.zeros(200))
+    blob = b""
+    for _ in range(30):
+        state = step(state, _LS, cfg)
+        carried = [state.alpha_prev, state.beta_prev, state.f_prev_gap, state.g_prev_norm_sq]
+        if method == "ahb":
+            carried.append(state.gamma_tilde)
+        rec = dataclasses.astuple(state.record)
+        blob += state.x.tobytes() + np.array(carried + list(rec), dtype=float).tobytes()
+        if state.z is not None:
+            blob += state.z.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_STEPS[method]
+
+
+def test_sparse_records_call_the_distance_oracle_only_when_kept():
+    calls = []
+
+    def oracle(x):
+        calls.append(1)
+        return _LS.solution_oracle(x)
+
+    obj = dataclasses.replace(_LS, solution_oracle=oracle)
+    cfg = SolverConfig(method="ahb", max_iters=2000, record_every=100)
+    trace = run_solver(obj, cfg, np.zeros(200))
+    assert [r.k for r in trace.records] == list(range(0, 2001, 100))
+    assert len(calls) == 21
