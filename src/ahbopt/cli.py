@@ -137,14 +137,24 @@ def _resolve_x0(x0_spec, dim, fallback_seed):
     kind = x0_spec.get("kind", "seeded_random")
     if kind != "seeded_random":
         raise InvalidSpecError(f"unknown x0 kind '{kind}'")
-    seed = int(x0_spec.get("seed", 0 if fallback_seed is None else fallback_seed))
-    norm = float(x0_spec.get("norm", 1.0))
+    seed = x0_spec.get("seed", 0 if fallback_seed is None else fallback_seed)
+    norm = x0_spec.get("norm", 1.0)
+    if not all(type(v) in (int, float) for v in (seed, norm)) or seed % 1 != 0:
+        raise InvalidSpecError(f"x0 needs an integer seed and a numeric norm, got {x0_spec}")
+    seed, norm = int(seed), float(norm)
     if not math.isfinite(norm) or norm < 0.0:
         raise InvalidSpecError(f"x0 norm must be finite and non-negative, got {norm}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)
     direction *= norm / np.linalg.norm(direction)
     return direction, seed
+
+
+def _run_entries(file_data, default):
+    runs = default if file_data.get("runs") is None else file_data["runs"]
+    if not isinstance(runs, list) or not runs or not all(isinstance(r, dict) for r in runs):
+        raise InvalidSpecError("runs must be a non-empty list of objects")
+    return [dict(r) for r in runs]
 
 
 def _out_dir(args, file_data):
@@ -173,8 +183,9 @@ def _execute_run(spec, obj, cfg, x0_spec, out_dir, fallback_seed, name):
 def cmd_solve(args) -> int:
     file_data = _load_config_file(args.config) if args.config else {}
     spec = _problem_from(args, file_data)
-    runs = file_data.get("runs") or [{}]
-    base = dict(runs[0])
+    base, *rest = _run_entries(file_data, [{}])
+    if rest:
+        raise InvalidSpecError(f"solve takes one run, the config has {len(rest) + 1}; use compare")
     base.pop("problem", None)
     base.update(_solver_overrides(args))
     cfg = SolverConfig.from_json_dict(base)
@@ -188,12 +199,11 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     file_data = _load_config_file(args.config) if args.config else {}
     spec = _problem_from(args, file_data)
-    run_datas = file_data.get("runs") or [dict(r) for r in _DEFAULT_COMPARE_RUNS]
+    run_datas = _run_entries(file_data, list(_DEFAULT_COMPARE_RUNS))
     overrides = _solver_overrides(args)
     overrides.pop("method", None)
     configs = []
     for run_data in run_datas:
-        run_data = dict(run_data)
         embedded = run_data.pop("problem", None)
         if embedded is not None and ProblemSpec.from_dict(embedded) != spec:
             raise InvalidSpecError("runs disagree on the problem spec; "

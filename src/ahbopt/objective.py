@@ -40,6 +40,9 @@ class Objective:
         this length.
     value_fn : maps a point to the objective value.
     gradient_fn : gradient map, absent for nonsmooth problems.
+    value_and_gradient_fn : the floats ``(value_fn(x), gradient_fn(x))`` in one call,
+        g computed before f is checked; used only while its ``partners`` attribute
+        is ``(value_fn, gradient_fn)``, so a ``dataclasses.replace`` swapping either skips it.
     lipschitz : bound on the gradient's Lipschitz constant, global when
         ``domain_radius`` is None and valid on the centered ball of that
         radius otherwise.
@@ -71,6 +74,7 @@ class Objective:
     x_true: Optional[Array] = None
     growth_exponent: Optional[float] = None
     subgrad_min_norm: Optional[Callable[[Array], float]] = None
+    value_and_gradient_fn: Optional[Callable[[Array], tuple]] = None
 
     def value(self, x) -> float:
         return float(self.value_fn(np.asarray(x, dtype=float)))
@@ -186,6 +190,23 @@ def _orthonormal_columns(rng, n, r):
     return q * signs
 
 
+def _data_fit(a, y):
+    # the oracle fields of 0.5 * |a x - y|^2, the fused one in the same expressions
+    def value(x):
+        res = a @ x - y
+        return 0.5 * float(res @ res)
+
+    def gradient(x):
+        return a.T @ (a @ x - y)
+
+    def value_and_gradient(x):
+        res = a @ x - y
+        return 0.5 * float(res @ res), a.T @ res
+
+    value_and_gradient.partners = (value, gradient)
+    return dict(value_fn=value, gradient_fn=gradient, value_and_gradient_fn=value_and_gradient)
+
+
 def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     """Consistent linear least squares f(x) = 0.5 * |A x - y|^2.
 
@@ -223,13 +244,6 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     aty = a.T @ y
     ssq = sv * sv
 
-    def value(x):
-        res = a @ x - y
-        return 0.5 * float(res @ res)
-
-    def gradient(x):
-        return a.T @ (a @ x - y)
-
     def prox(t, x):
         # (I + t A^T A)^{-1} (x + t A^T y) through the stored SVD factors.
         w = x + t * aty
@@ -239,8 +253,7 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     full_column_rank = rows >= cols
     return Objective(
         dim=cols,
-        value_fn=value,
-        gradient_fn=gradient,
+        **_data_fit(a, y),
         lipschitz=float(sv[0] ** 2),
         min_value=0.0,
         solution_oracle=(lambda x: float(np.linalg.norm(x - x_true))) if full_column_rank else None,
@@ -347,18 +360,9 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
     if not converged:
         warnings.warn("spectral norm estimate stopped on its iteration cap",
                       PowerIterationWarning)
-
-    def value(x):
-        res = a @ x - y
-        return 0.5 * float(res @ res)
-
-    def gradient(x):
-        return a.T @ (a @ x - y)
-
     return Objective(
         dim=grid_n * grid_n,
-        value_fn=value,
-        gradient_fn=gradient,
+        **_data_fit(a, y),
         lipschitz=est * 1.01,
         min_value=0.0,
         convex_flag=True,

@@ -16,6 +16,8 @@ constant, gap: f(x) - min f, k: iteration number):
 The centerpiece, ahb, takes the largest momentum weight up to the cap for
 which a computable surrogate certifies that the squared distance to the
 solution set still decreases. Nesterov's step is computed as y - alpha * g(y).
+On matrix-backed problems a step costs 2 matvecs, since f(x) and g(x) share
+one residual, and 3 for Nesterov, which takes f at x but g at y.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from collections import namedtuple
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -200,63 +201,73 @@ _RULES = {
 }
 
 
-# everything measured at the current iterate that recording and advancing need
-_Eval = namedtuple("_Eval", "fval gap y g g_sq m alpha beta")
-
-
-def _measure(method, state, obj, cfg):
+def _plan(method, obj):
+    # once per run; the fused oracle serves only f and g both taken at x
     rule, needs, at_y = _RULES[method]
     for name in needs:
         if getattr(obj, name) is None:
             raise CapabilityError(name)
-    fval = obj.value(state.x)
+    fused = obj.value_and_gradient_fn
+    serves = not at_y and getattr(fused, "partners", None) == (obj.value_fn, obj.gradient_fn)
+    return rule, at_y, fused if serves else None
+
+
+def _measure(plan, state, m, obj, cfg):
+    # f, gap, y, g(y), |g|^2, alpha and beta at x, given m = x - x_prev
+    rule, at_y, fused = plan
+    x = state.x
+    fval, g = (obj.value(x), None) if fused is None else fused(x)
+    fval = float(fval)
     if not math.isfinite(fval):
         raise NumericalFailureError(state.k)
     gap = float("nan") if obj.min_value is None else max(fval - obj.min_value, 0.0)
-    m = state.x - state.x_prev
-    y = state.x
+    y = x
     if at_y:
         alpha, beta = rule(state, cfg, obj.lipschitz, gap, None, None, m)
-        y = state.x + beta * m
-    g = obj.gradient(y)
-    if not np.all(np.isfinite(g)):
-        raise NumericalFailureError(state.k)
+        y = x + beta * m
+    g = obj.gradient(y) if fused is None else np.asarray(g, dtype=float)
     g_sq = float(g @ g)
+    # a finite sum of squares has only finite terms
+    if not math.isfinite(g_sq) and not np.all(np.isfinite(g)):
+        raise NumericalFailureError(state.k)
     if not at_y:
         alpha, beta = rule(state, cfg, obj.lipschitz, gap, g, g_sq, m)
-    return _Eval(fval, gap, y, g, g_sq, m, alpha, beta)
+    return fval, gap, y, g, g_sq, alpha, beta
 
 
-def _record(state, obj, ev):
+def _record(state, obj, fval, gap, g_sq, alpha, beta, m_sq):
     # gnorm is the gradient actually computed, at y for Nesterov
     dist = None if obj.solution_oracle is None else float(obj.solution_oracle(state.x))
-    return IterationRecord(k=state.k, fval=ev.fval, gap=ev.gap, gnorm=math.sqrt(ev.g_sq),
-                           alpha=0.0 if ev.alpha is None else ev.alpha, beta=ev.beta,
-                           step_norm=math.sqrt(float(ev.m @ ev.m)), dist=dist)
+    return IterationRecord(k=state.k, fval=fval, gap=gap, gnorm=math.sqrt(g_sq),
+                           alpha=0.0 if alpha is None else alpha, beta=beta,
+                           step_norm=math.sqrt(m_sq), dist=dist)
 
 
-def _advance(state, obj, ev):
-    x_next = ev.y - ev.alpha * ev.g
-    extrapolated = ev.y is not state.x
-    if not extrapolated:
-        x_next += ev.beta * ev.m
-    nxt = SolverState(k=state.k + 1, x=x_next, x_prev=state.x,
-                      gamma_tilde=state.gamma_tilde, alpha_prev=ev.alpha,
-                      beta_prev=ev.beta, f_prev_gap=ev.gap, g_prev_norm_sq=ev.g_sq,
-                      z=ev.y if extrapolated else None)
-    m_next = x_next - state.x
-    nxt.gamma_tilde = update_gamma_tilde(nxt, float(m_next @ m_next), obj.lipschitz)
-    return nxt
+def _advance(state, lipschitz, gap, y, g, g_sq, m, alpha, beta):
+    # moves state to the next iterate in place; returns its m and |m|^2
+    x = state.x
+    x_next = y - alpha * g
+    if y is x:
+        x_next += beta * m
+    m_next = x_next - x
+    m_next_sq = float(m_next @ m_next)
+    state.k, state.x, state.x_prev, state.z = state.k + 1, x_next, x, None if y is x else y
+    state.alpha_prev, state.beta_prev = alpha, beta
+    state.f_prev_gap, state.g_prev_norm_sq = gap, g_sq
+    state.gamma_tilde = update_gamma_tilde(state, m_next_sq, lipschitz)
+    return m_next, m_next_sq
 
 
 def _step(method, state, obj, cfg):
-    ev = _measure(method, state, obj, cfg)
-    rec = _record(state, obj, ev)
-    if ev.alpha is None:
+    m = state.x - state.x_prev
+    m_sq = float(m @ m)
+    fval, gap, y, g, g_sq, alpha, beta = _measure(_plan(method, obj), state, m, obj, cfg)
+    rec = _record(state, obj, fval, gap, g_sq, alpha, beta, m_sq)
+    if alpha is None:
         state.record, state.stop = rec, _STOP_CRITICAL
         return state
-    nxt = _advance(state, obj, ev)
-    nxt.record = rec
+    nxt = replace(state, record=rec, stop=None)
+    _advance(nxt, obj.lipschitz, gap, y, g, g_sq, m, alpha, beta)
     return nxt
 
 
@@ -313,23 +324,20 @@ def run_solver(obj, cfg, x0, problem_spec=None, x0_seed=None) -> Trace:
         "wall_ms": None,
     }
     _check_domain(obj, state.x, meta)
+    plan = _plan(cfg.method, obj)
+    m, m_sq = np.zeros_like(state.x), 0.0
     started = time.perf_counter()
     records = []
     while True:
-        ev = _measure(cfg.method, state, obj, cfg)
-        if ev.alpha is None:
-            reason = _STOP_CRITICAL
-        elif obj.min_value is not None and ev.gap <= cfg.gap_tol:
-            reason = _STOP_GAP
-        elif state.k >= cfg.max_iters:
-            reason = _STOP_MAX
-        else:
-            reason = None
+        fval, gap, y, g, g_sq, alpha, beta = _measure(plan, state, m, obj, cfg)
+        reason = (_STOP_CRITICAL if alpha is None
+                  else _STOP_GAP if obj.min_value is not None and gap <= cfg.gap_tol
+                  else _STOP_MAX if state.k >= cfg.max_iters else None)
         if reason is not None or state.k % cfg.record_every == 0:
-            records.append(_record(state, obj, ev))
+            records.append(_record(state, obj, fval, gap, g_sq, alpha, beta, m_sq))
         if reason is not None:
             break
-        state = _advance(state, obj, ev)
+        m, m_sq = _advance(state, obj.lipschitz, gap, y, g, g_sq, m, alpha, beta)
     meta["stop_reason"] = reason
     meta["wall_ms"] = (time.perf_counter() - started) * 1e3
     return Trace(records=records, meta=meta)

@@ -329,3 +329,96 @@ def test_cli_import_does_not_load_scipy():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("x0", ['{"seed": null}', '{"norm": null}', '{"seed": "abc"}',
+                                '{"seed": "5"}', '{"norm": "2"}', '{"norm": [1.0]}',
+                                '{"seed": {}}', '{"seed": true}', '{"seed": 2.5}',
+                                '{"seed": Infinity}', '{"seed": NaN}'],
+                         ids=["null-seed", "null-norm", "str-seed", "numeric-str-seed",
+                              "numeric-str-norm", "list-norm", "dict-seed", "bool-seed",
+                              "fractional-seed", "inf-seed", "nan-seed"])
+def test_non_numeric_start_seed_or_norm_is_a_config_error(x0, tmp_path, capsys):
+    code = main(["solve", "--problem", "quadratic", "--max-iters", "5",
+                 "--x0", x0, "--out", str(tmp_path)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: x0 needs an integer seed and a numeric norm")
+    assert not (tmp_path / "ahb.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("runs", [[1], [{"method": "gd"}, "ahb"], {"method": "gd"}, "gd",
+                                  [], {}, "", 0, False],
+                         ids=["int-entry", "str-entry", "object", "string", "empty-list",
+                              "empty-object", "empty-string", "zero", "false"])
+def test_runs_that_are_not_a_list_of_objects_are_a_config_error(command, runs, tmp_path,
+                                                                 capsys):
+    config = {"problem": {"kind": "quadratic"}, "runs": runs, "out_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: runs must be a non-empty list of objects\n"
+
+
+def test_solve_with_several_runs_points_to_compare(tmp_path, capsys):
+    config = {"problem": {"kind": "quadratic"}, "out_dir": str(tmp_path / "out"),
+              "runs": [{"method": "gd"}, {"method": "ahb"}]}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: solve takes one run, the config has 2") and "compare" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method", ["ahb", "gd", "alrhb", "nesterov"])
+def test_overflowing_least_squares_start_reports_only_the_numerical_failure(
+        method, tmp_path, capsys):
+    # |A x0|^2 overflows in the residual the fused oracle shares with the gradient
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--problem", "least_squares", "--method", method,
+                     "--x0", '{"seed": 1, "norm": 1e300}',
+                     "--max-iters", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: non-finite value at iteration 0\n"
+
+
+# SHA-256 over the name and bytes of every file `compare` writes (sidecars
+# with wall_ms nulled) on 30x30 least squares at 300 iterations, as written
+# before the value and gradient shared one residual.
+COMPARE_DIGESTS = {
+    1: "75a126716662ff172243c3ce6df8c9c09ff9f554db8f19f2329cedcaf6f33e2c",
+    7: "e80ec3af2a7983cc0f52f94c295ce84390c70ed9d4aa313171be715230ae9e4e",
+}
+
+
+@pytest.mark.parametrize("record_every", sorted(COMPARE_DIGESTS))
+def test_compare_outputs_are_bitwise_golden(record_every, tmp_path, capsys):
+    config = {"problem": {"kind": "least_squares", "seed": 3,
+                          "params": {"rows": 30, "cols": 30,
+                                     "singular_values": [1.0 / i for i in range(1, 31)]}},
+              "x0": {"seed": 4, "norm": 3.0}}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg_path), "--out", str(out),
+                 "--max-iters", "300", "--record-every", str(record_every)]) == 0
+    capsys.readouterr()
+    blob = b""
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name.endswith(".meta.json"):
+            meta = json.loads(data)
+            meta["wall_ms"] = None
+            data = json.dumps(meta, sort_keys=True).encode()
+        blob += path.name.encode() + b"\0" + data
+    assert hashlib.sha256(blob).hexdigest() == COMPARE_DIGESTS[record_every]

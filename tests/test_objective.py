@@ -317,3 +317,23 @@ def test_every_package_error_shares_the_base_class():
                 and not issubclass(member, Warning)):
             assert issubclass(member, ToolkitError), name
     assert issubclass(InvalidSpecError, ValueError)
+
+
+def _assert_fused_matches(obj, x):
+    value, grad = obj.value_and_gradient_fn(x)
+    ref_value, ref_grad = obj.value_fn(x), obj.gradient_fn(x)
+    assert type(value) is float and type(ref_value) is float
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert grad.dtype == ref_grad.dtype == np.float64
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("rows,cols,seed", [(1, 1, 0), (5, 3, 1), (3, 5, 2), (20, 20, 3),
+                                            (40, 60, 4), (200, 200, 5)])
+def test_least_squares_fused_oracle_is_bitwise_value_and_gradient(rows, cols, seed):
+    r = min(rows, cols)
+    obj = make_least_squares(rows, cols, [1.0 / i for i in range(1, r + 1)], seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for scale in (0.0, 1e-3, 1.0, 10.0, 1e150):
+        _assert_fused_matches(obj, scale * rng.standard_normal(cols))
+    _assert_fused_matches(obj, obj.x_true)

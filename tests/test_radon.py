@@ -53,3 +53,18 @@ def test_row_sums_are_chord_lengths(n, angles, rays):
     expected = [_chord_length(k * math.pi / angles, -1.0 + (r + 0.5) * 2.0 / rays)
                 for k in range(angles) for r in range(rays)]
     np.testing.assert_allclose(sums, expected, rtol=1e-12, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [7, 16, 64])
+def test_radon_fused_oracle_is_bitwise_value_and_gradient(n):
+    from ahbopt import make_radon
+
+    obj = make_radon(n, n, n, "disks")
+    rng = np.random.default_rng(n)
+    for x in [np.zeros(n * n), obj.x_true, rng.standard_normal(n * n),
+              1e3 * rng.random(n * n)]:
+        value, grad = obj.value_and_gradient_fn(x)
+        ref_value, ref_grad = obj.value_fn(x), obj.gradient_fn(x)
+        assert type(value) is float and value == ref_value
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()

@@ -416,3 +416,139 @@ def test_sparse_records_call_the_distance_oracle_only_when_kept():
     trace = run_solver(obj, cfg, np.zeros(200))
     assert [r.k for r in trace.records] == list(range(0, 2001, 100))
     assert len(calls) == 21
+
+
+def _counted(obj):
+    calls = {"value": 0, "gradient": 0, "fused": 0}
+
+    def wrap(name, fn):
+        def counted(x):
+            calls[name] += 1
+            return fn(x)
+        return None if fn is None else counted
+
+    value, gradient = wrap("value", obj.value_fn), wrap("gradient", obj.gradient_fn)
+    fused = wrap("fused", obj.value_and_gradient_fn)
+    if fused is not None:
+        fused.partners = (value, gradient)
+    return calls, dataclasses.replace(obj, value_fn=value, gradient_fn=gradient,
+                                      value_and_gradient_fn=fused)
+
+
+@pytest.mark.parametrize("method", sorted(_STEPS))
+def test_one_fused_call_per_iterate_where_the_gradient_is_taken_at_x(method):
+    calls, obj = _counted(_LS)
+    run_solver(obj, SolverConfig(method=method, max_iters=50), np.zeros(200))
+    state = initial_state(np.zeros(200))
+    for _ in range(10):
+        state = _STEPS[method](state, obj, SolverConfig(method=method))
+    if method == "nesterov":  # f at x, g at y: two calls
+        assert calls == {"value": 61, "gradient": 61, "fused": 0}
+    else:
+        assert calls == {"value": 0, "gradient": 0, "fused": 61}
+
+
+@pytest.mark.parametrize("method", sorted(_STEPS))
+def test_objectives_without_the_fused_oracle_call_value_and_gradient(method):
+    calls, obj = _counted(dataclasses.replace(_LS, value_and_gradient_fn=None))
+    run_solver(obj, SolverConfig(method=method, max_iters=50), np.zeros(200))
+    assert calls == {"value": 51, "gradient": 51, "fused": 0}
+
+
+@pytest.mark.parametrize("swapped", [("value_fn",), ("gradient_fn",), ("value_fn", "gradient_fn")],
+                         ids=["value", "gradient", "both"])
+def test_replaced_value_or_gradient_is_called_instead_of_the_stale_fused_oracle(swapped):
+    # as a tracing wrapper does: the fused field still belongs to the old pair
+    calls = dict.fromkeys(swapped, 0)
+
+    def wrap(name, fn):
+        def counted(x):
+            calls[name] += 1
+            return fn(x)
+        return counted
+
+    obj = dataclasses.replace(_LS, **{name: wrap(name, getattr(_LS, name)) for name in swapped})
+    cfg = SolverConfig(method="ahb", max_iters=50)
+    trace = run_solver(obj, cfg, np.zeros(200))
+    assert calls == dict.fromkeys(swapped, 51)
+    assert trace.records == run_solver(_LS, cfg, np.zeros(200)).records
+
+
+def _fused_pair(value, gradient):
+    def value_and_gradient(x):
+        return value(x), gradient(x)
+    value_and_gradient.partners = (value, gradient)
+    return value_and_gradient
+
+
+def test_fused_results_are_read_as_a_float_and_a_float_array():
+    def value(x):
+        return 0.5 * float(x @ x)
+
+    def gradient(x):
+        return x.copy()
+
+    def loose(x):
+        return np.array(value(x)), [int(v) if v == int(v) else v for v in x]
+
+    loose.partners = (value, gradient)
+    cfg = SolverConfig(method="gd", max_iters=20)
+    traces = [run_solver(Objective(dim=2, value_fn=value, gradient_fn=gradient, lipschitz=1.0,
+                                   min_value=0.0, value_and_gradient_fn=fused), cfg,
+                         np.array([4.0, 8.0]))
+              for fused in (None, loose)]
+    assert traces[0].records == traces[1].records
+    assert all(type(r.fval) is float for r in traces[1].records)
+
+
+def _linear(fused):
+    # f = C (x1 + x2): finite f and g, but |g|^2 = 2 C^2 overflows
+    c = 1e160
+
+    def value(x):
+        return c * float(x[0] + x[1])
+
+    def gradient(x):
+        return np.array([c, c])
+
+    return Objective(dim=2, value_fn=value, gradient_fn=gradient, lipschitz=c,
+                     min_value=-1e300,
+                     value_and_gradient_fn=_fused_pair(value, gradient) if fused else None)
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["separate", "fused"])
+def test_finite_gradient_with_overflowing_square_runs_on(fused, tmp_path):
+    # SHA-256 of the four CSVs as written before the finite check went
+    # through |g|^2: a finite gradient never stops the run
+    blob = b""
+    with np.errstate(over="ignore"):
+        for method in ("ahb", "alrhb", "gd", "nesterov"):
+            trace = run_solver(_linear(fused), SolverConfig(method=method, max_iters=20),
+                               np.array([1.0, 2.0]))
+            assert trace.meta["stop_reason"] == "max_iters"
+            write_csv(trace, tmp_path / "t.csv")
+            blob += (tmp_path / "t.csv").read_bytes()
+    assert (hashlib.sha256(blob).hexdigest()
+            == "1efda117177e0b45867fb20cc19f7c1caf2fa33c0e0a389ddf5bd3973fee120b")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fused", [False, True], ids=["separate", "fused"])
+def test_non_finite_gradient_entry_fails_at_its_iterate(bad, fused):
+    # gd with step 1/L halves x = 8, 4, 2, 1, 0.5: the gradient turns bad at k = 4
+    def gradient(x):
+        g = x.copy()
+        if x[0] < 1.0:
+            g[1] = bad
+        return g
+
+    def value(x):
+        return 0.5 * float(x @ x)
+
+    obj = Objective(dim=2, value_fn=value, gradient_fn=gradient, lipschitz=2.0,
+                    min_value=0.0,
+                    value_and_gradient_fn=_fused_pair(value, gradient) if fused else None)
+    with pytest.raises(NumericalFailureError) as exc:
+        run_solver(obj, SolverConfig(method="gd", gd_mu=1.0, max_iters=50),
+                   np.array([8.0, 8.0]))
+    assert exc.value.iteration == 4
