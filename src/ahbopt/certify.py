@@ -9,15 +9,17 @@ The sampling checks draw uniform points of a ball B_r(c) in
 d dimensions: each point takes d + 2 standard normals g and is
 c + r * g[:d] / |g|, because the first d coordinates of a uniform point
 on the sphere S^(d+1) are uniform in the d-ball (Voelker, Gosmann &
-Stewart, 2017). Candidates are drawn in chunks, and the generator fills
-a chunk row by row, so a report depends on the seed and not on the
-chunk size.
+Stewart, 2017). One sampler, ``_accepted``, serves every sampling
+check: it draws candidates in chunks, keeps those the check's filter
+accepts, and stops at the requested count or after 100 trials per
+requested sample. The generator fills a chunk row by row, so a report
+depends on the seed and not on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,8 +46,8 @@ class HolderFunction:
     alpha: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise InvalidInputError("c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise InvalidInputError("c must be positive and finite")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidInputError("alpha must lie in (0, 1]")
 
@@ -116,17 +118,28 @@ def _ball_points(rng, center, radius, count):
     return center + scale[:, None] * g[:, :d], drawn
 
 
-def _ball_candidates(rng, center, radius, max_trials):
-    """Yield ``max_trials`` ball points in draw order, ``None`` for a row
-    that holds no point. Chunks are only drawn as they are consumed."""
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_FLOATS // (center.size + 2)))
-    remaining = max_trials
-    while remaining > 0:
-        count = min(rows, remaining)
-        remaining -= count
-        points, drawn = _ball_points(rng, center, radius, count)
+def _accepted(xbar, r, num_samples, seed, keep):
+    """Draw uniform points of B_r(xbar) in chunks and pass each to
+    ``keep``, which returns the value to keep or None. Stops at
+    ``num_samples`` kept values or after 100 trials per requested sample,
+    and draws no chunk it does not consume. Returns the kept values and
+    the number of trials."""
+    r = float(r)
+    if not 0.0 < r < math.inf:
+        raise InvalidInputError("r must be positive and finite")
+    rng = np.random.default_rng(seed)
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_FLOATS // (xbar.size + 2)))
+    kept, trials, cap = [], 0, _REJECTION_FACTOR * num_samples
+    while trials < cap and len(kept) < num_samples:
+        points, drawn = _ball_points(rng, xbar, r, min(rows, cap - trials))
         for x, ok in zip(points, drawn):
-            yield x if ok else None
+            trials += 1
+            value = keep(x) if ok else None
+            if value is not None:
+                kept.append(value)
+                if len(kept) == num_samples:
+                    break
+    return kept, trials
 
 
 def _shortfall_notes(checked, requested, trials):
@@ -136,37 +149,43 @@ def _shortfall_notes(checked, requested, trials):
             f"in {trials} trials",)
 
 
-def _sample_level_slice(obj, xbar, r, eta, num_samples, seed):
-    """Uniform points of B_r(xbar) with value strictly between f(xbar)
-    and f(xbar) + eta, by rejection (at most 100 trials per requested
-    point). Returns the points, their gaps and the number of trials."""
-    if not r > 0:
-        raise InvalidInputError("r must be positive")
+def _slice_check(obj, xbar, r, eta, num_samples, seed, judge) -> CertReport:
+    """Sample B_r(xbar) for points with value strictly between f(xbar)
+    and f(xbar) + eta and judge each: ``judge(x, gap)`` returns the
+    left/right ratio and whether the inequality broke. The witness is the
+    first point of the worst ratio."""
     if not (eta > 0 and math.isfinite(eta)):
         raise InvalidInputError("eta must be positive and finite")
     num_samples = int(num_samples)
     if num_samples < 1:
         raise InvalidInputError("num_samples must be positive")
-    rng = np.random.default_rng(seed)
+    xbar = np.asarray(xbar, dtype=float)
     fbar = obj.value(xbar)
-    points, gaps = [], []
-    trials = 0
-    for x in _ball_candidates(rng, xbar, float(r), _REJECTION_FACTOR * num_samples):
-        trials += 1
-        if x is None:
-            continue
+
+    def keep(x):
         gap = obj.value(x) - fbar
-        if 0.0 < gap < eta:
-            # a view would keep its whole chunk alive
-            points.append(x.copy())
-            gaps.append(gap)
-            if len(points) == num_samples:
-                break
-    if not points:
-        raise EmptyRegionError(
-            f"no sample of {trials} landed in the level slice (0, {eta:g}) "
-            f"within radius {r:g}")
-    return points, gaps, trials
+        # a view would keep its whole chunk alive
+        return (x.copy(), gap) if 0.0 < gap < eta else None
+
+    kept, trials = _accepted(xbar, r, num_samples, seed, keep)
+    if not kept:
+        raise EmptyRegionError(f"no sample of {trials} landed in the level slice "
+                               f"(0, {eta:g}) within radius {r:g}")
+    worst, witness, violations = -math.inf, kept[0][0], 0
+    for x, gap in kept:
+        ratio, violated = judge(x, gap)
+        violations += bool(violated)
+        if ratio > worst:
+            worst, witness = ratio, x
+    return CertReport(checked=len(kept), violations=violations,
+                      worst_ratio=worst, witness=[float(w) for w in witness],
+                      trials=trials, notes=_shortfall_notes(len(kept), num_samples, trials))
+
+
+def _line_fit(t, y):
+    """Least squares line y ~ coef[0] * t + coef[1] and its RMS misfit."""
+    coef = np.polyfit(t, y, 1)
+    return coef, float(np.sqrt(np.mean((y - np.polyval(coef, t)) ** 2)))
 
 
 def _min_subgradient_norm_fn(obj):
@@ -180,21 +199,13 @@ def _min_subgradient_norm_fn(obj):
 def check_kl(obj, xbar, r, eta, phi, num_samples=200, seed=0) -> CertReport:
     """Sample the level slice and test the sharpness inequality
     phi'(f(x) - f(xbar)) * dist(0, df(x)) >= 1."""
-    xbar = np.asarray(xbar, dtype=float)
     slope_at = _min_subgradient_norm_fn(obj)
-    points, gaps, trials = _sample_level_slice(obj, xbar, r, eta, num_samples, seed)
-    worst, witness, violations = -math.inf, points[0], 0
-    for x, gap in zip(points, gaps):
+
+    def judge(x, gap):
         product = phi.derivative(gap) * slope_at(x)
-        if product < 1.0 - REL_TOL:
-            violations += 1
-        ratio = math.inf if product == 0.0 else 1.0 / product
-        if ratio > worst:
-            worst, witness = ratio, x
-    return CertReport(checked=len(points), violations=violations,
-                      worst_ratio=worst, witness=[float(w) for w in witness],
-                      trials=trials,
-                      notes=_shortfall_notes(len(points), num_samples, trials))
+        return math.inf if product == 0.0 else 1.0 / product, product < 1.0 - REL_TOL
+
+    return _slice_check(obj, xbar, r, eta, num_samples, seed, judge)
 
 
 def certify_growth_direct(obj, xbar, r, eta, phi, factor=1.0,
@@ -204,25 +215,18 @@ def certify_growth_direct(obj, xbar, r, eta, phi, factor=1.0,
     ``factor`` absorbs constant slop when phi's coefficient is not
     calibrated; pass 1 to test phi as given.
     """
-    if not factor > 0:
-        raise InvalidInputError("factor must be positive")
-    xbar = np.asarray(xbar, dtype=float)
+    if not 0.0 < factor < math.inf:
+        raise InvalidInputError("factor must be positive and finite")
     if obj.solution_oracle is None:
         raise CapabilityError("solution_oracle")
-    points, gaps, trials = _sample_level_slice(obj, xbar, r, eta, num_samples, seed)
-    worst, witness, violations = -math.inf, points[0], 0
-    for x, gap in zip(points, gaps):
+
+    def judge(x, gap):
         dist = obj.distance(x)
         bound = factor * phi(gap)
         ratio = dist / bound if bound > 0 else (math.inf if dist > 0 else 0.0)
-        if ratio > 1.0 + REL_TOL:
-            violations += 1
-        if ratio > worst:
-            worst, witness = ratio, x
-    return CertReport(checked=len(points), violations=violations,
-                      worst_ratio=worst, witness=[float(w) for w in witness],
-                      trials=trials,
-                      notes=_shortfall_notes(len(points), num_samples, trials))
+        return ratio, ratio > 1.0 + REL_TOL
+
+    return _slice_check(obj, xbar, r, eta, num_samples, seed, judge)
 
 
 def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
@@ -238,8 +242,8 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
     NumericalFailureError.
     """
     taus = [float(t) for t in tau_list]
-    if not taus or any(t <= 0 for t in taus):
-        raise InvalidInputError("tau_list must hold positive values")
+    if not taus or not all(0.0 < t < math.inf for t in taus):
+        raise InvalidInputError("tau_list must hold positive finite values")
     num_steps = int(num_steps)
     if num_steps < 1:
         raise InvalidInputError("num_steps must be at least 1")
@@ -285,11 +289,8 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
             limit = 2.0 * phi(gap0) - dist0
             terms = np.array([row["slack"] - limit for row in per_tau])
             if np.all(terms > 0):
-                coef = np.polyfit(np.log([row["tau"] for row in per_tau]),
-                                  np.log(terms), 1)
+                coef, resid = _line_fit(np.log(taus), np.log(terms))
                 exponent = float(coef[0])
-                resid = float(np.sqrt(np.mean(
-                    (np.log(terms) - np.polyval(coef, np.log([row["tau"] for row in per_tau]))) ** 2)))
                 fitted = (float(math.exp(coef[1])), exponent, resid)
                 if abs(exponent - 0.5) > 0.05:
                     violations += 1
@@ -333,10 +334,8 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
     infimal convolution.
     """
     lam = float(lam)
-    if not lam > 0:
-        raise InvalidInputError("lam must be positive")
-    if not r > 0:
-        raise InvalidInputError("r must be positive")
+    if not 0.0 < lam < math.inf:
+        raise InvalidInputError("lam must be positive and finite")
     if obj.growth_exponent is None:
         raise CapabilityError("growth_exponent")
     if obj.solution_oracle is None:
@@ -345,20 +344,14 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
     if num_samples < 8:
         raise InvalidInputError("need at least 8 samples to fit")
     xbar = np.asarray(xbar, dtype=float)
-    rng = np.random.default_rng(seed)
     env_min = moreau_value(obj, lam, xbar)
-    samples = []
-    trials = 0
-    for x in _ball_candidates(rng, xbar, float(r), _REJECTION_FACTOR * num_samples):
-        trials += 1
-        if x is None:
-            continue
+
+    def keep(x):
         gap = moreau_value(obj, lam, x) - env_min
         dist = obj.distance(x)
-        if gap > 0 and dist > 0:
-            samples.append((gap, dist))
-            if len(samples) == num_samples:
-                break
+        return (gap, dist) if gap > 0 and dist > 0 else None
+
+    samples, trials = _accepted(xbar, r, num_samples, seed, keep)
     if len(samples) < 8:
         raise EmptyRegionError(
             f"only {len(samples)} usable envelope samples in {trials} trials")
@@ -375,26 +368,18 @@ def check_growth_implies_kl(obj, xbar, r, eta, c, alpha,
                             num_samples=200, seed=0) -> CertReport:
     """Test the sharpness consequence of Holder growth:
     gap^(1 - alpha) <= (c / alpha) * dist(0, df(x))."""
-    if not c > 0:
-        raise InvalidInputError("c must be positive")
+    if not 0.0 < c < math.inf:
+        raise InvalidInputError("c must be positive and finite")
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError("alpha must lie in (0, 1]")
-    xbar = np.asarray(xbar, dtype=float)
     slope_at = _min_subgradient_norm_fn(obj)
-    points, gaps, trials = _sample_level_slice(obj, xbar, r, eta, num_samples, seed)
-    worst, witness, violations = -math.inf, points[0], 0
-    for x, gap in zip(points, gaps):
+
+    def judge(x, gap):
         lhs = gap ** (1.0 - alpha)
         rhs = (c / alpha) * slope_at(x)
-        ratio = lhs / rhs if rhs > 0 else math.inf
-        if lhs > rhs * (1.0 + REL_TOL):
-            violations += 1
-        if ratio > worst:
-            worst, witness = ratio, x
-    return CertReport(checked=len(points), violations=violations,
-                      worst_ratio=worst, witness=[float(w) for w in witness],
-                      trials=trials,
-                      notes=_shortfall_notes(len(points), num_samples, trials))
+        return lhs / rhs if rhs > 0 else math.inf, lhs > rhs * (1.0 + REL_TOL)
+
+    return _slice_check(obj, xbar, r, eta, num_samples, seed, judge)
 
 
 def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
@@ -409,6 +394,8 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     """
     delta0, c, theta = float(delta0), float(c), float(theta)
     num_steps = int(num_steps)
+    if not all(map(math.isfinite, (delta0, c, theta))):
+        raise InvalidInputError("delta0, c and theta must be finite")
     if delta0 < 0:
         raise InvalidInputError("delta0 must be nonnegative")
     if not c > 0:
@@ -435,12 +422,9 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     violations = int(np.sum(deltas > c_tilde * (1.0 + ks) ** (-exponent) * (1.0 + 1e-12)))
     tail_lo = max(num_steps // 10, 1)
     tail = slice(tail_lo, num_steps + 1)
-    coef = np.polyfit(np.log(1.0 + ks[tail]), np.log(deltas[tail]), 1)
-    slope = float(coef[0])
-    resid = float(np.sqrt(np.mean(
-        (np.log(deltas[tail]) - np.polyval(coef, np.log(1.0 + ks[tail]))) ** 2)))
+    coef, resid = _line_fit(np.log(1.0 + ks[tail]), np.log(deltas[tail]))
     return CertReport(checked=num_steps + 1, violations=violations, worst_ratio=1.0,
-                      witness=[float(k_star)], fitted=(c_tilde, slope, resid))
+                      witness=[float(k_star)], fitted=(c_tilde, float(coef[0]), resid))
 
 
 def fit_rate_from_trace(trace, model, k_min=None, k_max=None) -> tuple:
@@ -463,7 +447,6 @@ def fit_rate_from_trace(trace, model, k_min=None, k_max=None) -> tuple:
     ks = np.array([k for k, _ in rows], dtype=float)
     log_dist = np.log([d for _, d in rows])
     abscissa = ks if model == "linear" else np.log(ks + 1.0)
-    coef = np.polyfit(abscissa, log_dist, 1)
-    resid = float(np.sqrt(np.mean((log_dist - np.polyval(coef, abscissa)) ** 2)))
+    coef, resid = _line_fit(abscissa, log_dist)
     value = math.exp(coef[0]) if model == "linear" else float(coef[0])
     return value, resid

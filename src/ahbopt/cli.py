@@ -34,13 +34,6 @@ _DEFAULT_PARAMS = {
     "radon": {"grid_n": 8, "num_angles": 6, "rays_per_angle": 12, "phantom": "blocks"},
 }
 
-_DEFAULT_COMPARE_RUNS = (
-    {"method": "ahb", "mu0": 0.96, "beta_cap": 1.0},
-    {"method": "alrhb", "alrhb_beta": 0.96},
-    {"method": "nesterov", "nesterov_nu": 3.0},
-    {"method": "gd", "gd_mu": 1.96},
-)
-
 
 class _UsageError(Exception):
     pass
@@ -104,7 +97,10 @@ def _load_config_file(path):
 
 
 def _problem_from(args, file_data):
-    spec_data = dict(file_data.get("problem") or {})
+    spec_data = file_data.get("problem") or {}
+    if not isinstance(spec_data, dict):
+        raise InvalidSpecError("problem spec must be an object")
+    spec_data = dict(spec_data)
     if args.problem is not None:
         if spec_data.get("kind") not in (None, args.problem):
             spec_data.pop("params", None)
@@ -180,58 +176,55 @@ def _execute_run(spec, obj, cfg, x0_spec, out_dir, fallback_seed, name):
     return summary
 
 
-def cmd_solve(args) -> int:
+def _run_methods(args, default_runs) -> int:
+    """Run each config entry on the one shared problem; ``compare`` also
+    writes the summaries together to compare.json."""
     file_data = _load_config_file(args.config) if args.config else {}
     spec = _problem_from(args, file_data)
-    base, *rest = _run_entries(file_data, [{}])
-    if rest:
-        raise InvalidSpecError(f"solve takes one run, the config has {len(rest) + 1}; use compare")
-    base.pop("problem", None)
-    base.update(_solver_overrides(args))
-    cfg = SolverConfig.from_json_dict(base)
-    obj = spec.build()
-    out_dir = _out_dir(args, file_data)
-    x0_spec = args.x0 if args.x0 is not None else file_data.get("x0")
-    _execute_run(spec, obj, cfg, x0_spec, out_dir, args.seed, cfg.method)
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    file_data = _load_config_file(args.config) if args.config else {}
-    spec = _problem_from(args, file_data)
-    run_datas = _run_entries(file_data, list(_DEFAULT_COMPARE_RUNS))
+    run_datas = _run_entries(file_data, default_runs)
     overrides = _solver_overrides(args)
-    overrides.pop("method", None)
+    if args.command == "solve" and len(run_datas) > 1:
+        raise InvalidSpecError(f"solve takes one run, the config has {len(run_datas)}; "
+                               "use compare")
+    if args.command == "compare":
+        overrides.pop("method", None)
     configs = []
     for run_data in run_datas:
         embedded = run_data.pop("problem", None)
         if embedded is not None and ProblemSpec.from_dict(embedded) != spec:
-            raise InvalidSpecError("runs disagree on the problem spec; "
-                                   "compare needs one shared problem")
-        run_data.update(overrides)
-        configs.append(SolverConfig.from_json_dict(run_data))
+            raise InvalidSpecError("a run's embedded problem differs from the top-level "
+                                   "one; all runs need one shared problem")
+        configs.append(SolverConfig.from_json_dict({**run_data, **overrides}))
     obj = spec.build()
     out_dir = _out_dir(args, file_data)
     x0_spec = args.x0 if args.x0 is not None else file_data.get("x0")
-    names, seen = [], {}
+    summaries, seen = {}, {}
     for cfg in configs:
-        count = seen.get(cfg.method, 0) + 1
-        seen[cfg.method] = count
-        names.append(cfg.method if count == 1 else f"{cfg.method}-{count}")
-    summaries = {}
-    for cfg, name in zip(configs, names):
-        summaries[name] = _execute_run(spec, obj, cfg, x0_spec, out_dir,
-                                       args.seed, name)
-    compare_path = os.path.join(out_dir, "compare.json")
-    _write_json(compare_path, summaries)
-    print(compare_path)
+        seen[cfg.method] = count = seen.get(cfg.method, 0) + 1
+        name = cfg.method if count == 1 else f"{cfg.method}-{count}"
+        summaries[name] = _execute_run(spec, obj, cfg, x0_spec, out_dir, args.seed, name)
+    if args.command == "compare":
+        compare_path = os.path.join(out_dir, "compare.json")
+        _write_json(compare_path, summaries)
+        print(compare_path)
     return EXIT_OK
+
+
+def cmd_solve(args) -> int:
+    return _run_methods(args, [{}])
+
+
+def cmd_compare(args) -> int:
+    return _run_methods(args, [{"method": m} for m in ("ahb", "alrhb", "nesterov", "gd")])
 
 
 def _parse_point(text, dim):
     if text in (None, "zeros"):
         return np.zeros(dim)
     value = json.loads(text)
+    numbers = value if isinstance(value, list) else [value]
+    if not all(type(v) in (int, float) for v in numbers):
+        raise InvalidInputError(f"point must be a JSON number or list of numbers, got {text}")
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.ndim != 1 or arr.size != dim:
         raise InvalidInputError(f"point must have dimension {dim}")

@@ -114,24 +114,29 @@ class ProblemSpec:
                 f"unknown problem kind '{self.kind}'; expected one of {PROBLEM_KINDS}")
         if not isinstance(self.params, dict):
             raise InvalidSpecError("params must be a mapping")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, float, np.integer)) or seed % 1:
+            raise InvalidSpecError(f"problem seed must be an integer, got {seed!r}")
+        # frozen: the copy and the int go in through object.__setattr__
+        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "seed", int(seed))
 
     def build(self) -> Objective:
-        params = dict(self.params)
         try:
             if self.kind == "quadratic":
-                return make_quadratic(**params)
+                return make_quadratic(**self.params)
             if self.kind == "least_squares":
-                return make_least_squares(seed=int(self.seed), **params)
+                return make_least_squares(seed=self.seed, **self.params)
             if self.kind == "power":
-                return make_power(**params)
+                return make_power(**self.params)
             if self.kind == "abs_value":
-                return make_abs_value(**params)
-            return make_radon(**params)
+                return make_abs_value(**self.params)
+            return make_radon(**self.params)
         except TypeError as exc:
             raise InvalidSpecError(f"bad parameters for '{self.kind}': {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params), "seed": int(self.seed)}
+        return {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
 
     @classmethod
     def from_dict(cls, data) -> "ProblemSpec":
@@ -142,8 +147,7 @@ class ProblemSpec:
             raise InvalidSpecError(f"unknown problem spec keys: {sorted(extra)}")
         if "kind" not in data:
             raise InvalidSpecError("problem spec needs a 'kind'")
-        return cls(kind=data["kind"], params=dict(data.get("params", {})),
-                   seed=int(data.get("seed", 0)))
+        return cls(kind=data["kind"], params=data.get("params", {}), seed=data.get("seed", 0))
 
 
 def make_quadratic(spectrum) -> Objective:

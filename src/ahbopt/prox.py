@@ -3,9 +3,7 @@ grid-searched nonconvex), and Moreau envelope values and gradients."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from ahbopt import (
     verify_recursive_rate,
 )
 from ahbopt import certify
+from ahbopt.cli import main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -139,6 +143,39 @@ def test_sampling_reports_do_not_depend_on_the_chunk_size(rows, monkeypatch):
     assert default[1].trials == 2000  # stops at the trial cap
     monkeypatch.setattr(certify, "_CHUNK_ROWS", rows)
     assert _sampling_reports() == default
+
+
+@pytest.mark.parametrize("rows", [1024, 7])
+def test_sampler_draws_only_the_chunks_it_consumes(rows, monkeypatch):
+    draws = []
+    ball_points = certify._ball_points
+
+    def counted(rng, center, radius, count):
+        draws.append(count)
+        return ball_points(rng, center, radius, count)
+
+    monkeypatch.setattr(certify, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(certify, "_ball_points", counted)
+    report = check_kl(make_quadratic([1.0]), [0.0], 1.0, 0.5, HolderFunction(SQRT2, 0.5))
+    assert report.checked == 200
+    assert len(draws) == math.ceil(report.trials / rows)
+    assert sum(draws) - draws[-1] < report.trials <= sum(draws)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, 0.0])
+def test_sampler_rejects_a_radius_that_is_not_positive_and_finite(r, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew points for a bad radius")
+
+    monkeypatch.setattr(certify, "_ball_points", no_draws)
+    phi = HolderFunction(SQRT2, 0.5)
+    for check in (lambda: check_kl(make_quadratic([1.0]), [0.0], r, 0.5, phi),
+                  lambda: certify_growth_direct(make_quadratic([1.0]), [0.0], r, 0.5, phi),
+                  lambda: check_growth_implies_kl(make_quadratic([1.0]), [0.0], r, 0.5,
+                                                  SQRT2, 0.5),
+                  lambda: check_moreau_exponent(make_abs_value(), 1.0, [0.0], r)):
+        with pytest.raises(InvalidInputError, match="r must be positive and finite"):
+            check()
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -388,6 +425,29 @@ def test_growth_implies_kl_validation():
         check_growth_implies_kl(obj, [0.0], 1.0, 0.5, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("delta0, c, theta", [(math.nan, 0.1, 2.0), (1.0, 0.1, math.inf),
+                                              (0.0, math.inf, 2.0), (1.0, math.nan, 2.0)])
+def test_recursive_rate_rejects_non_finite_inputs(delta0, c, theta):
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        verify_recursive_rate(delta0, c, theta, 100)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: HolderFunction(math.inf, 0.5),
+    lambda: certify_growth_direct(make_quadratic([1.0]), [0.0], 1.0, 0.5,
+                                  HolderFunction(1.0, 0.5), factor=math.inf),
+    lambda: check_growth_implies_kl(make_quadratic([1.0]), [0.0], 1.0, 0.5, math.inf, 0.5),
+    lambda: check_moreau_exponent(make_abs_value(), math.inf, [0.0], 0.5),
+    lambda: certify_growth_via_ppa(make_quadratic([1.0]), [1.0], HolderFunction(1.0, 0.5),
+                                   [1.0, math.inf]),
+    lambda: certify_growth_via_ppa(make_quadratic([1.0]), [1.0], HolderFunction(1.0, 0.5),
+                                   [math.nan]),
+], ids=["phi-c", "factor", "growth-implies-kl-c", "lam", "tau-inf", "tau-nan"])
+def test_non_finite_constants_are_rejected(check):
+    with pytest.raises(InvalidInputError, match="finite"):
+        check()
+
+
 def test_recursive_rate_trivial_at_zero():
     report = verify_recursive_rate(0.0, 0.5, 2.0, 100)
     assert report.violations == 0
@@ -486,3 +546,68 @@ def test_report_json_dict_round_trips_extras():
     out = plain.to_json_dict()
     assert "per_tau" not in out and "notes" not in out and "trials" not in out
     assert out["fitted"] is None
+
+
+def _certify_suite_argvs(seed):
+    """The certify commands of one round of the certify-suite benchmark
+    workload, with its per-command sampling seeds drawn from ``seed``."""
+    rng = random.Random(f"certify-suite/{seed}")
+    seeds = [str(rng.randrange(2 ** 31)) for _ in range(5)]
+    quad = ("--problem", "quadratic", "--params", '{"spectrum": [1.0, 10.0]}')
+    band = ("--r", "1", "--eta", "0.05", "--phi-alpha", "0.5", "--samples", "2000")
+    return [
+        ("kl", *quad, *band, "--phi-c", repr(SQRT2), "--seed", seeds[0]),
+        ("kl", *quad, *band, "--phi-c", "1", "--seed", seeds[1]),
+        ("growth", *quad, *band, "--phi-c", repr(SQRT2), "--seed", seeds[2]),
+        ("growth-ppa", "--problem", "quadratic", "--params", '{"spectrum": [1.0]}',
+         "--x", "[2.0]", "--tau-list", "1,0.1,0.01", "--steps", "200"),
+        ("moreau", "--problem", "abs_value", "--seed", seeds[3]),
+        ("moreau", "--problem", "quadratic", "--params", '{"spectrum": [1.0, 2.0]}',
+         "--seed", seeds[4]),
+        ("rate", "--delta0", "1", "--c", "0.1", "--theta", "2"),
+    ]
+
+
+# SHA-256 over the exit code and stdout of each certify-suite command, as
+# printed before the sampling checks shared one sampler and one judge loop.
+CERTIFY_SUITE_DIGESTS = {
+    1: "acd76649a540a20078ab5f9079b685ee68a2e2a6e3f5aa5cce99103e3a5ed8c7",
+    2: "728e6c291473061d01776b5d8d3c4f1bddf2d205581cef1540372456da3ed881",
+    3: "347cfb5e2ffd16c27f2d154ab8866b193435c9613f1df579925ceb2c689e61e8",
+    4: "943a3bf259313a303f8f4f6f2fb735c9c3fc2a58960d0fd16762dd6a1b8f392d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CERTIFY_SUITE_DIGESTS))
+def test_certify_suite_reports_are_golden(seed, capsys):
+    digest = hashlib.sha256()
+    for argv in _certify_suite_argvs(seed):
+        code = main(["certify", *argv])
+        digest.update(f"{code}\0{capsys.readouterr().out}\0".encode())
+    assert digest.hexdigest() == CERTIFY_SUITE_DIGESTS[seed]
+
+
+# SHA-256 of the sorted-key JSON report, taken with the same reference.
+POWER_REPORT_DIGESTS = {
+    "growth-implies-kl": "3d44b07b3586d5e23e492e48848c42a7212d86dc3c1efa387c961723ec7fb450",
+    "growth-implies-kl-at-cap":
+        "2a1a2bca78d32e6a0901593e41808d4612ae5f93e13fb8fc838a403a9dfc98a1",
+    "moreau": "6edb99ad6eef75e635ade3d223414e1038e29ba93de9949f5b7c78c97bb0d797",
+}
+
+
+def test_power_objective_reports_are_golden():
+    power = make_power(4.0, 2, 2.0)
+    reports = {
+        "growth-implies-kl": check_growth_implies_kl(power, [0.0, 0.0], 1.0, 0.2, SQRT2,
+                                                     0.25, num_samples=300, seed=11),
+        "growth-implies-kl-at-cap": check_growth_implies_kl(power, [0.0, 0.0], 1.0, 1e-6,
+                                                            SQRT2, 0.25, num_samples=50,
+                                                            seed=12),
+        "moreau": check_moreau_exponent(power, 1.0, [0.0, 0.0], 0.3, seed=13),
+    }
+    assert reports["growth-implies-kl-at-cap"].trials == 5000
+    digests = {name: hashlib.sha256(json.dumps(report.to_json_dict(),
+                                               sort_keys=True).encode()).hexdigest()
+               for name, report in reports.items()}
+    assert digests == POWER_REPORT_DIGESTS

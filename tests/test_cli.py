@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ahbopt import IterationRecord, Trace, read_csv, write_csv
+from ahbopt import IterationRecord, Trace, certify, read_csv, write_csv
 from ahbopt.cli import main
 
 
@@ -422,3 +422,87 @@ def test_compare_outputs_are_bitwise_golden(record_every, tmp_path, capsys):
             data = json.dumps(meta, sort_keys=True).encode()
         blob += path.name.encode() + b"\0" + data
     assert hashlib.sha256(blob).hexdigest() == COMPARE_DIGESTS[record_every]
+
+
+def test_solve_rejects_a_disagreeing_embedded_problem(tmp_path, capsys):
+    config = {
+        "problem": {"kind": "quadratic", "params": {"spectrum": [1.0]}},
+        "runs": [{"method": "gd",
+                  "problem": {"kind": "quadratic", "params": {"spectrum": [2.0]}}}],
+        "out_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "shared problem" in err and "compare" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem, message", [
+    ({"kind": "quadratic", "seed": None}, "problem seed must be an integer, got None"),
+    ({"kind": "least_squares", "seed": "7"}, "problem seed must be an integer, got '7'"),
+    ({"kind": "least_squares", "seed": 2.5}, "problem seed must be an integer, got 2.5"),
+    ({"kind": "least_squares", "seed": True}, "problem seed must be an integer, got True"),
+    ({"kind": "quadratic", "params": [1]}, "params must be a mapping"),
+    (5, "problem spec must be an object"),
+], ids=["null-seed", "str-seed", "fractional-seed", "bool-seed", "list-params", "int-problem"])
+def test_problem_spec_of_the_wrong_type_is_a_config_error(problem, message, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"problem": problem, "out_dir": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["compare"], ["certify", "kl"], ["certify", "growth"],
+    ["certify", "growth-ppa", "--x", "[1.0]"], ["certify", "moreau"],
+], ids=["solve", "compare", "kl", "growth", "growth-ppa", "moreau"])
+def test_params_that_are_not_an_object_are_a_config_error(argv, tmp_path, capsys):
+    code = main(argv + ["--problem", "quadratic", "--params", "[1]"]
+                + (["--out", str(tmp_path)] if argv[0] != "certify" else []))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: params must be a mapping\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "--problem", "quadratic", "--xbar", '{"a":1}'],
+    ["growth", "--problem", "quadratic", "--xbar", '"0.5"'],
+    ["moreau", "--problem", "abs_value", "--xbar", "true"],
+    ["growth-ppa", "--problem", "quadratic", "--x", '{"a":1}'],
+], ids=["kl-object", "growth-string", "moreau-bool", "growth-ppa-object"])
+def test_certify_point_that_is_not_numbers_is_a_config_error(argv, capsys):
+    assert main(["certify"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: point must be a JSON number or list of numbers")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--delta0", "nan", "--c", "0.1", "--theta", "2"],
+    ["rate", "--delta0", "1", "--c", "0.1", "--theta", "inf"],
+    ["kl", "--problem", "quadratic", "--r", "inf"],
+    ["growth", "--problem", "quadratic", "--r", "inf"],
+    ["moreau", "--problem", "abs_value", "--r", "inf"],
+    ["moreau", "--problem", "abs_value", "--lam", "inf"],
+    ["growth-ppa", "--problem", "quadratic", "--x", "[1.0]", "--tau-list", "1,inf"],
+    ["kl", "--problem", "quadratic", "--phi-c", "inf"],
+    ["growth", "--problem", "quadratic", "--factor", "inf"],
+], ids=["rate-delta0", "rate-theta", "kl-r", "growth-r", "moreau-r", "moreau-lam",
+        "growth-ppa-tau", "kl-phi-c", "growth-factor"])
+def test_certify_non_finite_input_is_a_config_error_before_sampling(argv, monkeypatch,
+                                                                     capsys):
+    def no_draws(*args):
+        raise AssertionError("sampled with a non-finite input")
+
+    monkeypatch.setattr(certify, "_ball_points", no_draws)
+    assert main(["certify"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err

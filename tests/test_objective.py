@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -279,6 +281,18 @@ def test_problem_spec_validation():
         ProblemSpec.from_dict({"kind": "quadratic", "params": {}, "extra": 1})
     with pytest.raises(InvalidSpecError):
         ProblemSpec(kind="quadratic", params={"bogus": 3}).build()
+
+
+def test_problem_spec_seed_must_be_an_integer():
+    assert ProblemSpec("least_squares", seed=3.0) == ProblemSpec("least_squares", seed=3)
+    assert ProblemSpec("least_squares", seed=np.int64(3)).seed == 3
+    for seed in (None, "7", 2.5, True, math.inf, math.nan):
+        with pytest.raises(InvalidSpecError, match="problem seed must be an integer"):
+            ProblemSpec("least_squares", seed=seed)
+        with pytest.raises(InvalidSpecError, match="problem seed must be an integer"):
+            ProblemSpec.from_dict({"kind": "least_squares", "seed": seed})
+    with pytest.raises(InvalidSpecError, match="params must be a mapping"):
+        ProblemSpec.from_dict({"kind": "quadratic", "params": [1]})
 
 
 def test_problem_spec_build_each_kind():
