@@ -14,6 +14,18 @@ check: it draws candidates in chunks, keeps those the check's filter
 accepts, and stops at the requested count or after 100 trials per
 requested sample. The generator fills a chunk row by row, so a report
 depends on the seed and not on the chunk size.
+
+The level-slice checks (``check_kl``, ``certify_growth_direct``,
+``check_growth_implies_kl``) keep only points with 0 < f(x) - f(xbar) <
+eta, and most ball points miss that slice. When the objective has a
+batched value oracle (``Objective.values_fn``, which the quadratic,
+power and abs_value built-ins carry), one call per chunk screens out the
+rows whose batched gap lies clearly outside the slice; every survivor
+still goes through the per-row ``obj.value`` test and the per-row judge.
+The screen only ever rules rows out, with a slack wider than the
+batched oracle's error, so a report is the same with or without it.
+Objectives without the oracle, or whose ``value_fn`` was replaced, take
+the per-row path for every point.
 """
 
 from __future__ import annotations
@@ -36,6 +48,8 @@ _REJECTION_FACTOR = 100
 # chunk holds, so that high-dimensional objectives draw small chunks
 _CHUNK_ROWS = 1024
 _CHUNK_FLOATS = 1 << 16
+
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -118,12 +132,14 @@ def _ball_points(rng, center, radius, count):
     return center + scale[:, None] * g[:, :d], drawn
 
 
-def _accepted(xbar, r, num_samples, seed, keep):
+def _accepted(xbar, r, num_samples, seed, keep, screen=None):
     """Draw uniform points of B_r(xbar) in chunks and pass each to
     ``keep``, which returns the value to keep or None. Stops at
     ``num_samples`` kept values or after 100 trials per requested sample,
-    and draws no chunk it does not consume. Returns the kept values and
-    the number of trials."""
+    and draws no chunk it does not consume. ``screen(points)``, when
+    given, returns a mask of the rows of a chunk that ``keep`` might
+    accept; the rows it rules out count as trials but skip ``keep``.
+    Returns the kept values and the number of trials."""
     r = float(r)
     if not 0.0 < r < math.inf:
         raise InvalidInputError("r must be positive and finite")
@@ -132,13 +148,17 @@ def _accepted(xbar, r, num_samples, seed, keep):
     kept, trials, cap = [], 0, _REJECTION_FACTOR * num_samples
     while trials < cap and len(kept) < num_samples:
         points, drawn = _ball_points(rng, xbar, r, min(rows, cap - trials))
-        for x, ok in zip(points, drawn):
-            trials += 1
-            value = keep(x) if ok else None
+        if screen is not None:
+            drawn &= screen(points)
+        used = len(points)
+        for i in np.flatnonzero(drawn):
+            value = keep(points[i])
             if value is not None:
                 kept.append(value)
                 if len(kept) == num_samples:
+                    used = int(i) + 1
                     break
+        trials += used
     return kept, trials
 
 
@@ -147,6 +167,28 @@ def _shortfall_notes(checked, requested, trials):
         return ()
     return (f"only {checked} of {int(requested)} requested samples were accepted "
             f"in {trials} trials",)
+
+
+def _slice_screen(values, fbar, eta):
+    """A screen for ``_accepted`` from a batched value oracle, or None.
+
+    It rules a row out only when its batched gap v - fbar is finite and
+    lies outside (-s, eta + s), with slack s = 1e-9 * (|v| + |fbar|) plus
+    the smallest normal float. That slack exceeds the error ``values_fn``
+    may make plus the rounding of both subtractions, so every row whose
+    exact gap lies in (0, eta) survives, and ``keep`` decides each
+    survivor as it would unscreened."""
+    if values is None:
+        return None
+
+    def screen(points):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = values(points)
+            gap = v - fbar
+            slack = 1e-9 * (np.abs(v) + abs(fbar)) + _TINY
+            return ~np.isfinite(gap) | ((gap > -slack) & (gap < eta + slack))
+
+    return screen
 
 
 def _slice_check(obj, xbar, r, eta, num_samples, seed, judge) -> CertReport:
@@ -167,7 +209,8 @@ def _slice_check(obj, xbar, r, eta, num_samples, seed, judge) -> CertReport:
         # a view would keep its whole chunk alive
         return (x.copy(), gap) if 0.0 < gap < eta else None
 
-    kept, trials = _accepted(xbar, r, num_samples, seed, keep)
+    kept, trials = _accepted(xbar, r, num_samples, seed, keep,
+                             _slice_screen(obj.shortcut("values_fn"), fbar, eta))
     if not kept:
         raise EmptyRegionError(f"no sample of {trials} landed in the level slice "
                                f"(0, {eta:g}) within radius {r:g}")

@@ -97,7 +97,8 @@ def _load_config_file(path):
 
 
 def _problem_from(args, file_data):
-    spec_data = file_data.get("problem") or {}
+    spec_data = file_data.get("problem")
+    spec_data = {} if spec_data is None else spec_data
     if not isinstance(spec_data, dict):
         raise InvalidSpecError("problem spec must be an object")
     spec_data = dict(spec_data)
@@ -106,7 +107,8 @@ def _problem_from(args, file_data):
             spec_data.pop("params", None)
         spec_data["kind"] = args.problem
     if "kind" not in spec_data:
-        raise InvalidSpecError("no problem given; pass --problem or a config file")
+        raise InvalidSpecError("no problem kind given; pass --problem or give the "
+                               "problem spec a 'kind'")
     if args.params is not None:
         spec_data["params"] = args.params
     if "params" not in spec_data:
@@ -191,7 +193,8 @@ def _run_methods(args, default_runs) -> int:
     configs = []
     for run_data in run_datas:
         embedded = run_data.pop("problem", None)
-        if embedded is not None and ProblemSpec.from_dict(embedded) != spec:
+        # the same defaults and flags as the top-level problem
+        if embedded is not None and _problem_from(args, {"problem": embedded}) != spec:
             raise InvalidSpecError("a run's embedded problem differs from the top-level "
                                    "one; all runs need one shared problem")
         configs.append(SolverConfig.from_json_dict({**run_data, **overrides}))

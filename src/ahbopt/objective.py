@@ -30,6 +30,18 @@ class PowerIterationWarning(UserWarning):
     """Power iteration stopped on its iteration cap, not its tolerance."""
 
 
+# each shortcut oracle field and the fields whose work it does
+_SHORTCUT_PARTNERS = {"value_and_gradient_fn": ("value_fn", "gradient_fn"),
+                      "values_fn": ("value_fn",)}
+
+
+def _as_int(name, value) -> int:
+    # a JSON int or an integral float: no bool, string or fraction
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
+        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Objective:
     """A finite-dimensional objective with optional exact side information.
@@ -41,8 +53,19 @@ class Objective:
     value_fn : maps a point to the objective value.
     gradient_fn : gradient map, absent for nonsmooth problems.
     value_and_gradient_fn : the floats ``(value_fn(x), gradient_fn(x))`` in one call,
-        g computed before f is checked; used only while its ``partners`` attribute
-        is ``(value_fn, gradient_fn)``, so a ``dataclasses.replace`` swapping either skips it.
+        g computed before f is checked; its ``partners`` attribute is
+        ``(value_fn, gradient_fn)``.
+    values_fn : ``values_fn(X)`` returns f at each row of a 2-d array. Unlike the
+        other oracles it need not be bitwise equal to ``value_fn``: wherever
+        ``value_fn(x)`` is finite, the entry for x is non-finite or lies within
+        1e-10 * |value_fn(x)| of it (up to underflow). The certify samplers use
+        it only to rule rows out and confirm every survivor with ``value_fn``.
+        Its ``partners`` attribute is ``(value_fn,)``.
+
+    ``value_and_gradient_fn`` and ``values_fn`` are shortcuts: consumers use
+    one only while its ``partners`` still names this objective's own oracles
+    (see :meth:`shortcut`), so a ``dataclasses.replace`` that swaps an oracle
+    is never bypassed.
     lipschitz : bound on the gradient's Lipschitz constant, global when
         ``domain_radius`` is None and valid on the centered ball of that
         radius otherwise.
@@ -75,6 +98,14 @@ class Objective:
     growth_exponent: Optional[float] = None
     subgrad_min_norm: Optional[Callable[[Array], float]] = None
     value_and_gradient_fn: Optional[Callable[[Array], tuple]] = None
+    values_fn: Optional[Callable[[Array], Array]] = None
+
+    def shortcut(self, name) -> Optional[Callable]:
+        """The shortcut field ``name`` while its ``partners`` attribute names
+        this objective's own oracles it stands in for, else None."""
+        fn = getattr(self, name)
+        partners = tuple(getattr(self, field) for field in _SHORTCUT_PARTNERS[name])
+        return fn if getattr(fn, "partners", None) == partners else None
 
     def value(self, x) -> float:
         return float(self.value_fn(np.asarray(x, dtype=float)))
@@ -114,12 +145,10 @@ class ProblemSpec:
                 f"unknown problem kind '{self.kind}'; expected one of {PROBLEM_KINDS}")
         if not isinstance(self.params, dict):
             raise InvalidSpecError("params must be a mapping")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, float, np.integer)) or seed % 1:
-            raise InvalidSpecError(f"problem seed must be an integer, got {seed!r}")
+        seed = _as_int("problem seed", self.seed)
         # frozen: the copy and the int go in through object.__setattr__
         object.__setattr__(self, "params", dict(self.params))
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", seed)
 
     def build(self) -> Objective:
         try:
@@ -166,6 +195,11 @@ def make_quadratic(spectrum) -> Objective:
     def value(x):
         return 0.5 * float(lam @ (x * x))
 
+    def values(xs):
+        return 0.5 * ((xs * xs) @ lam)
+
+    values.partners = (value,)
+
     def gradient(x):
         return lam * x
 
@@ -175,6 +209,9 @@ def make_quadratic(spectrum) -> Objective:
     return Objective(
         dim=dim,
         value_fn=value,
+        # a sum of dim positive terms in another order: the two differ by at
+        # most about dim * 2^-52 relative, within 1e-10 up to this bound
+        values_fn=values if dim <= 10 ** 5 else None,
         gradient_fn=gradient,
         lipschitz=float(lam.max()),
         min_value=0.0,
@@ -225,7 +262,7 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     singular_values : nonincreasing positive sequence of length
         min(rows, cols).
     """
-    rows, cols = int(rows), int(cols)
+    rows, cols = _as_int("rows", rows), _as_int("cols", cols)
     if rows < 1 or cols < 1:
         raise InvalidSpecError("rows and cols must be positive")
     sv = np.asarray(singular_values, dtype=float)
@@ -277,7 +314,7 @@ def make_power(p, dim, ball_radius) -> Objective:
     with constant (p-1) * ball_radius^(p-2). The growth exponent is 1/p.
     """
     p = float(p)
-    dim = int(dim)
+    dim = _as_int("dim", dim)
     radius = float(ball_radius)
     if p < 2:
         raise InvalidSpecError("power objectives need p >= 2")
@@ -289,6 +326,11 @@ def make_power(p, dim, ball_radius) -> Objective:
     def value(x):
         return float(np.linalg.norm(x) ** p) / p
 
+    def values(xs):
+        return np.linalg.norm(xs, axis=1) ** p / p
+
+    values.partners = (value,)
+
     def gradient(x):
         r = np.linalg.norm(x)
         if r == 0.0:
@@ -298,6 +340,9 @@ def make_power(p, dim, ball_radius) -> Objective:
     return Objective(
         dim=dim,
         value_fn=value,
+        # the norms differ by at most about (dim + 1) * 2^-53 relative and the
+        # p-th power multiplies that by p: within 1e-10 up to this bound
+        values_fn=values if p * (dim + 1) <= 10 ** 5 else None,
         gradient_fn=gradient,
         lipschitz=float((p - 1.0) * radius ** (p - 2.0)),
         min_value=0.0,
@@ -319,12 +364,18 @@ def make_abs_value() -> Objective:
     def value(x):
         return float(abs(x[0]))
 
+    def values(xs):
+        return np.abs(xs[:, 0])
+
+    values.partners = (value,)
+
     def prox(t, x):
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
     return Objective(
         dim=1,
         value_fn=value,
+        values_fn=values,
         min_value=0.0,
         solution_oracle=lambda x: float(abs(x[0])),
         prox_fn=prox,
@@ -344,20 +395,22 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
     The Lipschitz bound comes from power iteration on A^T A with a 1.01
     upper bias.
     """
-    grid_n = int(grid_n)
+    grid_n = _as_int("grid_n", grid_n)
+    num_angles = _as_int("num_angles", num_angles)
+    rays_per_angle = _as_int("rays_per_angle", rays_per_angle)
     if grid_n < 1:
         raise InvalidSpecError("grid_n must be positive")
     if grid_n > MAX_RADON_GRID:
         raise DeskScaleLimitError(
             f"grid_n = {grid_n} exceeds the desk-scale cap of {MAX_RADON_GRID}")
-    if int(num_angles) < 1 or int(rays_per_angle) < 1:
+    if num_angles < 1 or rays_per_angle < 1:
         raise InvalidSpecError("num_angles and rays_per_angle must be positive")
     if phantom not in PHANTOMS:
         raise InvalidSpecError(f"unknown phantom '{phantom}'; expected one of {PHANTOMS}")
 
     from . import _radon  # scipy loads only for radon problems
 
-    a = _radon.system_matrix(grid_n, int(num_angles), int(rays_per_angle))
+    a = _radon.system_matrix(grid_n, num_angles, rays_per_angle)
     x_true = _radon.phantom_image(phantom, grid_n).ravel()
     y = a @ x_true
     est, converged = _power_iteration(a, iters=5000, tol=1e-12, seed=0)

@@ -207,9 +207,7 @@ def _plan(method, obj):
     for name in needs:
         if getattr(obj, name) is None:
             raise CapabilityError(name)
-    fused = obj.value_and_gradient_fn
-    serves = not at_y and getattr(fused, "partners", None) == (obj.value_fn, obj.gradient_fn)
-    return rule, at_y, fused if serves else None
+    return rule, at_y, None if at_y else obj.shortcut("value_and_gradient_fn")
 
 
 def _measure(plan, state, m, obj, cfg):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ahbopt import (
     CapabilityError,
@@ -611,3 +613,108 @@ def test_power_objective_reports_are_golden():
                                                sort_keys=True).encode()).hexdigest()
                for name, report in reports.items()}
     assert digests == POWER_REPORT_DIGESTS
+
+
+TINY = float(np.finfo(float).tiny)
+
+
+@st.composite
+def _batched_objectives(draw):
+    kind = draw(st.sampled_from(["quadratic", "power", "abs_value"]))
+    if kind == "abs_value":
+        return make_abs_value()
+    d = draw(st.integers(1, 64))
+    if kind == "quadratic":
+        return make_quadratic(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    return make_power(draw(st.floats(2.0, 20.0)), d, 1.0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(obj=_batched_objectives(), data=st.data())
+def test_batched_values_are_within_the_screen_slack_and_keep_every_slice_row(obj, data):
+    points = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), obj.dim),
+                              elements=st.floats(-50.0, 50.0)))
+    xbar = data.draw(arrays(np.float64, obj.dim, elements=st.floats(-50.0, 50.0)))
+    batched = obj.shortcut("values_fn")(points)
+    exact = np.array([obj.value_fn(x) for x in points])
+    assert np.all(np.abs(batched - exact) <= 1e-10 * np.abs(exact) + TINY)
+
+    # put fbar just below one row's value or eta just past one row's gap, so
+    # that row sits at an edge of the slice
+    fbar = data.draw(st.sampled_from(
+        [obj.value(xbar)] + [float(np.nextafter(v, -math.inf)) for v in exact]))
+    gaps = exact - fbar
+    edges = [float(np.nextafter(g, math.inf)) for g in gaps if g > 0]
+    eta = data.draw(st.sampled_from(edges) if edges else st.floats(1e-6, 1e3))
+    survives = certify._slice_screen(obj.shortcut("values_fn"), fbar, eta)(points)
+    assert np.all(survives[(gaps > 0) & (gaps < eta)])
+
+
+def _slice_checks(seed):
+    """(objective, check) pairs: the three level-slice checks on each
+    built-in with a batched value oracle. The last stops at the trial cap."""
+    phi, linear = HolderFunction(SQRT2, 0.5), HolderFunction(1.0, 1.0)
+    quadratic = make_quadratic([1.0, 10.0])
+    return [
+        (quadratic, lambda o: check_kl(o, [0.0, 0.0], 1.0, 0.05, phi, num_samples=100,
+                                       seed=seed)),
+        (quadratic, lambda o: certify_growth_direct(o, [0.5, 0.0], 1.0, 0.5, phi,
+                                                    num_samples=100, seed=seed)),
+        (quadratic, lambda o: check_growth_implies_kl(o, [0.0, 0.0], 1.0, 0.5, SQRT2, 0.5,
+                                                      num_samples=100, seed=seed)),
+        (make_power(4.0, 2, 2.0),
+         lambda o: check_growth_implies_kl(o, [0.0, 0.0], 1.0, 0.2, SQRT2, 0.25,
+                                           num_samples=100, seed=seed)),
+        (make_abs_value(), lambda o: check_kl(o, [0.3], 1.0, 0.5, linear, num_samples=100,
+                                              seed=seed)),
+        (make_abs_value(), lambda o: certify_growth_direct(o, [0.0], 2.0, 0.5, linear,
+                                                           num_samples=100, seed=seed)),
+        (make_quadratic([1.0, 100.0]),
+         lambda o: check_kl(o, [0.0, 0.0], 1.0, 1e-2, phi, num_samples=50, seed=seed)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_screened_reports_equal_unscreened_reports(seed):
+    for obj, check in _slice_checks(seed):
+        assert obj.shortcut("values_fn") is not None
+        screened = check(obj).to_json_dict()
+        unscreened = check(dataclasses.replace(obj, values_fn=None)).to_json_dict()
+        assert json.dumps(screened, sort_keys=True) == json.dumps(unscreened, sort_keys=True)
+    assert screened["trials"] == 5000
+
+
+def _counted(fn):
+    def counted(x):
+        counted.calls += 1
+        return fn(x)
+
+    counted.calls = 0
+    return counted
+
+
+def test_screen_leaves_few_per_row_value_calls_on_the_suite_kl_command():
+    # the suite's first kl command: quadratic [1, 10], r 1, eta 0.05, 2000 samples
+    seed = int(_certify_suite_argvs(1)[0][-1])
+    obj = make_quadratic([1.0, 10.0])
+    value = _counted(obj.value_fn)
+
+    def values(xs):
+        return obj.values_fn(xs)
+
+    values.partners = (value,)
+    report = check_kl(dataclasses.replace(obj, value_fn=value, values_fn=values),
+                      [0.0, 0.0], 1.0, 0.05, HolderFunction(SQRT2, 0.5),
+                      num_samples=2000, seed=seed)
+    assert report.checked == 2000 and report.trials > 30 * report.checked
+    assert value.calls < 2 * report.checked + 1
+
+
+def test_replaced_value_oracle_is_called_once_per_trial():
+    obj = make_quadratic([1.0, 10.0])
+    value = _counted(obj.value_fn)
+    replaced = dataclasses.replace(obj, value_fn=value)
+    assert replaced.shortcut("values_fn") is None
+    report = check_kl(replaced, [0.0, 0.0], 1.0, 0.05, HolderFunction(SQRT2, 0.5),
+                      num_samples=200, seed=3)
+    assert value.calls == report.trials + 1  # one more for f(xbar)

@@ -506,3 +506,55 @@ def test_certify_non_finite_input_is_a_config_error_before_sampling(argv, monkey
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_embedded_problem_that_omits_params_matches_the_top_level_one(command, tmp_path,
+                                                                      capsys):
+    # both sides get the default params, so the two specs agree
+    config = {"problem": {"kind": "quadratic"},
+              "runs": [{"method": "gd", "problem": {"kind": "quadratic"}}],
+              "out_dir": str(tmp_path)}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "gd.csv").exists()
+
+
+@pytest.mark.parametrize("problem", [[], 0, ""], ids=["list", "zero", "empty-string"])
+def test_embedded_problem_that_is_not_an_object_is_a_config_error(problem, tmp_path,
+                                                                 capsys):
+    config = {"runs": [{"method": "gd", "problem": problem}], "out_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["solve", "--problem", "quadratic", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: problem spec must be an object\n"
+
+
+@pytest.mark.parametrize("params, message", [
+    ('{"rows": "3", "cols": 3, "singular_values": [1, 1, 1]}',
+     "rows must be an integer, got '3'"),
+    ('{"rows": 2.5, "cols": 3, "singular_values": [1, 1]}',
+     "rows must be an integer, got 2.5"),
+    ('{"rows": true, "cols": 1, "singular_values": [1]}',
+     "rows must be an integer, got True"),
+], ids=["str-rows", "fractional-rows", "bool-rows"])
+def test_least_squares_integer_params_of_the_wrong_type_are_a_config_error(
+        params, message, tmp_path, capsys):
+    code = main(["solve", "--problem", "least_squares", "--params", params,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_power_dim_that_is_a_bool_is_a_config_error(capsys):
+    code = main(["certify", "kl", "--problem", "power",
+                 "--params", '{"p": 4.0, "dim": true, "ball_radius": 4.0}'])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dim must be an integer, got True\n"

@@ -351,3 +351,33 @@ def test_least_squares_fused_oracle_is_bitwise_value_and_gradient(rows, cols, se
     for scale in (0.0, 1e-3, 1.0, 10.0, 1e150):
         _assert_fused_matches(obj, scale * rng.standard_normal(cols))
     _assert_fused_matches(obj, obj.x_true)
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("least_squares", {"rows": 3, "cols": 3, "singular_values": [1.0, 1.0, 1.0]}, "rows"),
+    ("least_squares", {"rows": 3, "cols": 3, "singular_values": [1.0, 1.0, 1.0]}, "cols"),
+    ("power", {"p": 4.0, "dim": 2, "ball_radius": 3.0}, "dim"),
+    ("radon", {"grid_n": 4, "num_angles": 3, "rays_per_angle": 5, "phantom": "disks"},
+     "grid_n"),
+    ("radon", {"grid_n": 4, "num_angles": 3, "rays_per_angle": 5, "phantom": "disks"},
+     "num_angles"),
+    ("radon", {"grid_n": 4, "num_angles": 3, "rays_per_angle": 5, "phantom": "disks"},
+     "rays_per_angle"),
+])
+def test_factory_integer_params_take_only_integers(kind, params, name):
+    value = params[name]
+    assert ProblemSpec(kind, {**params, name: float(value)}).build().dim == \
+        ProblemSpec(kind, params).build().dim
+    for bad in (str(value), True, value + 0.5, None, math.nan, math.inf):
+        with pytest.raises(InvalidSpecError, match=f"{name} must be an integer"):
+            ProblemSpec(kind, {**params, name: bad}).build()
+
+
+def test_batched_value_oracle_is_dropped_where_its_error_bound_lapses():
+    assert make_quadratic(np.ones(10 ** 5)).values_fn is not None
+    assert make_quadratic(np.ones(10 ** 5 + 1)).values_fn is None
+    assert make_power(4.0, 3, 1.0).values_fn is not None
+    assert make_power(1e5, 1, 1.0).values_fn is None
+    assert make_abs_value().values_fn is not None
+    # A x - y cancels, so no relative error bound holds
+    assert make_least_squares(3, 3, [1.0, 1.0, 1.0], seed=0).values_fn is None
