@@ -447,7 +447,13 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
         raise InvalidInputError("theta must exceed 1")
     if num_steps < 1:
         raise InvalidInputError("num_steps must be positive")
-    if c * delta0 ** (theta - 1.0) >= 1.0:
+    try:
+        contracting = c * delta0 ** (theta - 1.0) < 1.0
+    except OverflowError:
+        # delta0^(theta-1) beyond the float range: so is delta0^theta, and the
+        # recursion cannot be computed
+        contracting = False
+    if not contracting:
         raise InvalidInputError(
             "need c * delta0^(theta-1) < 1 for a contracting sequence")
     deltas = np.empty(num_steps + 1)

@@ -111,7 +111,8 @@ def _problem_from(args, file_data):
                                "problem spec a 'kind'")
     if args.params is not None:
         spec_data["params"] = args.params
-    if "params" not in spec_data:
+    # an unknown kind gets no defaults; ProblemSpec rejects it by name
+    if "params" not in spec_data and spec_data["kind"] in PROBLEM_KINDS:
         spec_data["params"] = dict(_DEFAULT_PARAMS[spec_data["kind"]])
     if args.problem_seed is not None:
         spec_data["seed"] = args.problem_seed

@@ -9,6 +9,7 @@ assuming them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -33,6 +34,11 @@ class PowerIterationWarning(UserWarning):
 # each shortcut oracle field and the fields whose work it does
 _SHORTCUT_PARTNERS = {"value_and_gradient_fn": ("value_fn", "gradient_fn"),
                       "values_fn": ("value_fn",)}
+
+
+def _norm(d) -> float:
+    # |d| of a real 1-d array, the expression np.linalg.norm evaluates
+    return math.sqrt(float(d.dot(d)))
 
 
 def _as_int(name, value) -> int:
@@ -193,7 +199,7 @@ def make_quadratic(spectrum) -> Objective:
     dim = int(lam.size)
 
     def value(x):
-        return 0.5 * float(lam @ (x * x))
+        return 0.5 * float(lam.dot(x * x))
 
     def values(xs):
         return 0.5 * ((xs * xs) @ lam)
@@ -215,7 +221,7 @@ def make_quadratic(spectrum) -> Objective:
         gradient_fn=gradient,
         lipschitz=float(lam.max()),
         min_value=0.0,
-        solution_oracle=lambda x: float(np.linalg.norm(x)),
+        solution_oracle=_norm,
         prox_fn=prox,
         convex_flag=True,
         x_true=np.zeros(dim),
@@ -233,16 +239,20 @@ def _orthonormal_columns(rng, n, r):
 
 def _data_fit(a, y):
     # the oracle fields of 0.5 * |a x - y|^2, the fused one in the same expressions
+    # .dot makes the products of @, on an ndarray with less call overhead; a.T
+    # is a view of a, dense or CSR, taken once
+    at = a.T
+
     def value(x):
-        res = a @ x - y
-        return 0.5 * float(res @ res)
+        res = a.dot(x) - y
+        return 0.5 * float(res.dot(res))
 
     def gradient(x):
-        return a.T @ (a @ x - y)
+        return at.dot(a.dot(x) - y)
 
     def value_and_gradient(x):
-        res = a @ x - y
-        return 0.5 * float(res @ res), a.T @ res
+        res = a.dot(x) - y
+        return 0.5 * float(res.dot(res)), at.dot(res)
 
     value_and_gradient.partners = (value, gradient)
     return dict(value_fn=value, gradient_fn=gradient, value_and_gradient_fn=value_and_gradient)
@@ -297,7 +307,7 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
         **_data_fit(a, y),
         lipschitz=float(sv[0] ** 2),
         min_value=0.0,
-        solution_oracle=(lambda x: float(np.linalg.norm(x - x_true))) if full_column_rank else None,
+        solution_oracle=(lambda x: _norm(x - x_true)) if full_column_rank else None,
         prox_fn=prox,
         convex_flag=True,
         matrix=a,
@@ -316,12 +326,19 @@ def make_power(p, dim, ball_radius) -> Objective:
     p = float(p)
     dim = _as_int("dim", dim)
     radius = float(ball_radius)
-    if p < 2:
+    if not p >= 2:
         raise InvalidSpecError("power objectives need p >= 2")
     if dim < 1:
         raise InvalidSpecError("dim must be positive")
     if not radius > 0:
         raise InvalidSpecError("ball_radius must be positive")
+    try:
+        lipschitz = (p - 1.0) * radius ** (p - 2.0)
+    except OverflowError:
+        lipschitz = math.inf
+    if not math.isfinite(lipschitz):
+        raise InvalidSpecError("the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) "
+                               f"must be finite, got p = {p:g}, ball_radius = {radius:g}")
 
     def value(x):
         return float(np.linalg.norm(x) ** p) / p
@@ -344,9 +361,9 @@ def make_power(p, dim, ball_radius) -> Objective:
         # p-th power multiplies that by p: within 1e-10 up to this bound
         values_fn=values if p * (dim + 1) <= 10 ** 5 else None,
         gradient_fn=gradient,
-        lipschitz=float((p - 1.0) * radius ** (p - 2.0)),
+        lipschitz=lipschitz,
         min_value=0.0,
-        solution_oracle=lambda x: float(np.linalg.norm(x)),
+        solution_oracle=_norm,
         convex_flag=True,
         domain_radius=radius,
         x_true=np.zeros(dim),

@@ -100,7 +100,7 @@ class SolverConfig:
         return cls(**known)
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverState:
     """Mutable loop state at iterate k.
 
@@ -154,6 +154,14 @@ def update_gamma_tilde(state, m_k_norm_sq, lipschitz) -> float:
             + state.beta_prev * state.gamma_tilde)
 
 
+def _ahb_beta(alpha_k, g_k, m_k, m_sq, gamma_tilde_k, beta_cap):
+    # ahb_beta given m_sq = |m_k|^2
+    if m_sq == 0.0:
+        return 0.0
+    raw = (alpha_k * float(g_k.dot(m_k)) - gamma_tilde_k) / m_sq
+    return float(min(max(0.0, raw), beta_cap))
+
+
 def ahb_beta(alpha_k, g_k, m_k, gamma_tilde_k, beta_cap) -> float:
     """Largest safe momentum weight, clamped to [0, beta_cap].
 
@@ -161,35 +169,31 @@ def ahb_beta(alpha_k, g_k, m_k, gamma_tilde_k, beta_cap) -> float:
     is the point where the certified distance decrease would be lost;
     a zero momentum direction returns 0.
     """
-    m_sq = float(m_k @ m_k)
-    if m_sq == 0.0:
-        return 0.0
-    raw = (alpha_k * float(g_k @ m_k) - gamma_tilde_k) / m_sq
-    return float(min(max(0.0, raw), beta_cap))
+    return _ahb_beta(alpha_k, g_k, m_k, float(m_k.dot(m_k)), gamma_tilde_k, beta_cap)
 
 
-# Each rule maps (state, cfg, L, gap, g, g_sq, m) to the step size alpha and
-# the momentum weight beta of x+ = x - alpha * g(y) + beta * m.
+# Each rule maps (state, cfg, L, gap, g, g_sq, m, m_sq) to the step size alpha
+# and the momentum weight beta of x+ = x - alpha * g(y) + beta * m.
 
-def _ahb(state, cfg, lipschitz, gap, g, g_sq, m):
+def _ahb(state, cfg, lipschitz, gap, g, g_sq, m, m_sq):
     alpha = ahb_alpha(lipschitz, cfg.mu0)
-    return alpha, ahb_beta(alpha, g, m, state.gamma_tilde, cfg.beta_cap)
+    return alpha, _ahb_beta(alpha, g, m, m_sq, state.gamma_tilde, cfg.beta_cap)
 
 
-def _gd(state, cfg, lipschitz, gap, g, g_sq, m):
+def _gd(state, cfg, lipschitz, gap, g, g_sq, m, m_sq):
     return cfg.gd_mu / lipschitz, 0.0
 
 
-def _nesterov(state, cfg, lipschitz, gap, g, g_sq, m):
+def _nesterov(state, cfg, lipschitz, gap, g, g_sq, m, m_sq):
     # reads neither g nor |g|^2: it runs before the gradient at y = x + beta * m
     return 1.0 / lipschitz, (state.k - 1.0) / (state.k + cfg.nesterov_nu)
 
 
-def _alrhb(state, cfg, lipschitz, gap, g, g_sq, m):
+def _alrhb(state, cfg, lipschitz, gap, g, g_sq, m, m_sq):
     if g_sq == 0.0:
         return None, cfg.alrhb_beta  # critical point: the adaptive step is undefined
     return (1.0 / (2.0 * lipschitz) + gap / g_sq
-            + cfg.alrhb_beta * float(g @ m) / g_sq), cfg.alrhb_beta
+            + cfg.alrhb_beta * float(g.dot(m)) / g_sq), cfg.alrhb_beta
 
 
 # method: (rule, objective fields it requires, gradient taken at y = x + beta * m)
@@ -210,8 +214,8 @@ def _plan(method, obj):
     return rule, at_y, None if at_y else obj.shortcut("value_and_gradient_fn")
 
 
-def _measure(plan, state, m, obj, cfg):
-    # f, gap, y, g(y), |g|^2, alpha and beta at x, given m = x - x_prev
+def _measure(plan, state, m, m_sq, obj, cfg):
+    # f, gap, y, g(y), |g|^2, alpha and beta at x, given m = x - x_prev and |m|^2
     rule, at_y, fused = plan
     x = state.x
     fval, g = (obj.value(x), None) if fused is None else fused(x)
@@ -221,15 +225,15 @@ def _measure(plan, state, m, obj, cfg):
     gap = float("nan") if obj.min_value is None else max(fval - obj.min_value, 0.0)
     y = x
     if at_y:
-        alpha, beta = rule(state, cfg, obj.lipschitz, gap, None, None, m)
+        alpha, beta = rule(state, cfg, obj.lipschitz, gap, None, None, m, m_sq)
         y = x + beta * m
     g = obj.gradient(y) if fused is None else np.asarray(g, dtype=float)
-    g_sq = float(g @ g)
+    g_sq = float(g.dot(g))
     # a finite sum of squares has only finite terms
     if not math.isfinite(g_sq) and not np.all(np.isfinite(g)):
         raise NumericalFailureError(state.k)
     if not at_y:
-        alpha, beta = rule(state, cfg, obj.lipschitz, gap, g, g_sq, m)
+        alpha, beta = rule(state, cfg, obj.lipschitz, gap, g, g_sq, m, m_sq)
     return fval, gap, y, g, g_sq, alpha, beta
 
 
@@ -248,7 +252,7 @@ def _advance(state, lipschitz, gap, y, g, g_sq, m, alpha, beta):
     if y is x:
         x_next += beta * m
     m_next = x_next - x
-    m_next_sq = float(m_next @ m_next)
+    m_next_sq = float(m_next.dot(m_next))
     state.k, state.x, state.x_prev, state.z = state.k + 1, x_next, x, None if y is x else y
     state.alpha_prev, state.beta_prev = alpha, beta
     state.f_prev_gap, state.g_prev_norm_sq = gap, g_sq
@@ -258,8 +262,8 @@ def _advance(state, lipschitz, gap, y, g, g_sq, m, alpha, beta):
 
 def _step(method, state, obj, cfg):
     m = state.x - state.x_prev
-    m_sq = float(m @ m)
-    fval, gap, y, g, g_sq, alpha, beta = _measure(_plan(method, obj), state, m, obj, cfg)
+    m_sq = float(m.dot(m))
+    fval, gap, y, g, g_sq, alpha, beta = _measure(_plan(method, obj), state, m, m_sq, obj, cfg)
     rec = _record(state, obj, fval, gap, g_sq, alpha, beta, m_sq)
     if alpha is None:
         state.record, state.stop = rec, _STOP_CRITICAL
@@ -327,7 +331,7 @@ def run_solver(obj, cfg, x0, problem_spec=None, x0_seed=None) -> Trace:
     started = time.perf_counter()
     records = []
     while True:
-        fval, gap, y, g, g_sq, alpha, beta = _measure(plan, state, m, obj, cfg)
+        fval, gap, y, g, g_sq, alpha, beta = _measure(plan, state, m, m_sq, obj, cfg)
         reason = (_STOP_CRITICAL if alpha is None
                   else _STOP_GAP if obj.min_value is not None and gap <= cfg.gap_tol
                   else _STOP_MAX if state.k >= cfg.max_iters else None)

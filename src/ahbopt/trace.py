@@ -8,13 +8,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import certify
-from ._io import atomic_write, fmt
+from ._io import atomic_write
 from .errors import InvalidInputError, TraceParseError
 
 CSV_HEADER = "k,fval,gap,gnorm,alpha,beta,step_norm,dist"
 
+# one row each; %.17g is the format of _io.fmt, which round-trips any double
+_ROW = "%d" + ",%.17g" * 7
+_ROW_NO_DIST = "%d" + ",%.17g" * 6 + ","
 
-@dataclass
+
+@dataclass(slots=True)
 class IterationRecord:
     """Measurements at one iterate: objective value, optimality gap,
     gradient norm, the step coefficients applied at that iterate, the
@@ -56,11 +60,8 @@ def write_csv(trace, path) -> None:
     """
     lines = [CSV_HEADER]
     for r in trace.records:
-        dist = "" if r.dist is None else fmt(r.dist)
-        lines.append(",".join([
-            str(int(r.k)), fmt(r.fval), fmt(r.gap), fmt(r.gnorm),
-            fmt(r.alpha), fmt(r.beta), fmt(r.step_norm), dist,
-        ]))
+        fields = (r.k, r.fval, r.gap, r.gnorm, r.alpha, r.beta, r.step_norm)
+        lines.append(_ROW_NO_DIST % fields if r.dist is None else _ROW % (*fields, r.dist))
     atomic_write(path, "\n".join(lines) + "\n")
     meta_text = json.dumps(trace.meta, indent=2, sort_keys=True) + "\n"
     atomic_write(str(path) + ".meta.json", meta_text)
@@ -82,9 +83,7 @@ def read_csv(path) -> Trace:
             raise TraceParseError(f"expected 8 fields, got {len(parts)}", line=n)
         try:
             records.append(IterationRecord(
-                k=int(parts[0]), fval=float(parts[1]), gap=float(parts[2]),
-                gnorm=float(parts[3]), alpha=float(parts[4]), beta=float(parts[5]),
-                step_norm=float(parts[6]),
+                int(parts[0]), *map(float, parts[1:7]),
                 dist=None if parts[7] == "" else float(parts[7]),
             ))
         except ValueError as exc:

@@ -558,3 +558,39 @@ def test_power_dim_that_is_a_bool_is_a_config_error(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: dim must be an integer, got True\n"
+
+
+@pytest.mark.parametrize("kind", ["bogus", 7, None, ["q"], {}],
+                         ids=["str", "int", "null", "list", "object"])
+def test_config_problem_of_an_unknown_kind_is_a_config_error(kind, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"problem": {"kind": kind}}))
+    assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: unknown problem kind '{kind}'; expected one of")
+    assert not (tmp_path / "out").exists()
+
+
+def test_certify_rate_whose_power_overflows_is_a_config_error(capsys):
+    code = main(["certify", "rate", "--delta0", "1e308", "--c", "1", "--theta", "3"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: need c * delta0^(theta-1) < 1 for a contracting sequence\n"
+
+
+@pytest.mark.parametrize("params", [
+    {"p": 5, "dim": 1, "ball_radius": 5.6e102},
+    {"p": 1e10, "dim": 1, "ball_radius": 4.0},
+    {"p": 4.0, "dim": 1, "ball_radius": float("inf")},
+    {"p": float("inf"), "dim": 1, "ball_radius": 1.0},
+], ids=["huge-radius", "huge-p", "inf-radius", "inf-p"])
+def test_power_with_an_infinite_lipschitz_bound_is_a_config_error(params, tmp_path, capsys):
+    code = main(["solve", "--problem", "power", "--params", json.dumps(params),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) "
+                          "must be finite")

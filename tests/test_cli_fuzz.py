@@ -1,0 +1,99 @@
+"""Generated configs and certify numbers: every CLI run ends in a
+documented exit code, never in a traceback."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ahbopt.cli import main
+from ahbopt.objective import PHANTOMS, PROBLEM_KINDS
+from ahbopt.solvers import METHODS
+
+EXIT_CODES = {0, 1, 2, 3}
+
+# any JSON scalar; json.load reads NaN and Infinity, so floats come unrestricted
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-10, 10), st.floats(),
+                     st.text(max_size=3))
+_junk = st.one_of(_scalars, st.lists(_scalars, max_size=3),
+                  st.dictionaries(st.text(max_size=3), _scalars, max_size=2))
+_numbers = st.one_of(st.integers(-3, 8), st.floats())
+# every valid kind three times, then the unknown kinds
+_kinds = PROBLEM_KINDS * 3 + ("bogus", 7, None, ["q"], {})
+
+
+def _mostly(valid):
+    # a valid value three times in four, JSON junk otherwise, so that most
+    # examples get past the config checks to the build and the run
+    return st.integers(0, 3).flatmap(lambda i: valid if i else _junk)
+
+
+_small_ints = st.one_of(st.integers(-1, 6), st.sampled_from([2.0, 2.5, True]))
+_number_lists = st.lists(_numbers, min_size=0, max_size=4)
+
+_params = {
+    "quadratic": st.fixed_dictionaries({"spectrum": st.one_of(_number_lists, _junk)}),
+    "least_squares": st.fixed_dictionaries(
+        {"rows": _small_ints, "cols": _small_ints, "singular_values": _number_lists}),
+    "power": st.fixed_dictionaries({"p": _numbers, "dim": _small_ints,
+                                    "ball_radius": _numbers}),
+    "abs_value": st.just({}),
+    "radon": st.fixed_dictionaries(
+        {"grid_n": _small_ints, "num_angles": _small_ints, "rays_per_angle": _small_ints,
+         "phantom": st.sampled_from(PHANTOMS + ("bogus",))}),
+}
+
+
+@st.composite
+def _problems(draw):
+    kind = draw(st.sampled_from(_kinds))
+    problem = {"kind": kind}
+    if draw(st.booleans()):  # else the CLI's default params
+        problem["params"] = draw(_mostly(_params[kind]) if kind in PROBLEM_KINDS else _junk)
+    if draw(st.booleans()):
+        problem["seed"] = draw(_mostly(st.integers(0, 2 ** 32)))
+    return problem
+
+
+_runs = st.lists(st.fixed_dictionaries(
+    {"method": _mostly(st.sampled_from(METHODS)), "max_iters": st.integers(0, 5)},
+    optional={"mu0": _mostly(st.floats(0.0, 0.99)), "beta_cap": _mostly(st.floats(0.5, 2.0)),
+              "gap_tol": _mostly(st.floats(0.0, 1.0)),
+              "record_every": _mostly(st.integers(1, 3))}),
+    min_size=1, max_size=2)
+
+_x0 = _mostly(st.one_of(st.none(), st.just("zeros"), st.fixed_dictionaries(
+    {}, optional={"seed": _mostly(st.integers(0, 2 ** 32)), "norm": _numbers})))
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["solve", "compare"]), problem=_problems(),
+       runs=_runs, x0=_x0)
+def test_generated_configs_end_in_an_exit_code(command, problem, runs, x0):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as handle:
+            json.dump({"problem": problem, "runs": runs, "x0": x0}, handle)
+        code, err = _run_cli([command, "--config", config, "--out", os.path.join(tmp, "out")])
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(delta0=st.floats(), c=st.floats(), theta=st.floats(), steps=st.integers(-2, 40))
+def test_generated_certify_rate_numbers_end_in_an_exit_code(delta0, c, theta, steps):
+    code, err = _run_cli(["certify", "rate", "--delta0", repr(delta0), "--c", repr(c),
+                          "--theta", repr(theta), "--steps", str(steps)])
+    assert code in EXIT_CODES
+    assert "Traceback" not in err

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ahbopt import (
     CapabilityError,
@@ -381,3 +383,50 @@ def test_batched_value_oracle_is_dropped_where_its_error_bound_lapses():
     assert make_abs_value().values_fn is not None
     # A x - y cancels, so no relative error bound holds
     assert make_least_squares(3, 3, [1.0, 1.0, 1.0], seed=0).values_fn is None
+
+
+def _as_bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_least_squares(200, 200, [1.0 / i for i in range(1, 201)], seed=4),
+    lambda: make_radon(64, 64, 64, "blocks"),
+], ids=["least_squares", "radon"])
+def test_data_fit_oracles_equal_the_matmul_expressions(build):
+    # .dot on the dense array and on the CSR matrix makes the products of @
+    obj = build()
+    a, y = obj.matrix, obj.target
+    rng = np.random.default_rng(0)
+    for x in (np.zeros(obj.dim), obj.x_true, rng.standard_normal(obj.dim),
+              1e150 * rng.standard_normal(obj.dim)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = a @ x - y
+            value, gradient = 0.5 * float(res @ res), a.T @ res
+            fused_value, fused_gradient = obj.value_and_gradient_fn(x)
+            assert _as_bits(obj.value_fn(x)) == _as_bits(fused_value) == _as_bits(value)
+            assert obj.gradient_fn(x).tobytes() == fused_gradient.tobytes() == gradient.tobytes()
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_quadratic_value_equals_the_matmul_expression(xs):
+    x = np.array(xs)
+    lam = np.linspace(1.0, 1e4, x.size)
+    with np.errstate(over="ignore"):
+        assert _as_bits(make_quadratic(lam).value_fn(x)) == _as_bits(0.5 * float(lam @ (x * x)))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(_finite, min_size=1, max_size=40))
+def test_distance_oracles_equal_linalg_norm(xs):
+    # huge entries overflow |x|^2 to inf in both
+    x = np.array(xs)
+    ls = make_least_squares(x.size, x.size, [1.0] * x.size, seed=0)
+    power = make_power(2.0, x.size, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for oracle, expected in ((make_quadratic([1.0] * x.size).solution_oracle, x),
+                                 (power.solution_oracle, x),
+                                 (ls.solution_oracle, x - ls.x_true)):
+            assert _as_bits(oracle(x)) == _as_bits(float(np.linalg.norm(expected)))

@@ -19,6 +19,7 @@ from ahbopt import (
     write_csv,
 )
 from ahbopt._io import fmt
+from ahbopt.trace import CSV_HEADER
 
 
 def record(k, **kwargs):
@@ -159,3 +160,21 @@ def test_fmt_round_trips_doubles(value):
 def test_final_property():
     trace = Trace(records=[record(0), record(3, gap=0.5)])
     assert trace.final.k == 3
+
+
+def test_write_csv_bytes_equal_the_per_field_format(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308,
+                np.float64(0.1), np.float32(0.1), 3, True]
+    records = [IterationRecord(k=k, fval=v, gap=-v, gnorm=specials[k - 1], alpha=v, beta=v,
+                               step_norm=v, dist=None if k % 2 else v)
+               for k, v in enumerate(specials)]
+    records.append(IterationRecord(k=np.int64(len(specials)), fval=1.0, gap=0.0, gnorm=2.0,
+                                   alpha=0.5, beta=0.25, step_norm=0.0, dist=None))
+    lines = [CSV_HEADER]
+    for r in records:
+        lines.append(",".join([str(int(r.k)), fmt(r.fval), fmt(r.gap), fmt(r.gnorm),
+                               fmt(r.alpha), fmt(r.beta), fmt(r.step_norm),
+                               "" if r.dist is None else fmt(r.dist)]))
+    path = tmp_path / "t.csv"
+    write_csv(Trace(records=records), path)
+    assert path.read_text() == "\n".join(lines) + "\n"
