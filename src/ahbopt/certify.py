@@ -151,12 +151,12 @@ def _accepted(xbar, r, num_samples, seed, keep, screen=None):
         if screen is not None:
             drawn &= screen(points)
         used = len(points)
-        for i in np.flatnonzero(drawn):
+        for i in np.flatnonzero(drawn).tolist():
             value = keep(points[i])
             if value is not None:
                 kept.append(value)
                 if len(kept) == num_samples:
-                    used = int(i) + 1
+                    used = i + 1
                     break
         trials += used
     return kept, trials
@@ -203,9 +203,11 @@ def _slice_check(obj, xbar, r, eta, num_samples, seed, judge) -> CertReport:
         raise InvalidInputError("num_samples must be positive")
     xbar = np.asarray(xbar, dtype=float)
     fbar = obj.value(xbar)
+    value_fn = obj.value_fn
 
     def keep(x):
-        gap = obj.value(x) - fbar
+        # x is a float row of a chunk, so the oracle needs no conversion
+        gap = float(value_fn(x)) - fbar
         # a view would keep its whole chunk alive
         return (x.copy(), gap) if 0.0 < gap < eta else None
 
@@ -232,10 +234,18 @@ def _line_fit(t, y):
 
 
 def _min_subgradient_norm_fn(obj):
+    # called on the float rows the sampler keeps
     if obj.gradient_fn is not None:
-        return lambda x: float(np.linalg.norm(obj.gradient(x)))
+        gradient_fn = obj.gradient_fn
+
+        def slope(x):
+            g = np.asarray(gradient_fn(x), dtype=float)
+            # |g| of a real 1-d array, the expression np.linalg.norm evaluates
+            return math.sqrt(float(g.dot(g)))
+
+        return slope
     if obj.subgrad_min_norm is not None:
-        return lambda x: float(obj.subgrad_min_norm(np.asarray(x, dtype=float)))
+        return lambda x: float(obj.subgrad_min_norm(x))
     raise CapabilityError("gradient_fn", "need a gradient or a registered subdifferential")
 
 
@@ -392,7 +402,8 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
     def keep(x):
         gap = moreau_value(obj, lam, x) - env_min
         dist = obj.distance(x)
-        return (gap, dist) if gap > 0 and dist > 0 else None
+        # an infinite gap or distance has no logarithm to fit
+        return (gap, dist) if 0.0 < gap < math.inf and 0.0 < dist < math.inf else None
 
     samples, trials = _accepted(xbar, r, num_samples, seed, keep)
     if len(samples) < 8:
@@ -425,6 +436,28 @@ def check_growth_implies_kl(obj, xbar, r, eta, c, alpha,
     return _slice_check(obj, xbar, r, eta, num_samples, seed, judge)
 
 
+def _damped_sequence(delta0, c, theta, num_steps) -> list:
+    """delta_0 .. delta_num_steps of delta_{k+1} = delta_k - c * delta_k^theta.
+
+    Python floats take the same libm pow and IEEE operations as numpy
+    float64 scalars, so the terms are bitwise the same. A term that
+    overflows, is not finite or is negative (for theta not an integer its
+    next power is not real) raises NumericalFailureError naming its step.
+    """
+    deltas = [delta0]
+    d = delta0
+    for k in range(1, num_steps + 1):
+        try:
+            d = d - c * d ** theta
+        except OverflowError:
+            raise NumericalFailureError(
+                k, f"delta_{k - 1}^theta overflows at step {k}") from None
+        if not 0.0 <= d < math.inf:
+            raise NumericalFailureError(k, f"delta_{k} = {d} left [0, inf) at step {k}")
+        deltas.append(d)
+    return deltas
+
+
 def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     """Generate delta_{k+1} = delta_k - c * delta_k^theta and verify the
     implied sublinear envelope.
@@ -433,7 +466,8 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     The envelope constant is the observed max of
     delta_k * (1+k)^(1/(theta-1)); the witness records where it is
     attained and the fitted slope (trailing decade of the log-log
-    curve) is informational.
+    curve) is informational. A term that overflows or leaves [0, inf)
+    raises NumericalFailureError.
     """
     delta0, c, theta = float(delta0), float(c), float(theta)
     num_steps = int(num_steps)
@@ -456,13 +490,10 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     if not contracting:
         raise InvalidInputError(
             "need c * delta0^(theta-1) < 1 for a contracting sequence")
-    deltas = np.empty(num_steps + 1)
-    deltas[0] = delta0
-    for k in range(num_steps):
-        deltas[k + 1] = deltas[k] - c * deltas[k] ** theta
-    if deltas[0] == 0.0:
+    if delta0 == 0.0:
         return CertReport(checked=num_steps + 1, violations=0, worst_ratio=0.0,
                           witness=[0.0])
+    deltas = np.array(_damped_sequence(delta0, c, theta, num_steps))
     exponent = 1.0 / (theta - 1.0)
     ks = np.arange(num_steps + 1, dtype=float)
     weighted = deltas * (1.0 + ks) ** exponent

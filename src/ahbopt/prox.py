@@ -3,6 +3,7 @@ grid-searched nonconvex), and Moreau envelope values and gradients."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,11 @@ class GridSpec:
         return np.column_stack([g0.ravel(), g1.ravel()])
 
 
+def _norm(v) -> float:
+    # |v| of a real 1-d array, the expression np.linalg.norm evaluates
+    return math.sqrt(float(v.dot(v)))
+
+
 def prox_point(obj, tau, x) -> np.ndarray:
     """Minimizer of f(z) + |z - x|^2 / (2 tau).
 
@@ -112,11 +118,11 @@ def prox_point(obj, tau, x) -> np.ndarray:
             "prox_fn", "need an exact prox, or a smooth convex objective "
             "with a Lipschitz bound for the inner solve")
     step = 1.0 / (obj.lipschitz + 1.0 / tau)
-    tol = 1e-12 * (1.0 + float(np.linalg.norm(x))) / tau
+    tol = 1e-12 * (1.0 + _norm(x)) / tau
     z = x.copy()
     for _ in range(INNER_MAX_ITERS):
         g = obj.gradient(z) + (z - x) / tau
-        if float(np.linalg.norm(g)) <= tol:
+        if _norm(g) <= tol:
             return z
         z = z - step * g
     raise InnerSolveError(
@@ -136,8 +142,7 @@ def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
     for _ in range(num_steps):
         points.append(prox_point(obj, tau, points[-1]))
     values = [obj.value(p) for p in points]
-    step_norms = [0.0] + [float(np.linalg.norm(b - a))
-                          for a, b in zip(points[:-1], points[1:])]
+    step_norms = [0.0] + [_norm(b - a) for a, b in zip(points[:-1], points[1:])]
     return PpaRun(tau=float(tau), points=points, values=values, step_norms=step_norms)
 
 
@@ -169,7 +174,7 @@ def ppa_run_nonconvex(obj, tau, x0, num_steps, grid) -> PpaRun:
         q = fvals + np.sum((pts - x) ** 2, axis=1) / (2.0 * tau)
         best = int(np.argmin(q))
         if q[best] <= fx:
-            step_norms.append(float(np.linalg.norm(pts[best] - x)))
+            step_norms.append(_norm(pts[best] - x))
             x = pts[best].copy()
             fx = float(fvals[best])
         else:
@@ -185,7 +190,7 @@ def moreau_value(obj, lam, x) -> float:
     p = prox_point(obj, lam, x)
     x = np.asarray(x, dtype=float)
     d = p - x
-    return obj.value(p) + float(d @ d) / (2.0 * float(lam))
+    return obj.value(p) + float(d.dot(d)) / (2.0 * float(lam))
 
 
 def moreau_gradient(obj, lam, x) -> np.ndarray:

@@ -17,6 +17,7 @@ from ahbopt import (
     HolderFunction,
     InvalidInputError,
     IterationRecord,
+    NumericalFailureError,
     Objective,
     Trace,
     certify_growth_direct,
@@ -490,6 +491,62 @@ def test_recursive_rate_validation():
         verify_recursive_rate(1.0, 1.0, 2.0, 10)
 
 
+
+def _numpy_damped_sequence(delta0, c, theta, num_steps):
+    # the recursion on numpy float64 scalars, as verify_recursive_rate ran it
+    # before it moved to Python floats
+    deltas = np.empty(num_steps + 1)
+    deltas[0] = delta0
+    with np.errstate(all="ignore"):
+        for k in range(num_steps):
+            deltas[k + 1] = deltas[k] - c * deltas[k] ** theta
+    return deltas
+
+
+def _rate_grid():
+    # c from a fraction of the contraction limit delta0^(1 - theta); the
+    # fractions next to 1 let rounding push a term below zero
+    for delta0 in (5e-324, 1e-310, 1e-160, 1e-5, 0.3, 1.0, 7.0, 1e100, 1e200):
+        for theta in (1.01, 1.5, 2.0, 2.5, 3.0, 7.0):
+            for fraction in (1e-300, 1e-6, 0.1, 0.5, 0.9, 1 - 2.0 ** -50, 1 - 2.0 ** -52):
+                with np.errstate(all="ignore"):
+                    c = float(fraction * np.float64(delta0) ** (1.0 - theta))
+                if 0.0 < c < math.inf and c * delta0 ** (theta - 1.0) < 1.0:
+                    yield delta0, c, theta
+    yield 1e200, 5e-324, 2.5  # delta0^theta overflows
+
+
+def test_float_recursion_is_bitwise_the_numpy_recursion():
+    seen = set()
+    for delta0, c, theta in _rate_grid():
+        expected = _numpy_damped_sequence(delta0, c, theta, 60)
+        bad = np.flatnonzero(~((expected >= 0.0) & (expected < math.inf)))
+        if bad.size:
+            seen.add("failure")
+            with pytest.raises(NumericalFailureError) as exc:
+                certify._damped_sequence(delta0, c, theta, 60)
+            assert exc.value.iteration == bad[0]
+            continue
+        got = np.array(certify._damped_sequence(delta0, c, theta, 60))
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), \
+            (delta0, c, theta)
+        if delta0 ** theta == 0.0:
+            seen.add("underflow to 0")
+        if np.any((expected > 0.0) & (expected < np.finfo(float).tiny)):
+            seen.add("subnormal")
+    assert seen == {"failure", "underflow to 0", "subnormal"}
+
+
+@pytest.mark.parametrize("delta0, c, theta, step", [
+    (1e200, 5e-324, 2.5, 1),  # delta0^theta overflows
+    (27.627970272216086, 0.19025036996588998, 1.5, 1),  # rounds below zero
+], ids=["overflow", "negative"])
+def test_recursive_rate_that_leaves_the_float_range_is_a_numerical_failure(delta0, c, theta,
+                                                                            step):
+    with pytest.raises(NumericalFailureError) as exc:
+        verify_recursive_rate(delta0, c, theta, 20)
+    assert exc.value.iteration == step
+
 def _trace_with_dist(dists):
     records = [IterationRecord(k=k, fval=1.0, gap=1.0, gnorm=1.0, alpha=0.5,
                                beta=0.0, step_norm=0.0, dist=d)
@@ -718,3 +775,89 @@ def test_replaced_value_oracle_is_called_once_per_trial():
     report = check_kl(replaced, [0.0, 0.0], 1.0, 0.05, HolderFunction(SQRT2, 0.5),
                       num_samples=200, seed=3)
     assert value.calls == report.trials + 1  # one more for f(xbar)
+
+
+def test_moreau_exponent_skips_infinite_envelope_gaps():
+    # points ~1e300 away square to an infinite envelope gap, which has no
+    # logarithm to fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EmptyRegionError, match="only 0 usable envelope samples"):
+            check_moreau_exponent(make_quadratic([1.0]), 1.0, [0.0], 1e300, num_samples=20)
+
+
+def _counted_quadratic():
+    """quadratic [1, 10] whose value, gradient, distance and prox oracles
+    count their calls; the batched value oracle stays a partner of the
+    counted value oracle, so the screen still runs."""
+    obj = make_quadratic([1.0, 10.0])
+    value, gradient, distance = (_counted(obj.value_fn), _counted(obj.gradient_fn),
+                                 _counted(obj.solution_oracle))
+
+    def values(xs):
+        return obj.values_fn(xs)
+
+    def prox(lam, x):
+        prox.calls += 1
+        return obj.prox_fn(lam, x)
+
+    values.partners = (value,)
+    prox.calls = 0
+    return dataclasses.replace(obj, value_fn=value, gradient_fn=gradient,
+                               solution_oracle=distance, values_fn=values, prox_fn=prox)
+
+
+def _recorded_screens(monkeypatch):
+    """Record the mask each slice screen returns, one per chunk."""
+    masks, make = [], certify._slice_screen
+
+    def slice_screen(values, fbar, eta):
+        screen = make(values, fbar, eta)
+
+        def recorded(points):
+            masks.append(screen(points))
+            return masks[-1]
+
+        return recorded
+
+    monkeypatch.setattr(certify, "_slice_screen", slice_screen)
+    return masks
+
+
+def _survivors(masks, trials):
+    # screen survivors among the first ``trials`` rows, which the sampler consumed
+    count, seen = 0, 0
+    for mask in masks:
+        count += int(np.count_nonzero(mask[:max(trials - seen, 0)]))
+        seen += len(mask)
+    return count
+
+
+@pytest.mark.parametrize("eta, samples", [(0.05, 200), (1e-3, 40)],
+                         ids=["stops-at-count", "stops-at-cap"])
+@pytest.mark.parametrize("check", ["kl", "growth", "growth-implies-kl"])
+def test_slice_checks_call_each_oracle_once_per_row_they_judge(check, eta, samples,
+                                                             monkeypatch):
+    obj, masks = _counted_quadratic(), _recorded_screens(monkeypatch)
+    xbar, phi = [0.0, 0.0], HolderFunction(SQRT2, 0.5)
+    run = {"kl": lambda: check_kl(obj, xbar, 1.0, eta, phi, samples, seed=4),
+           "growth": lambda: certify_growth_direct(obj, xbar, 1.0, eta, phi,
+                                                   num_samples=samples, seed=4),
+           "growth-implies-kl": lambda: check_growth_implies_kl(
+               obj, xbar, 1.0, eta, SQRT2, 0.5, samples, seed=4)}[check]
+    report = run()
+    assert report.checked == samples or report.trials == 100 * samples
+    survivors = _survivors(masks, report.trials)
+    assert report.checked <= survivors < report.trials / 10
+    # one value call per screen survivor, plus one for f(xbar)
+    assert obj.value_fn.calls == survivors + 1
+    judged_by_slope = check != "growth"
+    assert obj.gradient_fn.calls == (report.checked if judged_by_slope else 0)
+    assert obj.solution_oracle.calls == (0 if judged_by_slope else report.checked)
+
+
+def test_moreau_exponent_calls_prox_once_per_trial_plus_once():
+    obj = _counted_quadratic()
+    report = check_moreau_exponent(obj, 1.0, [0.0, 0.0], 0.5, num_samples=50, seed=2)
+    assert report.checked == 50
+    assert obj.prox_fn.calls == report.trials + 1  # one more for the envelope at xbar
+    assert obj.value_fn.calls == report.trials + 1

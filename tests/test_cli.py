@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ahbopt import IterationRecord, Trace, certify, read_csv, write_csv
+from ahbopt import IterationRecord, Trace, certify, cli, read_csv, write_csv
 from ahbopt.cli import main
 
 
@@ -594,3 +594,52 @@ def test_power_with_an_infinite_lipschitz_bound_is_a_config_error(params, tmp_pa
     assert out == ""
     assert err.startswith("error: the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) "
                           "must be finite")
+
+
+def test_certify_rate_whose_recursion_overflows_is_a_numerical_failure(capsys):
+    code = main(["certify", "rate", "--delta0", "1e200", "--c", "5e-324", "--theta", "2.5",
+                 "--steps", "20"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: delta_0^theta overflows at step 1\n"
+
+
+def test_certify_moreau_with_infinite_envelope_gaps_is_a_config_error(capfd):
+    # LAPACK writes its complaints to file descriptor 1, past sys.stdout
+    code = main(["certify", "moreau", "--problem", "quadratic",
+                 "--params", '{"spectrum": [1]}', "--r", "1e300"])
+    assert code == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "error: only 0 usable envelope samples in 10000 trials\n"
+
+
+def test_one_parser_serves_every_call_and_build_parser_makes_a_new_one():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_usage_error_leaves_the_parser_as_it_was(capsys):
+    rate = ["certify", "rate", "--delta0", "1", "--c", "0.1", "--theta", "2", "--steps", "50"]
+    outcomes = []
+    for argv in (rate, ["certify", "rate", "--delta0", "1"], rate,
+                 ["solve", "--bogus"], rate):
+        code = main(argv)
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0][0] == 0 and outcomes[0] == outcomes[2] == outcomes[4]
+    assert outcomes[1] == (1, "", "error: the following arguments are required: --c, "
+                                  "--theta\n")
+    assert outcomes[3] == (1, "", "error: unrecognized arguments: --bogus\n")
+
+
+def test_help_of_the_shared_parser_wraps_at_the_width_of_each_call(monkeypatch, capsys):
+    texts = {}
+    for columns in ("80", "120", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["compare", "--help"])
+        text = capsys.readouterr().out
+        assert texts.setdefault(columns, text) == text
+    assert hashlib.sha256(texts["80"].encode()).hexdigest() == HELP_DIGESTS["compare"]
+    assert texts["80"] != texts["120"]

@@ -1,5 +1,5 @@
-"""Generated configs and certify numbers: every CLI run ends in a
-documented exit code, never in a traceback."""
+"""Generated configs and certify argv: every CLI run ends in a documented
+exit code, never in a traceback."""
 
 import contextlib
 import io
@@ -97,3 +97,60 @@ def test_generated_certify_rate_numbers_end_in_an_exit_code(delta0, c, theta, st
                           "--theta", repr(theta), "--steps", str(steps)])
     assert code in EXIT_CODES
     assert "Traceback" not in err
+
+
+# a number in the flag's valid range three times in four, any float
+# otherwise; "--flag=value" keeps a leading minus from reading as a flag
+def _flag(valid):
+    return st.integers(0, 3).flatmap(
+        lambda i: valid if i else st.one_of(_numbers, st.sampled_from([0.0, 1e-300, 1e300])))
+
+
+_positive = st.one_of(st.floats(1e-3, 10.0), st.sampled_from([1e-300, 1e300]))
+_taus = st.lists(_flag(st.floats(1e-3, 10.0)), min_size=0, max_size=3)
+
+
+@st.composite
+def _certify_argvs(draw):
+    command = draw(st.sampled_from(["kl", "growth", "growth-ppa", "moreau"]))
+    kind = draw(st.sampled_from(PROBLEM_KINDS))
+    argv = ["certify", command, "--problem", kind]
+    if draw(st.booleans()):  # else the CLI's default params
+        argv.append("--params=" + json.dumps(draw(_mostly(_params[kind]))))
+    point = draw(_mostly(st.just("zeros")))
+    point = point if point == "zeros" else json.dumps(point)
+    if command == "growth-ppa":
+        argv += ["--x=" + point, "--tau-list=" + ",".join(map(repr, draw(_taus))),
+                 f"--steps={draw(st.integers(-1, 5))}"]
+    else:
+        low = 8 if command == "moreau" else 1
+        argv += ["--xbar=" + point, f"--r={draw(_flag(_positive))!r}",
+                 f"--samples={draw(st.integers(low - 2, low + 10))}",
+                 f"--seed={draw(st.integers(0, 2 ** 32))}"]
+    if command in ("kl", "growth"):
+        argv.append(f"--eta={draw(_flag(_positive))!r}")
+    if command == "growth":
+        argv.append(f"--factor={draw(_flag(_positive))!r}")
+    if command == "moreau":
+        argv.append(f"--lam={draw(_flag(_positive))!r}")
+    else:
+        argv += [f"--phi-c={draw(_flag(_positive))!r}",
+                 f"--phi-alpha={draw(_flag(st.floats(0.01, 1.0)))!r}"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(argv=_certify_argvs())
+def test_generated_certify_argv_ends_in_an_exit_code_and_a_json_report(argv, capfd):
+    capfd.readouterr()
+    code = main(argv)
+    # capfd also takes what C code writes to the file descriptors
+    out, err = capfd.readouterr()
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+    if out:
+        assert code in (0, 3)
+        assert isinstance(json.loads(out), dict)
+    else:
+        assert code in (1, 2)
