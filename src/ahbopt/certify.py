@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (CapabilityError, EmptyRegionError, InvalidInputError,
                      NumericalFailureError)
-from .prox import moreau_value, ppa_run
+from .prox import euclidean_norm, moreau_value, ppa_run
 
 REL_TOL = 1e-9
 
@@ -237,13 +237,7 @@ def _min_subgradient_norm_fn(obj):
     # called on the float rows the sampler keeps
     if obj.gradient_fn is not None:
         gradient_fn = obj.gradient_fn
-
-        def slope(x):
-            g = np.asarray(gradient_fn(x), dtype=float)
-            # |g| of a real 1-d array, the expression np.linalg.norm evaluates
-            return math.sqrt(float(g.dot(g)))
-
-        return slope
+        return lambda x: euclidean_norm(np.asarray(gradient_fn(x), dtype=float))
     if obj.subgrad_min_norm is not None:
         return lambda x: float(obj.subgrad_min_norm(x))
     raise CapabilityError("gradient_fn", "need a gradient or a registered subdifferential")
@@ -436,7 +430,7 @@ def check_growth_implies_kl(obj, xbar, r, eta, c, alpha,
     return _slice_check(obj, xbar, r, eta, num_samples, seed, judge)
 
 
-def _damped_sequence(delta0, c, theta, num_steps) -> list:
+def _damped_sequence(delta0, c, theta, num_steps) -> np.ndarray:
     """delta_0 .. delta_num_steps of delta_{k+1} = delta_k - c * delta_k^theta.
 
     Python floats take the same libm pow and IEEE operations as numpy
@@ -444,8 +438,8 @@ def _damped_sequence(delta0, c, theta, num_steps) -> list:
     overflows, is not finite or is negative (for theta not an integer its
     next power is not real) raises NumericalFailureError naming its step.
     """
-    deltas = [delta0]
-    d = delta0
+    deltas = np.empty(num_steps + 1)
+    deltas[0] = d = delta0
     for k in range(1, num_steps + 1):
         try:
             d = d - c * d ** theta
@@ -454,7 +448,7 @@ def _damped_sequence(delta0, c, theta, num_steps) -> list:
                 k, f"delta_{k - 1}^theta overflows at step {k}") from None
         if not 0.0 <= d < math.inf:
             raise NumericalFailureError(k, f"delta_{k} = {d} left [0, inf) at step {k}")
-        deltas.append(d)
+        deltas[k] = d
     return deltas
 
 
@@ -493,7 +487,7 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     if delta0 == 0.0:
         return CertReport(checked=num_steps + 1, violations=0, worst_ratio=0.0,
                           witness=[0.0])
-    deltas = np.array(_damped_sequence(delta0, c, theta, num_steps))
+    deltas = _damped_sequence(delta0, c, theta, num_steps)
     exponent = 1.0 / (theta - 1.0)
     ks = np.arange(num_steps + 1, dtype=float)
     weighted = deltas * (1.0 + ks) ** exponent

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -41,6 +40,20 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument parser that adds its flags, through ``add_flags``, only
+    when it first parses: a command line names one subcommand, so the
+    flags of the others are never built."""
+
+    def __init__(self, *args, add_flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags is not None:
+            add_flags, self._add_flags = self._add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
+
     # argparse exits with status 2 on bad flags; config errors must be 1
     def error(self, message):
         raise _UsageError(message)
@@ -297,81 +310,98 @@ def cmd_fit_rate(args) -> int:
     return EXIT_OK
 
 
+def _run_flags(func):
+    def add(parser):
+        _add_common(parser)
+        _add_problem_flags(parser)
+        _add_solver_flags(parser)
+        parser.set_defaults(func=func)
+    return add
+
+
+def _cert_flags(add_own):
+    def add(parser):
+        _add_common(parser)
+        _add_problem_flags(parser)
+        parser.set_defaults(func=cmd_certify)
+        add_own(parser)
+    return add
+
+
+def _add_kl_flags(parser):
+    _add_slice_flags(parser)
+    parser.add_argument("--samples", type=int, default=200)
+
+
+def _add_growth_flags(parser):
+    _add_slice_flags(parser)
+    parser.add_argument("--factor", type=float, default=1.0)
+    parser.add_argument("--samples", type=int, default=200)
+
+
+def _add_ppa_flags(parser):
+    parser.add_argument("--x", required=True, help="start point as JSON")
+    _add_gauge_flags(parser)
+    parser.add_argument("--tau-list", dest="tau_list", default="1,0.1,0.01")
+    parser.add_argument("--steps", type=int, default=200)
+
+
+def _add_moreau_flags(parser):
+    parser.add_argument("--lam", type=float, default=1.0)
+    parser.add_argument("--xbar", default="zeros")
+    parser.add_argument("--r", type=float, default=0.5)
+    parser.add_argument("--samples", type=int, default=100)
+
+
+def _add_rate_flags(parser):
+    parser.set_defaults(func=cmd_certify)
+    parser.add_argument("--delta0", type=float, required=True)
+    parser.add_argument("--c", type=float, required=True)
+    parser.add_argument("--theta", type=float, required=True)
+    parser.add_argument("--steps", type=int, default=10000)
+
+
+def _add_certify_commands(parser):
+    sub = parser.add_subparsers(dest="certify_cmd", required=True)
+    sub.add_parser("kl", help="sharpness of the gauge derivative",
+                   add_flags=_cert_flags(_add_kl_flags))
+    sub.add_parser("growth", help="distance bounded by the gauged gap",
+                   add_flags=_cert_flags(_add_growth_flags))
+    sub.add_parser("growth-ppa", help="growth via proximal path lengths",
+                   add_flags=_cert_flags(_add_ppa_flags))
+    sub.add_parser("moreau", help="envelope growth exponent",
+                   add_flags=_cert_flags(_add_moreau_flags))
+    sub.add_parser("rate", help="sublinear envelope of a damped recursion",
+                   add_flags=_add_rate_flags)
+
+
+def _add_fit_rate_flags(parser):
+    _add_common(parser)
+    parser.add_argument("--trace", required=True)
+    parser.add_argument("--model", choices=("linear", "power"), required=True)
+    parser.add_argument("--k-min", dest="k_min", type=int, default=None)
+    parser.add_argument("--k-max", dest="k_max", type=int, default=None)
+    parser.set_defaults(func=cmd_fit_rate)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ahbopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="run one solver and write its trace")
-    _add_common(solve)
-    _add_problem_flags(solve)
-    _add_solver_flags(solve)
-    solve.set_defaults(func=cmd_solve)
-
-    compare = sub.add_parser("compare", help="run several methods on one problem")
-    _add_common(compare)
-    _add_problem_flags(compare)
-    _add_solver_flags(compare)
-    compare.set_defaults(func=cmd_compare)
-
-    cert = sub.add_parser("certify", help="sample-based condition checks")
-    cert_sub = cert.add_subparsers(dest="certify_cmd", required=True)
-
-    def _cert_parser(name, **kwargs):
-        p = cert_sub.add_parser(name, **kwargs)
-        _add_common(p)
-        _add_problem_flags(p)
-        p.set_defaults(func=cmd_certify)
-        return p
-
-    kl = _cert_parser("kl", help="sharpness of the gauge derivative")
-    _add_slice_flags(kl)
-    kl.add_argument("--samples", type=int, default=200)
-
-    growth = _cert_parser("growth", help="distance bounded by the gauged gap")
-    _add_slice_flags(growth)
-    growth.add_argument("--factor", type=float, default=1.0)
-    growth.add_argument("--samples", type=int, default=200)
-
-    ppa = _cert_parser("growth-ppa", help="growth via proximal path lengths")
-    ppa.add_argument("--x", required=True, help="start point as JSON")
-    _add_gauge_flags(ppa)
-    ppa.add_argument("--tau-list", dest="tau_list", default="1,0.1,0.01")
-    ppa.add_argument("--steps", type=int, default=200)
-
-    moreau = _cert_parser("moreau", help="envelope growth exponent")
-    moreau.add_argument("--lam", type=float, default=1.0)
-    moreau.add_argument("--xbar", default="zeros")
-    moreau.add_argument("--r", type=float, default=0.5)
-    moreau.add_argument("--samples", type=int, default=100)
-
-    rate = cert_sub.add_parser("rate", help="sublinear envelope of a damped recursion")
-    rate.set_defaults(func=cmd_certify)
-    rate.add_argument("--delta0", type=float, required=True)
-    rate.add_argument("--c", type=float, required=True)
-    rate.add_argument("--theta", type=float, required=True)
-    rate.add_argument("--steps", type=int, default=10000)
-
-    fit = sub.add_parser("fit-rate", help="fit convergence rates from a trace CSV")
-    _add_common(fit)
-    fit.add_argument("--trace", required=True)
-    fit.add_argument("--model", choices=("linear", "power"), required=True)
-    fit.add_argument("--k-min", dest="k_min", type=int, default=None)
-    fit.add_argument("--k-max", dest="k_max", type=int, default=None)
-    fit.set_defaults(func=cmd_fit_rate)
-
+    sub.add_parser("solve", help="run one solver and write its trace",
+                   add_flags=_run_flags(cmd_solve))
+    sub.add_parser("compare", help="run several methods on one problem",
+                   add_flags=_run_flags(cmd_compare))
+    sub.add_parser("certify", help="sample-based condition checks",
+                   add_flags=_add_certify_commands)
+    sub.add_parser("fit-rate", help="fit convergence rates from a trace CSV",
+                   add_flags=_add_fit_rate_flags)
     return parser
 
 
-@functools.cache
-def _parser() -> _Parser:
-    # parsing leaves no state in the parser, and help reads the terminal
-    # width when it is formatted, so one parser serves every call
-    return build_parser()
-
-
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -93,8 +93,8 @@ class GridSpec:
         return np.column_stack([g0.ravel(), g1.ravel()])
 
 
-def _norm(v) -> float:
-    # |v| of a real 1-d array, the expression np.linalg.norm evaluates
+def euclidean_norm(v) -> float:
+    """|v| of a real 1-d array, the expression ``np.linalg.norm`` evaluates."""
     return math.sqrt(float(v.dot(v)))
 
 
@@ -118,11 +118,11 @@ def prox_point(obj, tau, x) -> np.ndarray:
             "prox_fn", "need an exact prox, or a smooth convex objective "
             "with a Lipschitz bound for the inner solve")
     step = 1.0 / (obj.lipschitz + 1.0 / tau)
-    tol = 1e-12 * (1.0 + _norm(x)) / tau
+    tol = 1e-12 * (1.0 + euclidean_norm(x)) / tau
     z = x.copy()
     for _ in range(INNER_MAX_ITERS):
         g = obj.gradient(z) + (z - x) / tau
-        if _norm(g) <= tol:
+        if euclidean_norm(g) <= tol:
             return z
         z = z - step * g
     raise InnerSolveError(
@@ -142,7 +142,7 @@ def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
     for _ in range(num_steps):
         points.append(prox_point(obj, tau, points[-1]))
     values = [obj.value(p) for p in points]
-    step_norms = [0.0] + [_norm(b - a) for a, b in zip(points[:-1], points[1:])]
+    step_norms = [0.0] + [euclidean_norm(b - a) for a, b in zip(points[:-1], points[1:])]
     return PpaRun(tau=float(tau), points=points, values=values, step_norms=step_norms)
 
 
@@ -174,7 +174,7 @@ def ppa_run_nonconvex(obj, tau, x0, num_steps, grid) -> PpaRun:
         q = fvals + np.sum((pts - x) ** 2, axis=1) / (2.0 * tau)
         best = int(np.argmin(q))
         if q[best] <= fx:
-            step_norms.append(_norm(pts[best] - x))
+            step_norms.append(euclidean_norm(pts[best] - x))
             x = pts[best].copy()
             fx = float(fvals[best])
         else:

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ahbopt import IterationRecord, Trace, certify, cli, read_csv, write_csv
+from ahbopt import IterationRecord, Trace, certify, read_csv, write_csv
 from ahbopt.cli import main
 
 
@@ -171,6 +171,30 @@ def test_solver_command_help_is_pinned(command, monkeypatch, capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+# The help of every other command at 80 columns. A subcommand adds its flags
+# only when it parses, so its help must still list all of them, in order.
+OTHER_HELP_DIGESTS = {
+    "": "0ac7cad0d12421eebcac60a32c3bc295927d696d97165f80223e0aeb01f60773",
+    "certify": "74bcb9416fb750cf2c9b87d9d9521cbedeb527f140ad17dbef5cf9984a21a9c4",
+    "certify kl": "d41893f36bf250466a2b9b673529ca062dfa56faef70926892ce06498663ee60",
+    "certify growth": "58322ae2dc96fd81200f506084162a0094f72e9e5c0c992377d6eac746db3e42",
+    "certify growth-ppa": "3f36f4c5c6fb15d0189d87d51167bb1b470397be586d0ec5d7376a092c9fc0a2",
+    "certify moreau": "49cf71b14048f318506024a9d3d57cb7a1f318771dac61d0c2376364a4df856d",
+    "certify rate": "be3d9d83de5d0659bae43de87bcc8945a6a15fd660c9e9267dd1b9270a25d26f",
+    "fit-rate": "2f57fab02c2ac37cd32b0546b548132888e601156267e1846534b5624520ef1b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OTHER_HELP_DIGESTS))
+def test_other_command_help_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == OTHER_HELP_DIGESTS[command]
 
 
 def test_compare_rejects_disagreeing_embedded_problems(tmp_path, capsys):
@@ -615,12 +639,7 @@ def test_certify_moreau_with_infinite_envelope_gaps_is_a_config_error(capfd):
     assert err == "error: only 0 usable envelope samples in 10000 trials\n"
 
 
-def test_one_parser_serves_every_call_and_build_parser_makes_a_new_one():
-    assert cli._parser() is cli._parser()
-    assert cli.build_parser() is not cli.build_parser()
-
-
-def test_usage_error_leaves_the_parser_as_it_was(capsys):
+def test_a_usage_error_between_calls_in_one_process_changes_nothing(capsys):
     rate = ["certify", "rate", "--delta0", "1", "--c", "0.1", "--theta", "2", "--steps", "50"]
     outcomes = []
     for argv in (rate, ["certify", "rate", "--delta0", "1"], rate,
@@ -633,7 +652,7 @@ def test_usage_error_leaves_the_parser_as_it_was(capsys):
     assert outcomes[3] == (1, "", "error: unrecognized arguments: --bogus\n")
 
 
-def test_help_of_the_shared_parser_wraps_at_the_width_of_each_call(monkeypatch, capsys):
+def test_help_wraps_at_the_width_of_each_call_in_one_process(monkeypatch, capsys):
     texts = {}
     for columns in ("80", "120", "80"):
         monkeypatch.setenv("COLUMNS", columns)
