@@ -42,17 +42,19 @@ def system_matrix(n, num_angles, rays_per_angle):
     per ray: its box entry and exit parameters and its interior grid-line
     crossings, with crossings outside the box moved onto the exit so that
     they add only zero-length chords. Each row is sorted and differenced;
-    chords longer than `_EPS` go to the pixel holding their midpoint. The
-    output (CSR indptr, indices and data) is bitwise equal to that of the
-    per-ray builder this replaced: it keeps that builder's arithmetic and
-    emits triplets in the same row-major, sorted-chord order, so duplicate
-    summing in the COO to CSR step is unchanged.
+    chords longer than `_EPS` go to the pixel holding their midpoint.
+    The CSR arrays are built directly from each ray's chord count and
+    int32 pixel indices, with each row's entries in sorted-chord order:
+    the order a COO to CSR conversion of the same triplets gives. So
+    `sum_duplicates` sorts and sums the same input, and indptr, indices
+    and data are bitwise equal to those of the per-ray builder this
+    replaced, whose arithmetic is kept.
     """
     angles, offsets = ray_geometry(num_angles, rays_per_angle)
     w = 2.0 / n
     interior = -1.0 + w * np.arange(1, n)
-    rows, cols, vals = [], [], []
-    for k, theta in enumerate(angles):
+    counts, cols, vals = [], [], []
+    for theta in angles:
         c, s = np.cos(theta), np.sin(theta)
         direction, origin = (c, s), (offsets * -s, offsets * c)
         # |offset| < 1, so every ray crosses the box along a chord longer than _EPS.
@@ -75,14 +77,17 @@ def system_matrix(n, num_angles, rays_per_angle):
         keep = seg > _EPS
         ray = np.nonzero(keep)[0]
         half = 0.5 * (ts[:, :-1][keep] + ts[:, 1:][keep])
-        i, j = (np.clip(((o[ray] + half * d + 1.0) // w).astype(np.int64), 0, n - 1)
+        i, j = (np.clip(((o[ray] + half * d + 1.0) // w).astype(np.int32), 0, n - 1)
                 for o, d in zip(origin, direction))
-        rows.append(k * offsets.size + ray)
+        counts.append(np.count_nonzero(keep, axis=1))
         cols.append(j * n + i)
         vals.append(seg[keep])
-    shape = (num_angles * rays_per_angle, n * n)
-    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    indptr = np.zeros(num_angles * rays_per_angle + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    matrix = sparse.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
+                               shape=(num_angles * rays_per_angle, n * n))
+    matrix.sum_duplicates()
+    return matrix
 
 
 def phantom_image(kind, n):

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import (CapabilityError, EmptyRegionError, InvalidInputError,
                      NumericalFailureError)
-from .prox import euclidean_norm, moreau_value, ppa_run
+from .objective import euclidean_norm
+from .prox import moreau_value, ppa_run
 
 REL_TOL = 1e-9
 
@@ -494,7 +495,8 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     c_tilde = float(weighted.max())
     k_star = int(weighted.argmax())
     violations = int(np.sum(deltas > c_tilde * (1.0 + ks) ** (-exponent) * (1.0 + 1e-12)))
-    tail_lo = max(num_steps // 10, 1)
+    # at least two points, so that the slope is defined
+    tail_lo = min(max(num_steps // 10, 1), num_steps - 1)
     tail = slice(tail_lo, num_steps + 1)
     coef, resid = _line_fit(np.log(1.0 + ks[tail]), np.log(deltas[tail]))
     return CertReport(checked=num_steps + 1, violations=violations, worst_ratio=1.0,

@@ -26,6 +26,10 @@ PHANTOMS = ("blocks", "disks")
 
 MAX_RADON_GRID = 64
 
+# a ray crosses at most 2 * grid_n - 1 pixels, so this cap on the ray count keeps
+# the system matrix's nnz far inside its int32 CSR index range
+MAX_RADON_RAYS = 4 * MAX_RADON_GRID ** 2
+
 
 class PowerIterationWarning(UserWarning):
     """Power iteration stopped on its iteration cap, not its tolerance."""
@@ -36,9 +40,9 @@ _SHORTCUT_PARTNERS = {"value_and_gradient_fn": ("value_fn", "gradient_fn"),
                       "values_fn": ("value_fn",)}
 
 
-def _norm(d) -> float:
-    # |d| of a real 1-d array, the expression np.linalg.norm evaluates
-    return math.sqrt(float(d.dot(d)))
+def euclidean_norm(v) -> float:
+    """|v| of a real 1-d array, the expression ``np.linalg.norm`` evaluates."""
+    return math.sqrt(float(v.dot(v)))
 
 
 def _as_int(name, value) -> int:
@@ -221,7 +225,7 @@ def make_quadratic(spectrum) -> Objective:
         gradient_fn=gradient,
         lipschitz=float(lam.max()),
         min_value=0.0,
-        solution_oracle=_norm,
+        solution_oracle=euclidean_norm,
         prox_fn=prox,
         convex_flag=True,
         x_true=np.zeros(dim),
@@ -307,7 +311,7 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
         **_data_fit(a, y),
         lipschitz=float(sv[0] ** 2),
         min_value=0.0,
-        solution_oracle=(lambda x: _norm(x - x_true)) if full_column_rank else None,
+        solution_oracle=(lambda x: euclidean_norm(x - x_true)) if full_column_rank else None,
         prox_fn=prox,
         convex_flag=True,
         matrix=a,
@@ -363,7 +367,7 @@ def make_power(p, dim, ball_radius) -> Objective:
         gradient_fn=gradient,
         lipschitz=lipschitz,
         min_value=0.0,
-        solution_oracle=_norm,
+        solution_oracle=euclidean_norm,
         convex_flag=True,
         domain_radius=radius,
         x_true=np.zeros(dim),
@@ -422,6 +426,10 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
             f"grid_n = {grid_n} exceeds the desk-scale cap of {MAX_RADON_GRID}")
     if num_angles < 1 or rays_per_angle < 1:
         raise InvalidSpecError("num_angles and rays_per_angle must be positive")
+    if num_angles * rays_per_angle > MAX_RADON_RAYS:
+        raise DeskScaleLimitError(
+            f"num_angles * rays_per_angle = {num_angles * rays_per_angle} exceeds the "
+            f"desk-scale cap of {MAX_RADON_RAYS} rays")
     if phantom not in PHANTOMS:
         raise InvalidSpecError(f"unknown phantom '{phantom}'; expected one of {PHANTOMS}")
 

@@ -3,7 +3,6 @@ grid-searched nonconvex), and Moreau envelope values and gradients."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +10,7 @@ import numpy as np
 from .errors import (CapabilityError, DeskScaleLimitError, InnerSolveError,
                      InvalidInputError, NumericalFailureError)
 from ._io import atomic_write, fmt
+from .objective import euclidean_norm
 
 INNER_MAX_ITERS = 100_000
 
@@ -91,11 +91,6 @@ class GridSpec:
             return axes[0][:, None]
         g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
         return np.column_stack([g0.ravel(), g1.ravel()])
-
-
-def euclidean_norm(v) -> float:
-    """|v| of a real 1-d array, the expression ``np.linalg.norm`` evaluates."""
-    return math.sqrt(float(v.dot(v)))
 
 
 def prox_point(obj, tau, x) -> np.ndarray:

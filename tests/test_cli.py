@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import stat
 import subprocess
@@ -235,6 +236,29 @@ def test_certify_rate_needs_no_problem(capsys):
     report = _json_stdout(capsys)
     assert report["violations"] == 0
     assert report["fitted"]["C"] > 0
+
+
+def test_certify_rate_of_one_step_fits_two_points_quietly(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["certify", "rate", "--delta0", "1", "--c", "0.1", "--theta", "2",
+                     "--steps", "1"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["checked"] == 2 and math.isfinite(report["fitted"]["alpha"])
+
+
+def test_radon_beyond_the_ray_cap_is_a_config_error(tmp_path, capsys):
+    params = {"grid_n": 8, "num_angles": 129, "rays_per_angle": 128, "phantom": "disks"}
+    code = main(["solve", "--problem", "radon", "--params", json.dumps(params),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: num_angles * rays_per_angle = 16512 exceeds the "
+                   "desk-scale cap of 16384 rays\n")
+    assert not (tmp_path / "ahb.csv").exists()
 
 
 def test_certify_infinite_eta_uses_surrogate_and_says_so(capsys):

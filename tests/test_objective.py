@@ -21,6 +21,7 @@ from ahbopt import (
     make_quadratic,
     make_radon,
 )
+from ahbopt.objective import MAX_RADON_RAYS
 from conftest import central_difference_gradient
 
 
@@ -190,9 +191,23 @@ def test_prox_minimizes_inner_objective():
             assert best <= other + 1e-12
 
 
-def test_radon_scale_limit():
-    with pytest.raises(DeskScaleLimitError):
-        make_radon(65, 4, 4, "blocks")
+def test_radon_scale_limit(monkeypatch):
+    from ahbopt import _radon
+
+    def unreachable(*args):
+        raise AssertionError("the matrix was built before the cap was checked")
+
+    monkeypatch.setattr(_radon, "system_matrix", unreachable)
+    for grid_n, angles, rays in [(65, 4, 4), (4, MAX_RADON_RAYS + 1, 1),
+                                 (4, 1, MAX_RADON_RAYS + 1), (4, 129, 128),
+                                 (4, 10 ** 9, 10 ** 9)]:
+        with pytest.raises(DeskScaleLimitError):
+            make_radon(grid_n, angles, rays, "blocks")
+
+
+def test_radon_at_the_ray_cap_builds():
+    obj = make_radon(1, 128, MAX_RADON_RAYS // 128, "blocks")
+    assert obj.matrix.shape == (MAX_RADON_RAYS, 1)
 
 
 def test_radon_row_along_grid_row():

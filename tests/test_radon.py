@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,20 @@ def test_system_matrix_is_bitwise_golden(shape):
     assert a.shape == (angles * rays, n * n)
     assert (a.indptr.dtype, a.indices.dtype, a.data.dtype) == (
         np.int32, np.int32, np.float64)
+    assert a.has_canonical_format
     blob = a.indptr.tobytes() + a.indices.tobytes() + a.data.tobytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[shape]
+
+
+def test_system_matrix_build_peak_stays_within_3x_its_csr_bytes():
+    system_matrix(8, 8, 8)  # first-call imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        a = system_matrix(64, 64, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (a.indptr.nbytes + a.indices.nbytes + a.data.nbytes)
 
 
 def _chord_length(theta, offset):
