@@ -43,9 +43,11 @@ def system_matrix(n, num_angles, rays_per_angle):
     crossings, with crossings outside the box moved onto the exit so that
     they add only zero-length chords. Each row is sorted and differenced;
     chords longer than `_EPS` go to the pixel holding their midpoint.
-    The CSR arrays are built directly from each ray's chord count and
-    int32 pixel indices, with each row's entries in sorted-chord order:
-    the order a COO to CSR conversion of the same triplets gives. So
+    The CSR arrays are reserved at their upper bound (a sorted row holds
+    at most 2n parameters, so a ray keeps at most 2n - 1 chords), filled
+    angle by angle and shrunk in place to nnz, so the matrix never
+    exists twice. Each row's entries sit in sorted-chord order, the order
+    a COO to CSR conversion of the same triplets gives. So
     `sum_duplicates` sorts and sums the same input, and indptr, indices
     and data are bitwise equal to those of the per-ray builder this
     replaced, whose arithmetic is kept.
@@ -53,8 +55,13 @@ def system_matrix(n, num_angles, rays_per_angle):
     angles, offsets = ray_geometry(num_angles, rays_per_angle)
     w = 2.0 / n
     interior = -1.0 + w * np.arange(1, n)
-    counts, cols, vals = [], [], []
-    for theta in angles:
+    m = num_angles * rays_per_angle
+    data = np.empty(m * (2 * n - 1))
+    indices = np.empty(m * (2 * n - 1), dtype=np.int32)
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    chords_per_ray = indptr[1:].reshape(num_angles, rays_per_angle)
+    nnz = 0
+    for k, theta in enumerate(angles):
         c, s = np.cos(theta), np.sin(theta)
         direction, origin = (c, s), (offsets * -s, offsets * c)
         # |offset| < 1, so every ray crosses the box along a chord longer than _EPS.
@@ -79,13 +86,15 @@ def system_matrix(n, num_angles, rays_per_angle):
         half = 0.5 * (ts[:, :-1][keep] + ts[:, 1:][keep])
         i, j = (np.clip(((o[ray] + half * d + 1.0) // w).astype(np.int32), 0, n - 1)
                 for o, d in zip(origin, direction))
-        counts.append(np.count_nonzero(keep, axis=1))
-        cols.append(j * n + i)
-        vals.append(seg[keep])
-    indptr = np.zeros(num_angles * rays_per_angle + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    matrix = sparse.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
-                               shape=(num_angles * rays_per_angle, n * n))
+        chords_per_ray[k] = np.count_nonzero(keep, axis=1)
+        data[nnz:nnz + ray.size] = seg[keep]
+        indices[nnz:nnz + ray.size] = j * n + i
+        nnz += ray.size
+    np.cumsum(indptr, out=indptr)
+    # no view of either buffer is alive, so the shrink needs no reference check
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(m, n * n))
     matrix.sum_duplicates()
     return matrix
 

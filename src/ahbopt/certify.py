@@ -461,8 +461,9 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     The envelope constant is the observed max of
     delta_k * (1+k)^(1/(theta-1)); the witness records where it is
     attained and the fitted slope (trailing decade of the log-log
-    curve) is informational. A term that overflows or leaves [0, inf)
-    raises NumericalFailureError.
+    curve) is informational. A term that overflows or leaves [0, inf),
+    or an envelope constant that is not finite, raises
+    NumericalFailureError.
     """
     delta0, c, theta = float(delta0), float(c), float(theta)
     num_steps = int(num_steps)
@@ -494,6 +495,11 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     weighted = deltas * (1.0 + ks) ** exponent
     c_tilde = float(weighted.max())
     k_star = int(weighted.argmax())
+    if not math.isfinite(c_tilde):
+        # (1 + k)^(1/(theta-1)) overflows for theta near 1; an infinite
+        # envelope would bound every term and certify nothing
+        raise NumericalFailureError(
+            k_star, f"the envelope weight at step {k_star} is {c_tilde}, not finite")
     violations = int(np.sum(deltas > c_tilde * (1.0 + ks) ** (-exponent) * (1.0 + 1e-12)))
     # at least two points, so that the slope is defined
     tail_lo = min(max(num_steps // 10, 1), num_steps - 1)

@@ -1,8 +1,16 @@
 """Exception types shared across the toolkit."""
 
+import copyreg
+
 
 class ToolkitError(Exception):
     """Base class for every error raised by this package."""
+
+    def __reduce__(self):
+        # Rebuild through __new__ with the finished message and attributes:
+        # subclasses that format their message in __init__ would format it
+        # again if unpickling called the class.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidSpecError(ToolkitError, ValueError):

@@ -46,6 +46,8 @@ class Trace:
         ks = [r.k for r in self.records]
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise InvalidInputError("record iteration numbers must strictly increase")
+        if ks[0] < 0:
+            raise InvalidInputError(f"record iteration numbers must be nonnegative, got {ks[0]}")
 
     @property
     def final(self) -> IterationRecord:

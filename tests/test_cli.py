@@ -361,6 +361,18 @@ def test_fit_rate_without_distances_is_a_config_error(tmp_path, capsys):
     assert "distance" in capsys.readouterr().err
 
 
+def test_fit_rate_of_a_trace_with_a_negative_k_is_a_config_error(tmp_path, capfd):
+    # log(k + 1) of k = -1 made LAPACK write to file descriptor 1
+    path = tmp_path / "negative_k.csv"
+    path.write_text("k,fval,gap,gnorm,alpha,beta,step_norm,dist\n"
+                    + "".join(f"{k},1,1,1,0.5,0,0,{1.0 / (k + 2)}\n" for k in range(-1, 11)))
+    code = main(["fit-rate", "--trace", str(path), "--model", "power"])
+    assert code == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "error: record iteration numbers must be nonnegative, got -1\n"
+
+
 def test_module_invocation_smoke(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "ahbopt", "solve", "--problem", "quadratic",
@@ -653,6 +665,15 @@ def test_certify_rate_whose_recursion_overflows_is_a_numerical_failure(capsys):
     assert err == "numerical failure: delta_0^theta overflows at step 1\n"
 
 
+def test_certify_rate_whose_envelope_overflows_is_a_numerical_failure(capsys):
+    code = main(["certify", "rate", "--delta0", "1e-300", "--c", "0.99", "--theta", "1.01",
+                 "--steps", "3000"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: the envelope weight at step 1209 is inf, not finite\n"
+
+
 def test_certify_moreau_with_infinite_envelope_gaps_is_a_config_error(capfd):
     # LAPACK writes its complaints to file descriptor 1, past sys.stdout
     code = main(["certify", "moreau", "--problem", "quadratic",
@@ -686,3 +707,48 @@ def test_help_wraps_at_the_width_of_each_call_in_one_process(monkeypatch, capsys
         assert texts.setdefault(columns, text) == text
     assert hashlib.sha256(texts["80"].encode()).hexdigest() == HELP_DIGESTS["compare"]
     assert texts["80"] != texts["120"]
+
+
+def _record_bits(record):
+    # floats by their hex form, so NaN, -0.0 and every last bit count
+    return tuple(v if v is None or type(v) is int else float(v).hex()
+                 for v in (record.k, record.fval, record.gap, record.gnorm,
+                           record.alpha, record.beta, record.step_norm, record.dist))
+
+
+@pytest.mark.parametrize("argv, has_dist", [
+    (["solve", "--problem", "quadratic", "--params", '{"spectrum": [1.0, 10.0]}',
+      "--x0", '{"seed": 3, "norm": 2.0}', "--max-iters", "40"], True),
+    (["solve", "--problem", "quadratic", "--params", '{"spectrum": [1.0, 10.0]}',
+      "--x0", '{"seed": 3, "norm": 2.0}', "--max-iters", "40", "--record-every", "7"], True),
+    (["compare", "--problem", "least_squares", "--seed", "5",
+      "--x0", '{"seed": 11, "norm": 3.0}', "--max-iters", "30", "--record-every", "4"], True),
+    (["compare", "--problem", "least_squares", "--seed", "2",
+      "--params", '{"rows": 6, "cols": 9, "singular_values": [1, 0.5, 0.25, 0.1, 0.05, 0.01]}',
+      "--x0", '{"seed": 1, "norm": 1.0}', "--max-iters", "25"], False),
+    (["solve", "--problem", "radon", "--x0", '{"seed": 4, "norm": 1.0}',
+      "--max-iters", "20", "--record-every", "3"], False),
+], ids=["solve-dist", "solve-dist-every-7", "compare-dist-every-4", "compare-no-dist",
+        "solve-radon-no-dist-every-3"])
+def test_every_written_trace_reads_back_the_same(tmp_path, capsys, monkeypatch, argv,
+                                                 has_dist):
+    from ahbopt import trace as trace_module
+
+    written, write = [], trace_module.write_csv
+
+    def write_and_keep(run, path):
+        written.append((run, path))
+        write(run, path)
+
+    monkeypatch.setattr(trace_module, "write_csv", write_and_keep)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    every = int(argv[argv.index("--record-every") + 1]) if "--record-every" in argv else 1
+    assert len(written) == (1 if argv[0] == "solve" else 4)
+    for run, path in written:
+        assert len(run.records) > 2
+        assert all(r.k % every == 0 for r in run.records[:-1])
+        assert all((r.dist is not None) == has_dist for r in run.records)
+        back = read_csv(path)
+        assert [_record_bits(r) for r in back.records] == [_record_bits(r) for r in run.records]
+        assert back.meta == run.meta

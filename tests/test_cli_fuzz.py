@@ -4,12 +4,14 @@ exit code, never in a traceback."""
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ahbopt.trace import CSV_HEADER
 from ahbopt.cli import main
 from ahbopt.objective import PHANTOMS, PROBLEM_KINDS
 from ahbopt.solvers import METHODS
@@ -152,5 +154,50 @@ def test_generated_certify_argv_ends_in_an_exit_code_and_a_json_report(argv, cap
     if out:
         assert code in (0, 3)
         assert isinstance(json.loads(out), dict)
+    else:
+        assert code in (1, 2)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+# a positive distance three times in four, so that most traces keep the 8
+# records a fit needs; missing, non-finite and non-positive ones otherwise
+_dists = st.integers(0, 3).flatmap(lambda i: st.floats(1e-300, 1e300) if i else st.one_of(
+    st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324])))
+_window = st.one_of(st.none(), st.none(), st.integers(-5, 45),
+                    st.sampled_from([-2 ** 40, 2 ** 40]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(ks=st.sets(st.integers(-3, 40), min_size=1, max_size=30), data=st.data(),
+       model=st.sampled_from(["linear", "power"]), k_min=_window, k_max=_window)
+def test_generated_fit_rate_traces_end_in_an_exit_code_and_a_json_report(
+        ks, data, model, k_min, k_max, capfd):
+    # rows written by hand, since a Trace holds no negative iteration numbers
+    rows = [CSV_HEADER]
+    for k in sorted(ks):
+        dist = data.draw(_dists)
+        rows.append(f"{k},1,0.5,1,0.1,0.5,0,{'' if dist is None else repr(dist)}")
+    argv = ["fit-rate", "--model", model]
+    argv += [] if k_min is None else [f"--k-min={k_min}"]
+    argv += [] if k_max is None else [f"--k-max={k_max}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(rows) + "\n")
+        capfd.readouterr()
+        code = main(argv + ["--trace", path])
+        # capfd also takes what C code writes to the file descriptors
+        out, err = capfd.readouterr()
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+    if out:
+        assert code == 0
+        assert isinstance(_strict_json(out), dict)
     else:
         assert code in (1, 2)

@@ -11,6 +11,8 @@ from ahbopt._radon import system_matrix
 
 # SHA-256 of indptr + indices + data (int32, int32, float64) as built by the
 # per-ray tracer that preceded the per-angle one; the matrix must not move.
+# The (128, 128, 128) digest was taken from the per-angle builder that
+# concatenated its per-angle pieces, before the in-place fill.
 GOLDEN = {
     (1, 1, 1): "74c9ccce2f37d96133a14e4411f41c82a223e92a975c897d699673907f7cc8e6",
     (2, 2, 2): "fb443e50a930bc70fa5afc0cc8b68819a29522420b461aac1409b5ca28b2b16e",
@@ -19,6 +21,7 @@ GOLDEN = {
     (32, 32, 32): "171fc0430e54ebd1ccef71c135a329ecd9b3fbb095a63776ec0d1bb5db884459",
     (64, 64, 64): "0c818b29c00d43cb7c75cfcf876f4d0710ceeba573c2a0ea6243268743efac91",
     (13, 17, 11): "55d912b7499f01855800f68ab7026be91e5567dcfa73d9da7004a6b2b7ffb436",
+    (128, 128, 128): "6520ff1c259dae9b47f57905aca73aef3dda894a6fcf955ecd24770c033e7395",
 }
 
 
@@ -34,7 +37,9 @@ def test_system_matrix_is_bitwise_golden(shape):
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[shape]
 
 
-def test_system_matrix_build_peak_stays_within_3x_its_csr_bytes():
+def test_system_matrix_build_peak_stays_within_2x_its_csr_bytes():
+    # The reserved buffers count here in full, untouched pages included;
+    # a builder that holds the matrix twice peaks above 2x.
     system_matrix(8, 8, 8)  # first-call imports and caches stay out of the count
     tracemalloc.start()
     try:
@@ -42,7 +47,7 @@ def test_system_matrix_build_peak_stays_within_3x_its_csr_bytes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * (a.indptr.nbytes + a.indices.nbytes + a.data.nbytes)
+    assert peak <= 2 * (a.indptr.nbytes + a.indices.nbytes + a.data.nbytes)
 
 
 def _chord_length(theta, offset):
