@@ -292,6 +292,8 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
     taus = [float(t) for t in tau_list]
     if not taus or not all(0.0 < t < math.inf for t in taus):
         raise InvalidInputError("tau_list must hold positive finite values")
+    if len(set(taus)) < len(taus):
+        raise InvalidInputError("tau_list must not repeat a value")
     num_steps = int(num_steps)
     if num_steps < 1:
         raise InvalidInputError("num_steps must be at least 1")
@@ -417,10 +419,7 @@ def check_growth_implies_kl(obj, xbar, r, eta, c, alpha,
                             num_samples=200, seed=0) -> CertReport:
     """Test the sharpness consequence of Holder growth:
     gap^(1 - alpha) <= (c / alpha) * dist(0, df(x))."""
-    if not 0.0 < c < math.inf:
-        raise InvalidInputError("c must be positive and finite")
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError("alpha must lie in (0, 1]")
+    HolderFunction(c, alpha)  # the gauge's (c, alpha) domain check
     slope_at = _min_subgradient_norm_fn(obj)
 
     def judge(x, gap):

@@ -1,5 +1,6 @@
-"""Proximal machinery: prox evaluation, proximal point runs (convex and
-grid-searched nonconvex), and Moreau envelope values and gradients."""
+"""Proximal machinery: prox evaluation, one proximal point runner (exact
+prox, or a grid argmin for nonconvex f), and Moreau envelope values and
+gradients."""
 
 from __future__ import annotations
 
@@ -124,31 +125,12 @@ def prox_point(obj, tau, x) -> np.ndarray:
         f"prox inner solve missed tolerance {tol:g} in {INNER_MAX_ITERS} iterations")
 
 
-def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
-    """Iterate the exact proximal point map num_steps times."""
-    num_steps = int(num_steps)
-    if num_steps < 0:
-        raise InvalidInputError("num_steps must be nonnegative")
-    if not obj.convex_flag:
-        raise InvalidInputError(
-            "the plain proximal point run expects a convex objective; "
-            "use ppa_run_nonconvex with a grid otherwise")
-    points = [np.asarray(x0, dtype=float)]
-    for _ in range(num_steps):
-        points.append(prox_point(obj, tau, points[-1]))
-    values = [obj.value(p) for p in points]
-    step_norms = [0.0] + [euclidean_norm(b - a) for a, b in zip(points[:-1], points[1:])]
-    return PpaRun(tau=float(tau), points=points, values=values, step_norms=step_norms)
+def ppa_run(obj, tau, x0, num_steps, grid=None) -> PpaRun:
+    """Iterate the proximal point map num_steps times.
 
-
-def ppa_run_nonconvex(obj, tau, x0, num_steps, grid) -> PpaRun:
-    """Proximal point run with the inner argmin over an explicit grid.
-
-    The candidate set at every step is the grid plus the previous
-    iterate, so the inner objective never increases even though the grid
-    is finite. Grid ties resolve to the lexicographically smallest index;
-    the previous iterate is kept only when strictly better than every
-    grid point.
+    Without a grid the map is the exact ``prox_point``, which needs a
+    convex objective. With a ``GridSpec`` the inner argmin runs over the
+    grid and the current iterate, which serves a nonconvex objective.
     """
     tau = float(tau)
     if not tau > 0:
@@ -156,27 +138,39 @@ def ppa_run_nonconvex(obj, tau, x0, num_steps, grid) -> PpaRun:
     num_steps = int(num_steps)
     if num_steps < 0:
         raise InvalidInputError("num_steps must be nonnegative")
+    x = np.array(x0, dtype=float)
+    if grid is not None:
+        step = _grid_step(obj, tau, x, grid)
+    elif not obj.convex_flag:
+        raise InvalidInputError("the exact proximal point run expects a convex "
+                                "objective; pass a grid otherwise")
+    points = [x]
+    for _ in range(num_steps):
+        points.append(prox_point(obj, tau, points[-1]) if grid is None else step(points[-1]))
+    values = [obj.value(p) for p in points]
+    step_norms = [0.0] + [euclidean_norm(b - a) for a, b in zip(points[:-1], points[1:])]
+    return PpaRun(tau=tau, points=points, values=values, step_norms=step_norms)
+
+
+def _grid_step(obj, tau, x0, grid):
+    """The grid argmin of f(z) + |z - x|^2 / (2 tau) as a map x -> x+.
+
+    f is evaluated on the grid once. A grid point replaces x only when its
+    inner value is at most f(x), so f never increases on a finite grid;
+    ties go to the lowest (lexicographic) index."""
     pts = grid.points()
-    if np.asarray(x0).size != grid.dim:
+    if x0.size != grid.dim:
         raise InvalidInputError("x0 dimension does not match the grid")
     fvals = np.array([obj.value(p) for p in pts])
     if not np.all(fvals > -np.inf):
         raise InvalidInputError("objective is unbounded below on the grid")
-    x = np.asarray(x0, dtype=float)
-    fx = obj.value(x)
-    points, values, step_norms = [x.copy()], [fx], [0.0]
-    for _ in range(num_steps):
+
+    def step(x):
         q = fvals + np.sum((pts - x) ** 2, axis=1) / (2.0 * tau)
         best = int(np.argmin(q))
-        if q[best] <= fx:
-            step_norms.append(euclidean_norm(pts[best] - x))
-            x = pts[best].copy()
-            fx = float(fvals[best])
-        else:
-            step_norms.append(0.0)
-        points.append(x.copy())
-        values.append(fx)
-    return PpaRun(tau=tau, points=points, values=values, step_norms=step_norms)
+        return pts[best].copy() if q[best] <= obj.value(x) else x.copy()
+
+    return step
 
 
 def moreau_value(obj, lam, x) -> float:

@@ -292,6 +292,17 @@ def test_certify_growth_ppa_non_finite_start_is_a_numerical_failure(capsys):
     assert err.startswith("numerical failure") and "RuntimeWarning" not in err
 
 
+def test_certify_growth_ppa_repeated_taus_are_a_config_error(capsys):
+    # one distinct tau leaves the exponent line a single abscissa to fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["certify", "growth-ppa", "--problem", "quadratic", "--x=[2.0]",
+                     "--tau-list=0.5,0.5,0.5", "--steps=3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: tau_list must not repeat a value\n"
+
+
 def test_certify_kl_reports_trials_and_shortfall(capsys):
     # about 2e-5 of the unit disc lies in the slice, so the 100k-trial cap
     # accepts only a few of the 1000 requested points

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from ahbopt import (
     moreau_gradient,
     moreau_value,
     ppa_run,
-    ppa_run_nonconvex,
     prox_point,
 )
 from conftest import central_difference_gradient
@@ -196,7 +197,7 @@ def _double_well():
 
 def test_nonconvex_run_small_tau_stays_in_local_basin():
     grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=401)
-    run = ppa_run_nonconvex(_double_well(), 0.2, [-0.6], 60, grid)
+    run = ppa_run(_double_well(), 0.2, [-0.6], 60, grid=grid)
     # The run stalls once one grid cell of movement costs more in prox
     # penalty than it gains in descent: radius h/2 + h/(4 tau) = 0.0175.
     assert abs(run.points[-1][0] - (-1.0)) <= 0.02
@@ -205,14 +206,14 @@ def test_nonconvex_run_small_tau_stays_in_local_basin():
 
 def test_nonconvex_run_large_tau_hops_to_global_basin():
     grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=401)
-    run = ppa_run_nonconvex(_double_well(), 5.0, [-0.1], 5, grid)
+    run = ppa_run(_double_well(), 5.0, [-0.1], 5, grid=grid)
     assert abs(run.points[-1][0] - 1.0) <= 0.01 + 1e-12
     assert run.values[-1] == pytest.approx(0.0, abs=1e-3)
 
 
 def test_nonconvex_run_zero_steps_returns_start():
     grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=5)
-    run = ppa_run_nonconvex(_double_well(), 1.0, [0.9], 0, grid)
+    run = ppa_run(_double_well(), 1.0, [0.9], 0, grid=grid)
     assert len(run.points) == 1
     np.testing.assert_array_equal(run.points[0], [0.9])
     assert run.values == [pytest.approx(0.01)]
@@ -221,7 +222,7 @@ def test_nonconvex_run_zero_steps_returns_start():
 def test_nonconvex_run_keeps_iterate_when_grid_is_worse():
     obj = Objective(dim=1, value_fn=lambda x: float(x[0]) ** 2)
     grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=2)
-    run = ppa_run_nonconvex(obj, 1.0, [0.1], 3, grid)
+    run = ppa_run(obj, 1.0, [0.1], 3, grid=grid)
     for p in run.points:
         np.testing.assert_array_equal(p, [0.1])
     assert run.step_norms == [0.0] * 4
@@ -230,7 +231,7 @@ def test_nonconvex_run_keeps_iterate_when_grid_is_worse():
 def test_nonconvex_run_matches_exact_ppa_on_convex_problem():
     obj = make_quadratic([1.0])
     grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=401)
-    gridded = ppa_run_nonconvex(obj, 1.0, [2.0], 3, grid)
+    gridded = ppa_run(obj, 1.0, [2.0], 3, grid=grid)
     exact = ppa_run(obj, 1.0, [2.0], 3)
     np.testing.assert_allclose(gridded.points, exact.points, atol=1e-12)
     np.testing.assert_allclose(gridded.values, exact.values, atol=1e-12)
@@ -239,13 +240,68 @@ def test_nonconvex_run_matches_exact_ppa_on_convex_problem():
 def test_nonconvex_run_input_validation():
     grid = GridSpec(dim=1, lo=-1.0, hi=1.0, points_per_axis=3)
     with pytest.raises(InvalidInputError):
-        ppa_run_nonconvex(_double_well(), 1.0, [0.0, 0.0], 1, grid)
+        ppa_run(_double_well(), 1.0, [0.0, 0.0], 1, grid=grid)
     with pytest.raises(InvalidInputError):
-        ppa_run_nonconvex(_double_well(), 0.0, [0.0], 1, grid)
+        ppa_run(_double_well(), 0.0, [0.0], 1, grid=grid)
 
     sink = Objective(dim=1, value_fn=lambda x: -np.inf if x[0] < 0 else 0.0)
     with pytest.raises(InvalidInputError):
-        ppa_run_nonconvex(sink, 1.0, [0.5], 1, grid)
+        ppa_run(sink, 1.0, [0.5], 1, grid=grid)
+
+
+def _ring():
+    # (|x|^2 - 1)^2: minimal on the whole unit circle, a local maximum at 0.
+    return Objective(dim=2, value_fn=lambda x: (float(x.dot(x)) - 1.0) ** 2)
+
+
+# SHA-256 of the points, values and step_norms bytes (float64) of each grid
+# run, taken from the separate grid runner that ppa_run(..., grid=...) replaced.
+GRID_RUNS = {
+    "small_tau": ((_double_well, 0.2, [-0.6], 60, 1, 401),
+                  "872d7e08e5f13428c356d8228dd23d646ceee62d7a16c0b249880f1683fd4f93"),
+    "large_tau": ((_double_well, 5.0, [-0.1], 5, 1, 401),
+                  "3e2f9b7e5bccf72fe7c9f050d573a452c462284b17e911d5df7efea08f3f3564"),
+    "zero_steps": ((_double_well, 1.0, [0.9], 0, 1, 5),
+                   "3f4e5fa11cec582254202c4672ebd4a1f878b5ccd865fdb48d6aaf855ec15c10"),
+    "keeps_iterate": ((lambda: Objective(dim=1, value_fn=lambda x: float(x[0]) ** 2),
+                       1.0, [0.1], 3, 1, 2),
+                      "dcb14bb3556a5229abb150014c037a87dd8a5388d2982b9c507244d433cb19ac"),
+    "convex_quadratic": ((lambda: make_quadratic([1.0]), 1.0, [2.0], 3, 1, 401),
+                         "f29d7ac3478d0faec41c581f0ab68b0fffc7fa761e44615aa401f18ba5b0d040"),
+    "ring_2d": ((_ring, 0.05, [1.7, -0.3], 12, 2, 101),
+                "bd354c66cae3cf0f32a1d6d41440d261cf0c458d4dec3574c7dfd8e00227e432"),
+    # from 0 the inner values at -1, 0 and 1 all equal f(0) = 1 exactly: the
+    # tie goes to the lowest index, and a tie with f(x) still moves
+    "exact_tie": ((lambda: Objective(dim=1, value_fn=lambda x: (float(x[0]) ** 2 - 1.0) ** 2),
+                   0.5, [0.0], 2, 1, 5),
+                  "448e3c25c03182757e959b58ae264f0367b73ecaaf233c3fa38fdb7deceb0484"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_RUNS))
+def test_grid_runs_are_bitwise_golden(name):
+    (make, tau, x0, steps, dim, per_axis), digest = GRID_RUNS[name]
+    grid = GridSpec(dim=dim, lo=-2.0, hi=2.0, points_per_axis=per_axis)
+    run = ppa_run(make(), tau, x0, steps, grid=grid)
+    blob = b"".join(np.array(seq, dtype=float).tobytes()
+                    for seq in (run.points, run.values, run.step_norms))
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+def test_ppa_run_rejects_tau_before_any_step(tau):
+    grid = GridSpec(dim=1, lo=-1.0, hi=1.0, points_per_axis=3)
+    with pytest.raises(InvalidInputError, match="tau must be positive"):
+        ppa_run(make_quadratic([1.0]), tau, [1.0], 0)
+    with pytest.raises(InvalidInputError, match="tau must be positive"):
+        ppa_run(_double_well(), tau, [1.0], 0, grid=grid)
+
+
+def test_ppa_run_sends_a_nonconvex_objective_to_the_grid():
+    with pytest.raises(InvalidInputError, match="pass a grid"):
+        ppa_run(_double_well(), 1.0, [0.5], 1)
+    grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=5)
+    assert ppa_run(_double_well(), 1.0, [0.5], 1, grid=grid).points[-1].tolist() == [1.0]
 
 
 def test_moreau_quadratic_literals():
