@@ -1,13 +1,19 @@
-"""Number formatting and atomic file writes shared by every writer."""
+"""Number and JSON formatting and atomic file writes shared by every writer."""
 
 from __future__ import annotations
 
+import json
 import os
 
 
 def fmt(value) -> str:
     # 17 significant digits round-trip any double exactly.
     return f"{float(value):.17g}"
+
+
+def json_text(payload) -> str:
+    """The one JSON layout every written or printed document uses."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def atomic_write(path, text) -> None:

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import certify, trace
-from ._io import atomic_write
+from ._io import atomic_write, json_text
 from .errors import InvalidInputError, InvalidSpecError, NumericalFailureError, ToolkitError
 from .objective import PROBLEM_KINDS, ProblemSpec
 from .solvers import METHODS, SolverConfig, run_solver
@@ -176,19 +176,12 @@ def _out_dir(args, file_data):
     return out
 
 
-def _write_json(path, payload):
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _execute_run(spec, obj, cfg, x0_spec, out_dir, fallback_seed, name):
-    x0, x0_seed = _resolve_x0(x0_spec, obj.dim, fallback_seed)
-    # overflow surfaces as NumericalFailureError (exit 2), not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        run_trace = run_solver(obj, cfg, x0, problem_spec=spec, x0_seed=x0_seed)
+def _execute_run(spec, obj, cfg, x0, x0_seed, out_dir, name):
+    run_trace = run_solver(obj, cfg, x0, problem_spec=spec, x0_seed=x0_seed)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     trace.write_csv(run_trace, csv_path)
     summary = trace.summarize(run_trace)
-    _write_json(os.path.join(out_dir, f"{name}.summary.json"), summary)
+    atomic_write(os.path.join(out_dir, f"{name}.summary.json"), json_text(summary))
     print(csv_path)
     return summary
 
@@ -216,14 +209,16 @@ def _run_methods(args, default_runs) -> int:
     obj = spec.build()
     out_dir = _out_dir(args, file_data)
     x0_spec = args.x0 if args.x0 is not None else file_data.get("x0")
+    # one start for every run; run_solver copies it
+    x0, x0_seed = _resolve_x0(x0_spec, obj.dim, args.seed)
     summaries, seen = {}, {}
     for cfg in configs:
         seen[cfg.method] = count = seen.get(cfg.method, 0) + 1
         name = cfg.method if count == 1 else f"{cfg.method}-{count}"
-        summaries[name] = _execute_run(spec, obj, cfg, x0_spec, out_dir, args.seed, name)
+        summaries[name] = _execute_run(spec, obj, cfg, x0, x0_seed, out_dir, name)
     if args.command == "compare":
         compare_path = os.path.join(out_dir, "compare.json")
-        _write_json(compare_path, summaries)
+        atomic_write(compare_path, json_text(summaries))
         print(compare_path)
     return EXIT_OK
 
@@ -259,11 +254,6 @@ def _finite_eta(args, notes):
     return args.eta
 
 
-def _emit_report(report) -> int:
-    print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
-    return EXIT_OK if report.violations == 0 else EXIT_VIOLATIONS
-
-
 def _certify_report(args):
     if args.certify_cmd == "rate":
         # the recursion check is self-contained; no problem needed
@@ -294,10 +284,9 @@ def _certify_report(args):
 
 
 def cmd_certify(args) -> int:
-    # overflow surfaces as NumericalFailureError (exit 2), not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = _certify_report(args)
-    return _emit_report(report)
+    report = _certify_report(args)
+    sys.stdout.write(json_text(report.to_json_dict()))
+    return EXIT_OK if report.violations == 0 else EXIT_VIOLATIONS
 
 
 def cmd_fit_rate(args) -> int:
@@ -305,8 +294,7 @@ def cmd_fit_rate(args) -> int:
     value, residual = certify.fit_rate_from_trace(fitted_trace, args.model,
                                                   k_min=args.k_min, k_max=args.k_max)
     key = "rho" if args.model == "linear" else "exponent"
-    print(json.dumps({"model": args.model, key: value, "residual": residual},
-                     indent=2, sort_keys=True))
+    sys.stdout.write(json_text({"model": args.model, key: value, "residual": residual}))
     return EXIT_OK
 
 
@@ -406,7 +394,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        # overflow and invalid values anywhere in a command surface as
+        # NumericalFailureError (exit 2), never as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

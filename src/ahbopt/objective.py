@@ -274,7 +274,7 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     Parameters
     ----------
     singular_values : nonincreasing positive sequence of length
-        min(rows, cols).
+        min(rows, cols), whose first entry squared is finite and nonzero.
     """
     rows, cols = _as_int("rows", rows), _as_int("cols", cols)
     if rows < 1 or cols < 1:
@@ -292,11 +292,20 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     rng = np.random.default_rng(seed)
     u = _orthonormal_columns(rng, rows, r)
     v = _orthonormal_columns(rng, cols, r)
-    a = (u * sv) @ v.T
     x_true = rng.standard_normal(cols)
     x_true *= 10.0 / np.linalg.norm(x_true)
-    y = a @ x_true
-    aty = a.T @ y
+    # huge singular values overflow the bound or the data and tiny ones underflow
+    # the bound to 0: a spec error, not a warning or a division by zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (u * sv) @ v.T
+        y = a @ x_true
+        aty = a.T @ y
+        lipschitz = float(sv[0] ** 2)
+    if not (math.isfinite(lipschitz) and lipschitz > 0
+            and np.all(np.isfinite(y)) and np.all(np.isfinite(aty))):
+        raise InvalidSpecError("the gradient Lipschitz bound singular_values[0]^2 must be "
+                               "finite and positive and A x_true and A^T y finite, got "
+                               f"singular_values[0] = {sv[0]:g}")
     ssq = sv * sv
 
     def prox(t, x):
@@ -309,7 +318,7 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     return Objective(
         dim=cols,
         **_data_fit(a, y),
-        lipschitz=float(sv[0] ** 2),
+        lipschitz=lipschitz,
         min_value=0.0,
         solution_oracle=(lambda x: euclidean_norm(x - x_true)) if full_column_rank else None,
         prox_fn=prox,
@@ -340,9 +349,11 @@ def make_power(p, dim, ball_radius) -> Objective:
         lipschitz = (p - 1.0) * radius ** (p - 2.0)
     except OverflowError:
         lipschitz = math.inf
-    if not math.isfinite(lipschitz):
+    # a bound that underflows to 0 would divide the gd and nesterov step by zero
+    if not (math.isfinite(lipschitz) and lipschitz > 0):
         raise InvalidSpecError("the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) "
-                               f"must be finite, got p = {p:g}, ball_radius = {radius:g}")
+                               f"must be finite and positive, got p = {p:g}, "
+                               f"ball_radius = {radius:g}")
 
     def value(x):
         return float(np.linalg.norm(x) ** p) / p
@@ -438,14 +449,10 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
     a = _radon.system_matrix(grid_n, num_angles, rays_per_angle)
     x_true = _radon.phantom_image(phantom, grid_n).ravel()
     y = a @ x_true
-    est, converged = _power_iteration(a, iters=5000, tol=1e-12, seed=0)
-    if not converged:
-        warnings.warn("spectral norm estimate stopped on its iteration cap",
-                      PowerIterationWarning)
     return Objective(
         dim=grid_n * grid_n,
         **_data_fit(a, y),
-        lipschitz=est * 1.01,
+        lipschitz=_power_iteration(a, iters=5000, tol=1e-12, seed=0),
         min_value=0.0,
         convex_flag=True,
         matrix=a,
@@ -454,7 +461,8 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
     )
 
 
-def _power_iteration(matrix, iters, tol, seed):
+def _power_iteration(matrix, iters, tol, seed) -> float:
+    # the estimate behind lipschitz_estimate, which documents it
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(matrix.shape[1])
     v /= np.linalg.norm(v)
@@ -463,14 +471,14 @@ def _power_iteration(matrix, iters, tol, seed):
     for _ in range(iters):
         w = matrix @ v
         est = float(w @ w)
-        if est == 0.0:
-            return 0.0, True
-        if abs(est - prev) <= tol * est:
-            return est, True
+        if est == 0.0 or abs(est - prev) <= tol * est:
+            return est * 1.01
         prev = est
         u = matrix.T @ w
         v = u / np.linalg.norm(u)
-    return est, False
+    warnings.warn(f"power iteration did not meet tol={tol:g} in {iters} iterations",
+                  PowerIterationWarning)
+    return est * 1.01
 
 
 def lipschitz_estimate(obj, iters=500, tol=1e-10, seed=0) -> float:
@@ -489,9 +497,4 @@ def lipschitz_estimate(obj, iters=500, tol=1e-10, seed=0) -> float:
         raise InvalidInputError("iters must be positive")
     if not tol > 0:
         raise InvalidInputError("tol must be positive")
-    est, converged = _power_iteration(obj.matrix, iters, float(tol), seed)
-    if not converged:
-        warnings.warn(
-            f"power iteration did not meet tol={tol:g} in {iters} iterations",
-            PowerIterationWarning)
-    return est * 1.01
+    return _power_iteration(obj.matrix, iters, float(tol), seed)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import certify
-from ._io import atomic_write
+from ._io import atomic_write, json_text
 from .errors import InvalidInputError, TraceParseError
 
 CSV_HEADER = "k,fval,gap,gnorm,alpha,beta,step_norm,dist"
@@ -65,8 +65,7 @@ def write_csv(trace, path) -> None:
         fields = (r.k, r.fval, r.gap, r.gnorm, r.alpha, r.beta, r.step_norm)
         lines.append(_ROW_NO_DIST % fields if r.dist is None else _ROW % (*fields, r.dist))
     atomic_write(path, "\n".join(lines) + "\n")
-    meta_text = json.dumps(trace.meta, indent=2, sort_keys=True) + "\n"
-    atomic_write(str(path) + ".meta.json", meta_text)
+    atomic_write(str(path) + ".meta.json", json_text(trace.meta))
 
 
 def read_csv(path) -> Trace:

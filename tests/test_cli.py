@@ -463,6 +463,35 @@ def test_overflowing_least_squares_start_reports_only_the_numerical_failure(
     assert err == "numerical failure: non-finite value at iteration 0\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_overflowing_start_point_reports_only_the_numerical_failure(command, tmp_path,
+                                                                     capsys):
+    # scaling the dim-1 start to norm 1e308 overflows before any run starts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--problem", "quadratic", "--params", '{"spectrum": [1e308]}',
+                     "--x0", '{"seed": 1, "norm": 1e308}', "--max-iters", "3",
+                     "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: non-finite value at iteration 0\n"
+
+
+@pytest.mark.parametrize("top", [1e308, 1.3e154, 1e-200])
+def test_least_squares_with_a_non_finite_or_zero_bound_is_a_config_error(top, tmp_path,
+                                                                         capsys):
+    params = {"rows": 2, "cols": 2, "singular_values": [top, top]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--problem", "least_squares", "--params", json.dumps(params),
+                     "--method", "gd", "--max-iters", "3", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the gradient Lipschitz bound singular_values[0]^2")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "ahb.csv").exists()
+
+
 # SHA-256 over the name and bytes of every file `compare` writes (sidecars
 # with wall_ms nulled) on 30x30 least squares at 300 iterations, as written
 # before the value and gradient shared one residual.
@@ -665,6 +694,18 @@ def test_power_with_an_infinite_lipschitz_bound_is_a_config_error(params, tmp_pa
     assert out == ""
     assert err.startswith("error: the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) "
                           "must be finite")
+
+
+@pytest.mark.parametrize("method", ["gd", "nesterov"])
+def test_power_whose_lipschitz_bound_underflows_is_a_config_error(method, tmp_path, capsys):
+    # 1076 * 0.5 ** 1075 rounds to 0, and gd and nesterov divide by the bound
+    params = {"p": 1077.0, "dim": 1, "ball_radius": 0.5}
+    code = main(["solve", "--problem", "power", "--params", json.dumps(params),
+                 "--method", method, "--max-iters", "0", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) "
+                          "must be finite and positive, got p = 1077")
 
 
 def test_certify_rate_whose_recursion_overflows_is_a_numerical_failure(capsys):

@@ -112,6 +112,20 @@ def test_least_squares_validation():
         make_least_squares(2, 2, [1.0, -1.0], seed=0)
 
 
+@pytest.mark.parametrize("top", [1e308, 1.3e154, 1e-200],
+                         ids=["bound-overflows", "aty-overflows", "bound-underflows"])
+def test_least_squares_with_a_non_finite_or_zero_bound_is_a_spec_error(top):
+    # 1.3e154 ** 2 is finite, but A^T y, about 10 * top ** 2, is not
+    with pytest.raises(InvalidSpecError, match="must be finite and positive"):
+        make_least_squares(2, 2, [top, top], seed=0)
+
+
+def test_power_whose_bound_underflows_is_a_spec_error():
+    # 1076 * 0.5 ** 1075 rounds to 0
+    with pytest.raises(InvalidSpecError, match="must be finite and positive"):
+        make_power(1077.0, 1, 0.5)
+
+
 def test_least_squares_oracle_requires_full_column_rank():
     tall = make_least_squares(4, 3, [3.0, 2.0, 1.0], seed=1)
     assert tall.solution_oracle is not None
@@ -235,6 +249,14 @@ def test_radon_consistency():
     g = obj.gradient(obj.x_true)
     np.testing.assert_allclose(g, np.zeros(64), atol=1e-12)
     assert set(np.unique(obj.x_true)) <= {0.0, 0.5, 1.0}
+
+
+def test_radon_lipschitz_is_the_one_power_iteration_estimate():
+    # float.hex of the 64x64 blocks bound taken before make_radon and
+    # lipschitz_estimate shared one biased estimate
+    obj = make_radon(64, 64, 64, "blocks")
+    assert obj.lipschitz.hex() == "0x1.eed80536ee1bap+1"
+    assert lipschitz_estimate(obj, iters=5000, tol=1e-12).hex() == obj.lipschitz.hex()
 
 
 def test_radon_determinism():
