@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import (CapabilityError, DeskScaleLimitError, InnerSolveError,
                      InvalidInputError, NumericalFailureError)
-from ._io import atomic_write, fmt
 from .objective import euclidean_norm
 
 INNER_MAX_ITERS = 100_000
@@ -42,17 +41,6 @@ class PpaRun:
             if self.values[k] > self.values[k - 1] + slack:
                 raise NumericalFailureError(
                     k, f"objective increased at proximal step {k}")
-
-    def write_csv(self, path) -> None:
-        """CSV with one coordinate column per dimension, LF endings,
-        written atomically."""
-        dim = np.asarray(self.points[0]).size
-        header = "k," + ",".join(f"x{i}" for i in range(dim)) + ",fval,step_norm"
-        lines = [header]
-        for k, (pt, val, sn) in enumerate(zip(self.points, self.values, self.step_norms)):
-            coords = ",".join(fmt(c) for c in np.asarray(pt, dtype=float))
-            lines.append(f"{k},{coords},{fmt(val)},{fmt(sn)}")
-        atomic_write(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

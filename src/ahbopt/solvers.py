@@ -35,8 +35,6 @@ from .trace import IterationRecord, Trace
 
 Array = np.ndarray
 
-METHODS = ("ahb", "gd", "nesterov", "alrhb")
-
 _STOP_GAP, _STOP_MAX, _STOP_CRITICAL = "gap_tol", "max_iters", "critical_point"
 
 
@@ -176,7 +174,7 @@ def ahb_beta(alpha_k, g_k, m_k, gamma_tilde_k, beta_cap) -> float:
 # and the momentum weight beta of x+ = x - alpha * g(y) + beta * m.
 
 def _ahb(state, cfg, lipschitz, gap, g, g_sq, m, m_sq):
-    alpha = ahb_alpha(lipschitz, cfg.mu0)
+    alpha = (1.0 + cfg.mu0) / lipschitz
     return alpha, _ahb_beta(alpha, g, m, m_sq, state.gamma_tilde, cfg.beta_cap)
 
 
@@ -204,13 +202,17 @@ _RULES = {
     "alrhb": (_alrhb, ("gradient_fn", "lipschitz", "min_value"), False),
 }
 
+METHODS = tuple(_RULES)
+
 
 def _plan(method, obj):
-    # once per run; the fused oracle serves only f and g both taken at x
+    # once per run or step; the fused oracle serves only f and g both taken at x
     rule, needs, at_y = _RULES[method]
     for name in needs:
         if getattr(obj, name) is None:
             raise CapabilityError(name)
+    if not obj.lipschitz > 0:
+        raise InvalidInputError("lipschitz must be positive")
     return rule, at_y, None if at_y else obj.shortcut("value_and_gradient_fn")
 
 
@@ -260,10 +262,16 @@ def _advance(state, lipschitz, gap, y, g, g_sq, m, alpha, beta):
     return m_next, m_next_sq
 
 
-def _step(method, state, obj, cfg):
+def step(state, obj, cfg) -> SolverState:
+    """One step of the method ``cfg.method`` from ``state``.
+
+    The returned state's ``record`` holds the measurements of the iterate
+    stepped from. When the adaptive learning rate method meets a critical
+    point, ``state`` is returned unchanged with ``stop`` set.
+    """
     m = state.x - state.x_prev
     m_sq = float(m.dot(m))
-    fval, gap, y, g, g_sq, alpha, beta = _measure(_plan(method, obj), state, m, m_sq, obj, cfg)
+    fval, gap, y, g, g_sq, alpha, beta = _measure(_plan(cfg.method, obj), state, m, m_sq, obj, cfg)
     rec = _record(state, obj, fval, gap, g_sq, alpha, beta, m_sq)
     if alpha is None:
         state.record, state.stop = rec, _STOP_CRITICAL
@@ -271,30 +279,6 @@ def _step(method, state, obj, cfg):
     nxt = replace(state, record=rec, stop=None)
     _advance(nxt, obj.lipschitz, gap, y, g, g_sq, m, alpha, beta)
     return nxt
-
-
-def ahb_step(state, obj, cfg) -> SolverState:
-    """One adaptive heavy ball step; the returned state's ``record``
-    holds the measurements of the iterate stepped from."""
-    return _step("ahb", state, obj, cfg)
-
-
-def gd_step(state, obj, cfg) -> SolverState:
-    """One gradient descent step with step size gd_mu / L."""
-    return _step("gd", state, obj, cfg)
-
-
-def nesterov_step(state, obj, cfg) -> SolverState:
-    """One accelerated step: extrapolate by (k-1)/(k+nu), then a 1/L
-    gradient step from the extrapolated point."""
-    return _step("nesterov", state, obj, cfg)
-
-
-def alrhb_step(state, obj, cfg) -> SolverState:
-    """One heavy ball step with adaptive learning rate and fixed
-    momentum; at a critical point the state is returned unchanged with
-    ``stop`` set."""
-    return _step("alrhb", state, obj, cfg)
 
 
 def _check_domain(obj, x0, meta):
@@ -325,8 +309,8 @@ def run_solver(obj, cfg, x0, problem_spec=None, x0_seed=None) -> Trace:
         "stop_reason": None,
         "wall_ms": None,
     }
-    _check_domain(obj, state.x, meta)
     plan = _plan(cfg.method, obj)
+    _check_domain(obj, state.x, meta)
     m, m_sq = np.zeros_like(state.x), 0.0
     started = time.perf_counter()
     records = []

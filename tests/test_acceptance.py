@@ -16,7 +16,6 @@ import numpy as np
 from ahbopt import (
     HolderFunction,
     SolverConfig,
-    ahb_step,
     certify_growth_via_ppa,
     check_moreau_exponent,
     fit_growth_exponent,
@@ -30,6 +29,7 @@ from ahbopt import (
     moreau_value,
     ppa_run,
     run_solver,
+    step,
     verify_recursive_rate,
     write_csv,
 )
@@ -75,7 +75,7 @@ def _descent_suite():
                 gamma = float((state.x - state.x_prev) @ (state.x - xhat))
                 worst_surrogate = max(worst_surrogate,
                                       gamma - state.gamma_tilde)
-                state = ahb_step(state, obj, cfg)
+                state = step(state, obj, cfg)
                 d_next = float(np.sum((state.x - xhat) ** 2))
                 worst_descent = max(worst_descent,
                                     d_next - (d_now - coef * gap_now))
@@ -114,7 +114,7 @@ def _contraction_distances():
     state = initial_state(np.array([3.0, 1.0]))
     dists = [float(state.x @ state.x)]
     for _ in range(600):
-        state = ahb_step(state, obj, cfg)
+        state = step(state, obj, cfg)
         dists.append(float(state.x @ state.x))
     return dists
 
@@ -345,6 +345,13 @@ def test_criterion_10_method_comparison():
     _report(10, "ill-conditioned least squares comparison", failures)
 
 
+def _write_ppa(run, path):
+    # one row per iterate: coordinates, value and step norm as exact hex floats
+    rows = [",".join(float(v).hex() for v in (*np.asarray(point, dtype=float), value, norm))
+            for point, value, norm in zip(run.points, run.values, run.step_norms)]
+    path.write_text("\n".join(rows) + "\n")
+
+
 def _write_everything(out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     obj = make_quadratic([1.0, 10.0])
@@ -356,8 +363,8 @@ def _write_everything(out_dir):
         write_csv(run, out_dir / f"{name}.csv")
     for tau in (1.0, 0.1, 0.01):
         quad, sharp = _ppa_pair(tau)
-        quad.write_csv(out_dir / f"ppa_quad_{tau}.csv")
-        sharp.write_csv(out_dir / f"ppa_abs_{tau}.csv")
+        _write_ppa(quad, out_dir / f"ppa_quad_{tau}.csv")
+        _write_ppa(sharp, out_dir / f"ppa_abs_{tau}.csv")
     return sorted(p.name for p in out_dir.iterdir())
 
 

@@ -142,25 +142,6 @@ def test_ppa_record_rejects_ascent_but_tolerates_noise():
            step_norms=[0.0, 1.0])
 
 
-def test_ppa_write_csv_layout(tmp_path):
-    run = ppa_run(make_quadratic([1.0]), 1.0, [4.0], 2)
-    path = tmp_path / "ppa.csv"
-    run.write_csv(path)
-    text = path.read_text()
-    assert "\r" not in text
-    assert text.splitlines() == [
-        "k,x0,fval,step_norm",
-        "0,4,8,0",
-        "1,2,2,2",
-        "2,1,0.5,1",
-    ]
-
-    run2 = ppa_run(make_quadratic([1.0, 10.0]), 0.1, [1.0, 1.0], 1)
-    path2 = tmp_path / "ppa2.csv"
-    run2.write_csv(path2)
-    assert path2.read_text().splitlines()[0] == "k,x0,x1,fval,step_norm"
-
-
 def test_grid_spec_validation():
     with pytest.raises(InvalidInputError):
         GridSpec(dim=3, lo=0.0, hi=1.0, points_per_axis=4)

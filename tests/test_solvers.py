@@ -16,19 +16,17 @@ from ahbopt import (
     SolverState,
     ahb_alpha,
     ahb_beta,
-    ahb_step,
-    alrhb_step,
-    gd_step,
     initial_state,
     make_abs_value,
     make_least_squares,
     make_power,
     make_quadratic,
-    nesterov_step,
     run_solver,
+    step,
     update_gamma_tilde,
     write_csv,
 )
+from ahbopt.solvers import METHODS
 
 
 def scalar_quadratic():
@@ -64,7 +62,7 @@ def test_gamma_tilde_matches_direct_recursion():
     state = initial_state(np.array([1.0, -2.0]))
     xs, alphas, betas, surrogates = [state.x.copy()], [], [], []
     for _ in range(12):
-        state = ahb_step(state, obj, cfg)
+        state = step(state, obj, cfg)
         xs.append(state.x.copy())
         alphas.append(state.alpha_prev)
         betas.append(state.beta_prev)
@@ -96,13 +94,13 @@ def test_ahb_scalar_hand_trace():
     cfg = SolverConfig(method="ahb", mu0=0.0, beta_cap=1.0, max_iters=10)
     state = initial_state(np.array([2.0]))
 
-    state = ahb_step(state, obj, cfg)
+    state = step(state, obj, cfg)
     assert state.x == pytest.approx([0.0])
     assert state.gamma_tilde == pytest.approx(0.0)
     assert state.record.fval == 2.0
     assert state.record.beta == 0.0
 
-    state = ahb_step(state, obj, cfg)
+    state = step(state, obj, cfg)
     assert state.x == pytest.approx([0.0])
     assert state.record.gap == 0.0
 
@@ -110,27 +108,27 @@ def test_ahb_scalar_hand_trace():
 def test_ahb_fixed_point_at_minimizer():
     obj = scalar_quadratic()
     cfg = SolverConfig(method="ahb", mu0=0.5, max_iters=5)
-    state = ahb_step(initial_state(np.zeros(1)), obj, cfg)
+    state = step(initial_state(np.zeros(1)), obj, cfg)
     np.testing.assert_array_equal(state.x, np.zeros(1))
 
 
 def test_gd_steps():
     obj = scalar_quadratic()
-    state = gd_step(initial_state(np.array([2.0])), obj,
-                    SolverConfig(method="gd", gd_mu=1.0))
+    state = step(initial_state(np.array([2.0])), obj,
+                 SolverConfig(method="gd", gd_mu=1.0))
     assert state.x == pytest.approx([0.0])
-    state = gd_step(initial_state(np.array([2.0])), obj,
-                    SolverConfig(method="gd", gd_mu=1.96))
+    state = step(initial_state(np.array([2.0])), obj,
+                 SolverConfig(method="gd", gd_mu=1.96))
     assert state.x == pytest.approx([-1.92])
-    state = gd_step(initial_state(np.zeros(1)), obj,
-                    SolverConfig(method="gd", gd_mu=1.5))
+    state = step(initial_state(np.zeros(1)), obj,
+                 SolverConfig(method="gd", gd_mu=1.5))
     np.testing.assert_array_equal(state.x, np.zeros(1))
 
 
 def test_nesterov_first_step_has_no_extrapolation():
     obj = scalar_quadratic()
     cfg = SolverConfig(method="nesterov", nesterov_nu=3.0)
-    state = nesterov_step(initial_state(np.array([2.0])), obj, cfg)
+    state = step(initial_state(np.array([2.0])), obj, cfg)
     assert state.z == pytest.approx([2.0])
     assert state.x == pytest.approx([0.0])
 
@@ -139,14 +137,14 @@ def test_nesterov_momentum_coefficient():
     obj = make_quadratic([1.0])
     cfg = SolverConfig(method="nesterov", nesterov_nu=3.0)
     state = SolverState(k=4, x=np.array([1.0]), x_prev=np.array([0.3]))
-    nxt = nesterov_step(state, obj, cfg)
+    nxt = step(state, obj, cfg)
     assert nxt.z == pytest.approx([1.0 + (3.0 / 7.0) * 0.7])
 
 
 def test_alrhb_first_step():
     obj = scalar_quadratic()
     cfg = SolverConfig(method="alrhb", alrhb_beta=0.96)
-    state = alrhb_step(initial_state(np.array([2.0])), obj, cfg)
+    state = step(initial_state(np.array([2.0])), obj, cfg)
     assert state.record.alpha == pytest.approx(1.0)
     assert state.x == pytest.approx([0.0])
 
@@ -164,8 +162,8 @@ def test_alrhb_step_collapses_without_gap_or_momentum():
     flat = Objective(dim=1, value_fn=lambda x: 0.0,
                      gradient_fn=lambda x: np.array([1.0]),
                      lipschitz=2.0, min_value=0.0)
-    state = alrhb_step(initial_state(np.zeros(1)), flat,
-                       SolverConfig(method="alrhb", alrhb_beta=0.5))
+    state = step(initial_state(np.zeros(1)), flat,
+                 SolverConfig(method="alrhb", alrhb_beta=0.5))
     assert state.record.alpha == pytest.approx(0.25)
 
 
@@ -291,7 +289,7 @@ def test_certified_decrease_property(spectrum, mu0, scale):
     for _ in range(40):
         d_prev = float(state.x @ state.x)
         gap_prev = obj.value(state.x)
-        state = ahb_step(state, obj, cfg)
+        state = step(state, obj, cfg)
         d_cur = float(state.x @ state.x)
         assert d_cur <= d_prev - c0 * gap_prev + slack
         assert 0.0 <= state.beta_prev <= 1.0
@@ -371,7 +369,7 @@ _PROBLEMS = {
     "least_squares": (_LS, np.zeros(200)),
     "power": (make_power(4.0, 1, 4.0), np.array([2.0])),
 }
-_STEPS = {"ahb": ahb_step, "gd": gd_step, "nesterov": nesterov_step, "alrhb": alrhb_step}
+_STEPS = ("ahb", "gd", "nesterov", "alrhb")
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_TRACES))
@@ -389,7 +387,7 @@ def test_traces_are_bitwise_golden(key, tmp_path):
 
 @pytest.mark.parametrize("method", sorted(GOLDEN_STEPS))
 def test_step_states_are_bitwise_golden(method):
-    step, cfg = _STEPS[method], SolverConfig(method=method)
+    cfg = SolverConfig(method=method)
     state = initial_state(np.zeros(200))
     blob = b""
     for _ in range(30):
@@ -402,6 +400,47 @@ def test_step_states_are_bitwise_golden(method):
         if state.z is not None:
             blob += state.z.tobytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_STEPS[method]
+
+
+@pytest.mark.parametrize("problem", sorted(_PROBLEMS))
+@pytest.mark.parametrize("method", METHODS)
+def test_standalone_steps_record_what_the_loop_records(method, problem):
+    obj, x0 = _PROBLEMS[problem]
+    cfg = SolverConfig(method=method, max_iters=30)
+    state, stepped = initial_state(x0), []
+    for _ in range(30):
+        state = step(state, obj, cfg)
+        stepped.append(dataclasses.astuple(state.record))
+    looped = [dataclasses.astuple(r) for r in run_solver(obj, cfg, x0).records[:30]]
+    assert (np.array(stepped, dtype=float).tobytes()
+            == np.array(looped, dtype=float).tobytes())
+
+
+@pytest.mark.parametrize("lipschitz", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("method", METHODS)
+def test_non_positive_lipschitz_is_rejected_before_any_oracle_call(method, lipschitz):
+    calls = []
+
+    def value(x):
+        calls.append("value")
+        return 0.5 * float(x @ x)
+
+    def gradient(x):
+        calls.append("gradient")
+        return x.copy()
+
+    def dist(x):
+        calls.append("dist")
+        return abs(float(x[0]))
+
+    obj = Objective(dim=1, value_fn=value, gradient_fn=gradient, lipschitz=lipschitz,
+                    min_value=0.0, solution_oracle=dist, domain_radius=10.0)
+    cfg = SolverConfig(method=method, max_iters=5)
+    with pytest.raises(InvalidInputError, match="lipschitz must be positive"):
+        run_solver(obj, cfg, np.array([2.0]))
+    with pytest.raises(InvalidInputError, match="lipschitz must be positive"):
+        step(initial_state(np.array([2.0])), obj, cfg)
+    assert calls == []
 
 
 def test_sparse_records_call_the_distance_oracle_only_when_kept():
@@ -441,7 +480,7 @@ def test_one_fused_call_per_iterate_where_the_gradient_is_taken_at_x(method):
     run_solver(obj, SolverConfig(method=method, max_iters=50), np.zeros(200))
     state = initial_state(np.zeros(200))
     for _ in range(10):
-        state = _STEPS[method](state, obj, SolverConfig(method=method))
+        state = step(state, obj, SolverConfig(method=method))
     if method == "nesterov":  # f at x, g at y: two calls
         assert calls == {"value": 61, "gradient": 61, "fused": 0}
     else:
