@@ -1,4 +1,5 @@
-"""Number and JSON formatting and atomic file writes shared by every writer."""
+"""Number and JSON formatting, JSON decoding and atomic file writes shared
+by every reader and writer."""
 
 from __future__ import annotations
 
@@ -14,6 +15,15 @@ def fmt(value) -> str:
 def json_text(payload) -> str:
     """The one JSON layout every written or printed document uses."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def json_value(text):
+    """Decode one JSON document. Nesting too deep for the decoder raises
+    the ``JSONDecodeError`` that any other malformed text raises."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
 def atomic_write(path, text) -> None:

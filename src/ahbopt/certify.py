@@ -15,17 +15,17 @@ accepts, and stops at the requested count or after 100 trials per
 requested sample. The generator fills a chunk row by row, so a report
 depends on the seed and not on the chunk size.
 
-The level-slice checks (``check_kl``, ``certify_growth_direct``,
-``check_growth_implies_kl``) keep only points with 0 < f(x) - f(xbar) <
-eta, and most ball points miss that slice. When the objective has a
-batched value oracle (``Objective.values_fn``, which the quadratic,
-power and abs_value built-ins carry), one call per chunk screens out the
-rows whose batched gap lies clearly outside the slice; every survivor
-still goes through the per-row ``obj.value`` test and the per-row judge.
-The screen only ever rules rows out, with a slack wider than the
-batched oracle's error, so a report is the same with or without it.
-Objectives without the oracle, or whose ``value_fn`` was replaced, take
-the per-row path for every point.
+The two level-slice checks, ``check_kl`` and ``certify_growth_direct``,
+keep only points with 0 < f(x) - f(xbar) < eta, and most ball points
+miss that slice. When the objective has a batched value oracle
+(``Objective.values_fn``, which the quadratic, power and abs_value
+built-ins carry), one call per chunk screens out the rows whose batched
+gap lies clearly outside the slice; every survivor still goes through
+the per-row ``obj.value`` test and the per-row judge. The screen only
+ever rules rows out, with a slack wider than the batched oracle's error,
+so a report is the same with or without it. Objectives without the
+oracle, or whose ``value_fn`` was replaced, take the per-row path for
+every point.
 """
 
 from __future__ import annotations
@@ -413,21 +413,6 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
                       worst_ratio=deviation / 0.05, witness=[alpha_hat],
                       fitted=(c, alpha_hat, rms), trials=trials,
                       notes=_shortfall_notes(len(samples), num_samples, trials))
-
-
-def check_growth_implies_kl(obj, xbar, r, eta, c, alpha,
-                            num_samples=200, seed=0) -> CertReport:
-    """Test the sharpness consequence of Holder growth:
-    gap^(1 - alpha) <= (c / alpha) * dist(0, df(x))."""
-    HolderFunction(c, alpha)  # the gauge's (c, alpha) domain check
-    slope_at = _min_subgradient_norm_fn(obj)
-
-    def judge(x, gap):
-        lhs = gap ** (1.0 - alpha)
-        rhs = (c / alpha) * slope_at(x)
-        return lhs / rhs if rhs > 0 else math.inf, lhs > rhs * (1.0 + REL_TOL)
-
-    return _slice_check(obj, xbar, r, eta, num_samples, seed, judge)
 
 
 def _damped_sequence(delta0, c, theta, num_steps) -> np.ndarray:

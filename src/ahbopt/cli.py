@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import certify, trace
-from ._io import atomic_write, json_text
+from ._io import atomic_write, json_text, json_value
 from .errors import InvalidInputError, InvalidSpecError, NumericalFailureError, ToolkitError
 from .objective import PROBLEM_KINDS, ProblemSpec
 from .solvers import METHODS, SolverConfig, run_solver
@@ -61,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_flag(text):
     try:
-        return json.loads(text)
+        return json_value(text)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from exc
 
@@ -95,16 +95,20 @@ def _add_gauge_flags(parser):
     parser.add_argument("--phi-alpha", dest="phi_alpha", type=float, default=0.5)
 
 
-def _add_slice_flags(parser):
+def _add_slice_flags(parser, factor=False):
+    # growth alone takes --factor, listed before --samples in its help
     parser.add_argument("--xbar", default="zeros")
     parser.add_argument("--r", type=float, default=1.0)
     parser.add_argument("--eta", type=float, default=1.0)
     _add_gauge_flags(parser)
+    if factor:
+        parser.add_argument("--factor", type=float, default=1.0)
+    parser.add_argument("--samples", type=int, default=200)
 
 
 def _load_config_file(path):
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json_value(handle.read())
     if not isinstance(data, dict):
         raise InvalidSpecError("experiment config must be a JSON object")
     return data
@@ -144,7 +148,7 @@ def _resolve_x0(x0_spec, dim, fallback_seed):
     if x0_spec in (None, "zeros"):
         return np.zeros(dim), None
     if isinstance(x0_spec, str):
-        x0_spec = json.loads(x0_spec)
+        x0_spec = json_value(x0_spec)
     if not isinstance(x0_spec, dict):
         raise InvalidSpecError('x0 must be "zeros" or an object with seed and norm')
     kind = x0_spec.get("kind", "seeded_random")
@@ -234,7 +238,7 @@ def cmd_compare(args) -> int:
 def _parse_point(text, dim):
     if text in (None, "zeros"):
         return np.zeros(dim)
-    value = json.loads(text)
+    value = json_value(text)
     numbers = value if isinstance(value, list) else [value]
     if not all(type(v) in (int, float) for v in numbers):
         raise InvalidInputError(f"point must be a JSON number or list of numbers, got {text}")
@@ -247,7 +251,7 @@ def _parse_point(text, dim):
 
 
 def _finite_eta(args, notes):
-    if math.isinf(args.eta):
+    if args.eta == math.inf:
         # the slice sampler needs a finite band; substitute a huge one
         notes.append("eta was infinite; used surrogate 1e300")
         return 1e300
@@ -316,15 +320,8 @@ def _cert_flags(add_own):
     return add
 
 
-def _add_kl_flags(parser):
-    _add_slice_flags(parser)
-    parser.add_argument("--samples", type=int, default=200)
-
-
 def _add_growth_flags(parser):
-    _add_slice_flags(parser)
-    parser.add_argument("--factor", type=float, default=1.0)
-    parser.add_argument("--samples", type=int, default=200)
+    _add_slice_flags(parser, factor=True)
 
 
 def _add_ppa_flags(parser):
@@ -352,7 +349,7 @@ def _add_rate_flags(parser):
 def _add_certify_commands(parser):
     sub = parser.add_subparsers(dest="certify_cmd", required=True)
     sub.add_parser("kl", help="sharpness of the gauge derivative",
-                   add_flags=_cert_flags(_add_kl_flags))
+                   add_flags=_cert_flags(_add_slice_flags))
     sub.add_parser("growth", help="distance bounded by the gauged gap",
                    add_flags=_cert_flags(_add_growth_flags))
     sub.add_parser("growth-ppa", help="growth via proximal path lengths",
@@ -401,7 +398,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ToolkitError, OSError, ValueError) as exc:
+    except (ToolkitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -117,7 +117,6 @@ class SolverState:
     beta_prev: float = 0.0
     f_prev_gap: float = 0.0
     g_prev_norm_sq: float = 0.0
-    z: Optional[Array] = None
     record: Optional[IterationRecord] = None
     stop: Optional[str] = None
 
@@ -127,15 +126,6 @@ def initial_state(x0) -> SolverState:
     if x.ndim != 1 or x.size == 0:
         raise InvalidInputError("start point must be a nonempty 1-d vector")
     return SolverState(k=0, x=x, x_prev=x.copy())
-
-
-def ahb_alpha(lipschitz, mu0) -> float:
-    """Step size (1 + mu0) / L."""
-    if not lipschitz > 0:
-        raise InvalidInputError("lipschitz must be positive")
-    if not 0.0 <= mu0 < 1.0:
-        raise InvalidInputError("mu0 must lie in [0, 1)")
-    return (1.0 + mu0) / lipschitz
 
 
 def update_gamma_tilde(state, m_k_norm_sq, lipschitz) -> float:
@@ -255,7 +245,7 @@ def _advance(state, lipschitz, gap, y, g, g_sq, m, alpha, beta):
         x_next += beta * m
     m_next = x_next - x
     m_next_sq = float(m_next.dot(m_next))
-    state.k, state.x, state.x_prev, state.z = state.k + 1, x_next, x, None if y is x else y
+    state.k, state.x, state.x_prev = state.k + 1, x_next, x
     state.alpha_prev, state.beta_prev = alpha, beta
     state.f_prev_gap, state.g_prev_norm_sq = gap, g_sq
     state.gamma_tilde = update_gamma_tilde(state, m_next_sq, lipschitz)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import certify
-from ._io import atomic_write, json_text
+from ._io import atomic_write, json_text, json_value
 from .errors import InvalidInputError, TraceParseError
 
 CSV_HEADER = "k,fval,gap,gnorm,alpha,beta,step_norm,dist"
@@ -94,7 +94,7 @@ def read_csv(path) -> Trace:
     if os.path.exists(meta_path):
         with open(meta_path) as handle:
             try:
-                meta = json.load(handle)
+                meta = json_value(handle.read())
             except json.JSONDecodeError as exc:
                 raise TraceParseError(f"malformed meta sidecar {meta_path}: {exc}") from exc
     return Trace(records=records, meta=meta)

@@ -22,7 +22,6 @@ from ahbopt import (
     Trace,
     certify_growth_direct,
     certify_growth_via_ppa,
-    check_growth_implies_kl,
     check_kl,
     check_moreau_exponent,
     fit_growth_exponent,
@@ -134,8 +133,7 @@ def _sampling_reports():
                  num_samples=20, seed=4),
         certify_growth_direct(quadratic, [0.5, 0.0], 1.0, 0.5, phi,
                               num_samples=60, seed=5),
-        check_growth_implies_kl(quadratic, [0.0, 0.0], 1.0, 0.5, SQRT2, 0.5,
-                                num_samples=60, seed=6),
+        check_kl(quadratic, [0.0, 0.0], 1.0, 0.5, phi, num_samples=60, seed=6),
         check_moreau_exponent(make_abs_value(), 1.0, [0.0], 0.5, seed=7),
     ]
 
@@ -174,8 +172,6 @@ def test_sampler_rejects_a_radius_that_is_not_positive_and_finite(r, monkeypatch
     phi = HolderFunction(SQRT2, 0.5)
     for check in (lambda: check_kl(make_quadratic([1.0]), [0.0], r, 0.5, phi),
                   lambda: certify_growth_direct(make_quadratic([1.0]), [0.0], r, 0.5, phi),
-                  lambda: check_growth_implies_kl(make_quadratic([1.0]), [0.0], r, 0.5,
-                                                  SQRT2, 0.5),
                   lambda: check_moreau_exponent(make_abs_value(), 1.0, [0.0], r)):
         with pytest.raises(InvalidInputError, match="r must be positive and finite"):
             check()
@@ -404,30 +400,6 @@ def test_moreau_exponent_capability_and_validation():
         check_moreau_exponent(obj, 1.0, [0.0], 0.5, num_samples=7)
 
 
-def test_growth_implies_kl_on_matching_exponents():
-    quadratic = check_growth_implies_kl(make_quadratic([1.0]), [0.0],
-                                        1.0, 0.5, SQRT2, 0.5)
-    assert quadratic.violations == 0
-
-    quartic = check_growth_implies_kl(make_power(4.0, 1, 2.0), [0.0],
-                                      1.0, 0.2, SQRT2, 0.25)
-    assert quartic.violations == 0
-
-
-def test_growth_implies_kl_rejects_sharpness_for_smooth_function():
-    report = check_growth_implies_kl(make_quadratic([1.0]), [0.0],
-                                     0.5, 0.1, 1.0, 1.0)
-    assert report.violations > 0
-
-
-def test_growth_implies_kl_validation():
-    obj = make_quadratic([1.0])
-    with pytest.raises(InvalidInputError):
-        check_growth_implies_kl(obj, [0.0], 1.0, 0.5, 0.0, 0.5)
-    with pytest.raises(InvalidInputError):
-        check_growth_implies_kl(obj, [0.0], 1.0, 0.5, 1.0, 2.0)
-
-
 @pytest.mark.parametrize("delta0, c, theta", [(math.nan, 0.1, 2.0), (1.0, 0.1, math.inf),
                                               (0.0, math.inf, 2.0), (1.0, math.nan, 2.0)])
 def test_recursive_rate_rejects_non_finite_inputs(delta0, c, theta):
@@ -439,13 +411,12 @@ def test_recursive_rate_rejects_non_finite_inputs(delta0, c, theta):
     lambda: HolderFunction(math.inf, 0.5),
     lambda: certify_growth_direct(make_quadratic([1.0]), [0.0], 1.0, 0.5,
                                   HolderFunction(1.0, 0.5), factor=math.inf),
-    lambda: check_growth_implies_kl(make_quadratic([1.0]), [0.0], 1.0, 0.5, math.inf, 0.5),
     lambda: check_moreau_exponent(make_abs_value(), math.inf, [0.0], 0.5),
     lambda: certify_growth_via_ppa(make_quadratic([1.0]), [1.0], HolderFunction(1.0, 0.5),
                                    [1.0, math.inf]),
     lambda: certify_growth_via_ppa(make_quadratic([1.0]), [1.0], HolderFunction(1.0, 0.5),
                                    [math.nan]),
-], ids=["phi-c", "factor", "growth-implies-kl-c", "lam", "tau-inf", "tau-nan"])
+], ids=["phi-c", "factor", "lam", "tau-inf", "tau-nan"])
 def test_non_finite_constants_are_rejected(check):
     with pytest.raises(InvalidInputError, match="finite"):
         check()
@@ -648,24 +619,20 @@ def test_certify_suite_reports_are_golden(seed, capsys):
 
 # SHA-256 of the sorted-key JSON report, taken with the same reference.
 POWER_REPORT_DIGESTS = {
-    "growth-implies-kl": "3d44b07b3586d5e23e492e48848c42a7212d86dc3c1efa387c961723ec7fb450",
-    "growth-implies-kl-at-cap":
-        "2a1a2bca78d32e6a0901593e41808d4612ae5f93e13fb8fc838a403a9dfc98a1",
+    "kl": "410fd24d26744ccaffd3abdf6b3fc7d041e61602f7a100d83eb17177503f7fcb",
+    "kl-at-cap": "c097bbbfbb10d6ea2b9aba1e0eb3a316f3c0c1137222e96daea303f65c6e5c4d",
     "moreau": "6edb99ad6eef75e635ade3d223414e1038e29ba93de9949f5b7c78c97bb0d797",
 }
 
 
 def test_power_objective_reports_are_golden():
-    power = make_power(4.0, 2, 2.0)
+    power, phi = make_power(4.0, 2, 2.0), HolderFunction(SQRT2, 0.25)
     reports = {
-        "growth-implies-kl": check_growth_implies_kl(power, [0.0, 0.0], 1.0, 0.2, SQRT2,
-                                                     0.25, num_samples=300, seed=11),
-        "growth-implies-kl-at-cap": check_growth_implies_kl(power, [0.0, 0.0], 1.0, 1e-6,
-                                                            SQRT2, 0.25, num_samples=50,
-                                                            seed=12),
+        "kl": check_kl(power, [0.0, 0.0], 1.0, 0.2, phi, num_samples=300, seed=11),
+        "kl-at-cap": check_kl(power, [0.0, 0.0], 1.0, 1e-6, phi, num_samples=50, seed=12),
         "moreau": check_moreau_exponent(power, 1.0, [0.0, 0.0], 0.3, seed=13),
     }
-    assert reports["growth-implies-kl-at-cap"].trials == 5000
+    assert reports["kl-at-cap"].trials == 5000
     digests = {name: hashlib.sha256(json.dumps(report.to_json_dict(),
                                                sort_keys=True).encode()).hexdigest()
                for name, report in reports.items()}
@@ -708,8 +675,8 @@ def test_batched_values_are_within_the_screen_slack_and_keep_every_slice_row(obj
 
 
 def _slice_checks(seed):
-    """(objective, check) pairs: the three level-slice checks on each
-    built-in with a batched value oracle. The last stops at the trial cap."""
+    """(objective, check) pairs: level-slice checks on each built-in with a
+    batched value oracle. The last stops at the trial cap."""
     phi, linear = HolderFunction(SQRT2, 0.5), HolderFunction(1.0, 1.0)
     quadratic = make_quadratic([1.0, 10.0])
     return [
@@ -717,11 +684,9 @@ def _slice_checks(seed):
                                        seed=seed)),
         (quadratic, lambda o: certify_growth_direct(o, [0.5, 0.0], 1.0, 0.5, phi,
                                                     num_samples=100, seed=seed)),
-        (quadratic, lambda o: check_growth_implies_kl(o, [0.0, 0.0], 1.0, 0.5, SQRT2, 0.5,
-                                                      num_samples=100, seed=seed)),
         (make_power(4.0, 2, 2.0),
-         lambda o: check_growth_implies_kl(o, [0.0, 0.0], 1.0, 0.2, SQRT2, 0.25,
-                                           num_samples=100, seed=seed)),
+         lambda o: check_kl(o, [0.0, 0.0], 1.0, 0.2, HolderFunction(SQRT2, 0.25),
+                            num_samples=100, seed=seed)),
         (make_abs_value(), lambda o: check_kl(o, [0.3], 1.0, 0.5, linear, num_samples=100,
                                               seed=seed)),
         (make_abs_value(), lambda o: certify_growth_direct(o, [0.0], 2.0, 0.5, linear,
@@ -834,16 +799,14 @@ def _survivors(masks, trials):
 
 @pytest.mark.parametrize("eta, samples", [(0.05, 200), (1e-3, 40)],
                          ids=["stops-at-count", "stops-at-cap"])
-@pytest.mark.parametrize("check", ["kl", "growth", "growth-implies-kl"])
+@pytest.mark.parametrize("check", ["kl", "growth"])
 def test_slice_checks_call_each_oracle_once_per_row_they_judge(check, eta, samples,
                                                              monkeypatch):
     obj, masks = _counted_quadratic(), _recorded_screens(monkeypatch)
     xbar, phi = [0.0, 0.0], HolderFunction(SQRT2, 0.5)
     run = {"kl": lambda: check_kl(obj, xbar, 1.0, eta, phi, samples, seed=4),
            "growth": lambda: certify_growth_direct(obj, xbar, 1.0, eta, phi,
-                                                   num_samples=samples, seed=4),
-           "growth-implies-kl": lambda: check_growth_implies_kl(
-               obj, xbar, 1.0, eta, SQRT2, 0.5, samples, seed=4)}[check]
+                                                   num_samples=samples, seed=4)}[check]
     report = run()
     assert report.checked == samples or report.trials == 100 * samples
     survivors = _survivors(masks, report.trials)

@@ -269,6 +269,76 @@ def test_certify_infinite_eta_uses_surrogate_and_says_so(capsys):
     assert any("surrogate" in note for note in report["notes"])
 
 
+@pytest.mark.parametrize("command", ["kl", "growth"])
+def test_certify_negative_infinite_eta_is_a_config_error(command, capsys):
+    # only +inf is replaced by a surrogate band; -inf is not positive
+    code = main(["certify", command, "--problem", "quadratic",
+                 "--params", '{"spectrum": [1, 10]}', "--eta=-inf", "--samples", "50"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: eta must be positive and finite\n")
+
+
+# 2**55 float64 values take 256 PiB, beyond any 64-bit address space, so
+# the allocation fails at once whatever the overcommit setting
+_UNALLOCATABLE = 2 ** 55
+_HUGE_POWER = json.dumps({"p": 4, "dim": _UNALLOCATABLE, "ball_radius": 1})
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "power", "--params", _HUGE_POWER],
+    ["compare", "--problem", "power", "--params", _HUGE_POWER],
+    ["certify", "kl", "--problem", "power", "--params", _HUGE_POWER],
+    ["certify", "growth", "--problem", "power", "--params", _HUGE_POWER],
+    ["certify", "rate", "--delta0", "1", "--c", "0.1", "--theta", "2",
+     "--steps", str(_UNALLOCATABLE)],
+], ids=["solve", "compare", "kl", "growth", "rate"])
+def test_an_array_too_large_to_allocate_is_a_config_error(argv, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate 256. PiB") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+_DEEP_JSON = "[" * 5000 + "]" * 5000
+
+
+def _write_trace_with_a_deep_sidecar(tmp_path):
+    path = tmp_path / "run.csv"
+    write_csv(Trace([IterationRecord(0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)]), path)
+    (tmp_path / "run.csv.meta.json").write_text(_DEEP_JSON)
+    return ["fit-rate", "--trace", str(path), "--model", "linear"]
+
+
+@pytest.mark.parametrize("source, argv, error", [
+    ("params", ["solve", "--problem", "quadratic", "--params", _DEEP_JSON],
+     "error: argument --params: not valid JSON: nested too deeply"),
+    ("x0", ["solve", "--problem", "quadratic", "--x0", _DEEP_JSON],
+     "error: nested too deeply"),
+    ("xbar", ["certify", "kl", "--problem", "quadratic", "--xbar", _DEEP_JSON],
+     "error: nested too deeply"),
+    ("x", ["certify", "growth-ppa", "--problem", "quadratic", "--x", _DEEP_JSON],
+     "error: nested too deeply"),
+    ("config", ["compare", "--config", "deep.json"], "error: nested too deeply"),
+    ("sidecar", None, "error: malformed meta sidecar"),
+], ids=["params", "x0", "xbar", "x", "config", "sidecar"])
+def test_json_nested_too_deeply_is_a_config_error(source, argv, error, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if source == "config":
+        (tmp_path / "deep.json").write_text(_DEEP_JSON)
+    if source == "sidecar":
+        argv = _write_trace_with_a_deep_sidecar(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(error) and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_certify_growth_ppa_reports_per_tau(capsys):
     code = main(["certify", "growth-ppa", "--problem", "quadratic",
                  "--x", "[2.0]", "--phi-c", "1.4142135623730951",

@@ -22,11 +22,9 @@ PUBLIC_NAMES = {
     "ToolkitError",
     "Trace",
     "TraceParseError",
-    "ahb_alpha",
     "ahb_beta",
     "certify_growth_direct",
     "certify_growth_via_ppa",
-    "check_growth_implies_kl",
     "check_kl",
     "check_moreau_exponent",
     "fit_growth_exponent",

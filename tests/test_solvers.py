@@ -14,7 +14,6 @@ from ahbopt import (
     Objective,
     SolverConfig,
     SolverState,
-    ahb_alpha,
     ahb_beta,
     initial_state,
     make_abs_value,
@@ -34,18 +33,12 @@ def scalar_quadratic():
 
 
 def test_ahb_alpha_values():
-    assert ahb_alpha(1.0, 0.0) == 1.0
-    assert ahb_alpha(2.0, 0.96) == pytest.approx(0.98)
-    assert ahb_alpha(10.0, 0.5) == pytest.approx(0.15)
-
-
-def test_ahb_alpha_validation():
-    with pytest.raises(InvalidInputError):
-        ahb_alpha(0.0, 0.5)
-    with pytest.raises(InvalidInputError):
-        ahb_alpha(1.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        ahb_alpha(1.0, -0.1)
+    # the ahb step size (1 + mu0) / L, as the step records it; a quadratic's
+    # Lipschitz constant is its largest eigenvalue
+    for lipschitz, mu0, alpha in ((1.0, 0.0, 1.0), (2.0, 0.96, 0.98), (10.0, 0.5, 0.15)):
+        state = step(initial_state(np.array([1.0])), make_quadratic([lipschitz]),
+                     SolverConfig(method="ahb", mu0=mu0))
+        assert state.record.alpha == pytest.approx(alpha)
 
 
 def test_update_gamma_tilde_plugin():
@@ -129,7 +122,8 @@ def test_nesterov_first_step_has_no_extrapolation():
     obj = scalar_quadratic()
     cfg = SolverConfig(method="nesterov", nesterov_nu=3.0)
     state = step(initial_state(np.array([2.0])), obj, cfg)
-    assert state.z == pytest.approx([2.0])
+    # the gradient is taken at y = x: |f'(y)| = |y| on this quadratic
+    assert state.record.gnorm == pytest.approx(2.0)
     assert state.x == pytest.approx([0.0])
 
 
@@ -138,7 +132,8 @@ def test_nesterov_momentum_coefficient():
     cfg = SolverConfig(method="nesterov", nesterov_nu=3.0)
     state = SolverState(k=4, x=np.array([1.0]), x_prev=np.array([0.3]))
     nxt = step(state, obj, cfg)
-    assert nxt.z == pytest.approx([1.0 + (3.0 / 7.0) * 0.7])
+    # the gradient is taken at y = x + beta * m: |f'(y)| = |y| on this quadratic
+    assert nxt.record.gnorm == pytest.approx(1.0 + (3.0 / 7.0) * 0.7)
 
 
 def test_alrhb_first_step():
@@ -355,12 +350,12 @@ GOLDEN_TRACES = {
 }
 
 # SHA-256 of 30 public step states per method on the least-squares problem
-# (x, the carried *_prev fields, gamma_tilde for ahb, z and the record).
+# (x, the carried *_prev fields, gamma_tilde for ahb, and the record).
 GOLDEN_STEPS = {
     "ahb": "c6acf610d5981532cb5a7d15f3a7fe34e5102c2d80b222dd74a285a4925bc800",
     "alrhb": "da7ba04f91149ca138b42228e7d6c36a0ac1f34c67c617ec251e7ad39f6ffb9a",
     "gd": "0065b6c8fb9805113c3a7e61471df4b490313ea07a40944b53c6f7293d015909",
-    "nesterov": "8b1e21a59931afd9064acbc1b645a63d7cba814df4363bc3377ed1afc91654c7",
+    "nesterov": "1ff423403484a2fdaf5767d8921bcb9208e631f67a5d49ffdf8afa7b976460e9",
 }
 
 _LS = make_least_squares(200, 200, [1.0 / i for i in range(1, 201)], seed=5)
@@ -397,8 +392,6 @@ def test_step_states_are_bitwise_golden(method):
             carried.append(state.gamma_tilde)
         rec = dataclasses.astuple(state.record)
         blob += state.x.tobytes() + np.array(carried + list(rec), dtype=float).tobytes()
-        if state.z is not None:
-            blob += state.z.tobytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_STEPS[method]
 
 
