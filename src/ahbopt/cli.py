@@ -211,10 +211,11 @@ def _run_methods(args, default_runs) -> int:
                                    "one; all runs need one shared problem")
         configs.append(SolverConfig.from_json_dict({**run_data, **overrides}))
     obj = spec.build()
-    out_dir = _out_dir(args, file_data)
     x0_spec = args.x0 if args.x0 is not None else file_data.get("x0")
-    # one start for every run; run_solver copies it
+    # one start for every run; run_solver copies it. Resolved before the
+    # output directory exists, so a rejected start leaves no directory behind.
     x0, x0_seed = _resolve_x0(x0_spec, obj.dim, args.seed)
+    out_dir = _out_dir(args, file_data)
     summaries, seen = {}, {}
     for cfg in configs:
         seen[cfg.method] = count = seen.get(cfg.method, 0) + 1

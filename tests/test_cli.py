@@ -90,6 +90,21 @@ def test_bad_start_norm_is_a_config_error(norm, tmp_path, capsys):
     assert not (tmp_path / "ahb.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("x0", ['{"seed": 1, "norm": -1}', '{"seed": 1, "norm": NaN}',
+                                '{"seed": null, "norm": 1}'],
+                         ids=["negative-norm", "nan-norm", "null-seed"])
+def test_rejected_start_creates_no_output_directory(command, x0, tmp_path, capsys):
+    out = tmp_path / "newdir"
+    code = main([command, "--problem", "quadratic", "--max-iters", "5",
+                 "--x0", x0, "--out", str(out)])
+    assert code == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_overflowing_start_reports_only_the_numerical_failure(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,13 +8,13 @@ from hypothesis import strategies as st
 
 from ahbopt import (
     CapabilityError,
-    DeskScaleLimitError,
-    GridSpec,
+    HolderFunction,
     InnerSolveError,
     InvalidInputError,
     NumericalFailureError,
     Objective,
     PpaRun,
+    certify_growth_via_ppa,
     make_abs_value,
     make_quadratic,
     moreau_gradient,
@@ -117,11 +118,12 @@ def test_ppa_run_zero_steps_and_bad_counts():
         ppa_run(make_quadratic([1.0]), 1.0, [3.0], -1)
 
 
-def test_ppa_run_requires_convexity():
+def test_ppa_run_steps_a_nonconvex_objective_through_its_prox_fn():
+    # x^2 with convex_flag left False: the run takes its registered prox
     obj = Objective(dim=1, value_fn=lambda x: float(x[0]) ** 2,
                     prox_fn=lambda lam, x: x / (1.0 + 2.0 * lam))
-    with pytest.raises(InvalidInputError):
-        ppa_run(obj, 1.0, [1.0], 2)
+    run = ppa_run(obj, 1.0, [1.0], 2)
+    np.testing.assert_allclose(run.points, [[1.0], [1.0 / 3.0], [1.0 / 9.0]])
 
 
 def test_ppa_record_rejects_mismatched_lengths():
@@ -142,30 +144,23 @@ def test_ppa_record_rejects_ascent_but_tolerates_noise():
            step_norms=[0.0, 1.0])
 
 
-def test_grid_spec_validation():
-    with pytest.raises(InvalidInputError):
-        GridSpec(dim=3, lo=0.0, hi=1.0, points_per_axis=4)
-    with pytest.raises(InvalidInputError):
-        GridSpec(dim=1, lo=1.0, hi=1.0, points_per_axis=4)
-    with pytest.raises(InvalidInputError):
-        GridSpec(dim=1, lo=0.0, hi=1.0, points_per_axis=1)
-    with pytest.raises(DeskScaleLimitError):
-        GridSpec(dim=2, lo=0.0, hi=1.0, points_per_axis=1001)
-    # 1000**2 sits exactly on the cap and passes.
-    GridSpec(dim=2, lo=0.0, hi=1.0, points_per_axis=1000)
+def _with_grid_prox(obj, points_per_axis, lo=-2.0, hi=2.0):
+    """obj with a prox_fn that searches a grid on [lo, hi]^dim.
 
+    The map takes the argmin of f(z) + |z - x|^2 / (2 lam) over the grid
+    (f evaluated there once), moves only when that value is at most f(x),
+    so f never increases, and breaks ties by the lowest lexicographic
+    index."""
+    axes = [np.linspace(lo, hi, points_per_axis)] * obj.dim
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, obj.dim)
+    fvals = np.array([obj.value(p) for p in pts])
 
-def test_grid_spec_points_ordering_and_broadcast():
-    grid = GridSpec(dim=1, lo=-1.0, hi=1.0, points_per_axis=3)
-    np.testing.assert_allclose(grid.points(), [[-1.0], [0.0], [1.0]])
+    def prox_fn(lam, x):
+        q = fvals + np.sum((pts - x) ** 2, axis=1) / (2.0 * lam)
+        best = int(np.argmin(q))
+        return pts[best].copy() if q[best] <= obj.value(x) else x.copy()
 
-    grid = GridSpec(dim=2, lo=(0.0, 10.0), hi=(1.0, 20.0), points_per_axis=2)
-    assert grid.lo == (0.0, 10.0)
-    np.testing.assert_allclose(
-        grid.points(), [[0.0, 10.0], [0.0, 20.0], [1.0, 10.0], [1.0, 20.0]])
-
-    shared = GridSpec(dim=2, lo=0.0, hi=1.0, points_per_axis=2)
-    assert shared.lo == (0.0, 0.0) and shared.hi == (1.0, 1.0)
+    return dataclasses.replace(obj, prox_fn=prox_fn)
 
 
 def _double_well():
@@ -173,12 +168,11 @@ def _double_well():
     def f(x):
         t = float(x[0])
         return min((t - 1.0) ** 2, (t + 1.0) ** 2 + 0.5)
-    return Objective(dim=1, value_fn=f)
+    return Objective(dim=1, value_fn=f, min_value=0.0)
 
 
 def test_nonconvex_run_small_tau_stays_in_local_basin():
-    grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=401)
-    run = ppa_run(_double_well(), 0.2, [-0.6], 60, grid=grid)
+    run = ppa_run(_with_grid_prox(_double_well(), 401), 0.2, [-0.6], 60)
     # The run stalls once one grid cell of movement costs more in prox
     # penalty than it gains in descent: radius h/2 + h/(4 tau) = 0.0175.
     assert abs(run.points[-1][0] - (-1.0)) <= 0.02
@@ -186,24 +180,21 @@ def test_nonconvex_run_small_tau_stays_in_local_basin():
 
 
 def test_nonconvex_run_large_tau_hops_to_global_basin():
-    grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=401)
-    run = ppa_run(_double_well(), 5.0, [-0.1], 5, grid=grid)
+    run = ppa_run(_with_grid_prox(_double_well(), 401), 5.0, [-0.1], 5)
     assert abs(run.points[-1][0] - 1.0) <= 0.01 + 1e-12
     assert run.values[-1] == pytest.approx(0.0, abs=1e-3)
 
 
 def test_nonconvex_run_zero_steps_returns_start():
-    grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=5)
-    run = ppa_run(_double_well(), 1.0, [0.9], 0, grid=grid)
+    run = ppa_run(_with_grid_prox(_double_well(), 5), 1.0, [0.9], 0)
     assert len(run.points) == 1
     np.testing.assert_array_equal(run.points[0], [0.9])
     assert run.values == [pytest.approx(0.01)]
 
 
 def test_nonconvex_run_keeps_iterate_when_grid_is_worse():
-    obj = Objective(dim=1, value_fn=lambda x: float(x[0]) ** 2)
-    grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=2)
-    run = ppa_run(obj, 1.0, [0.1], 3, grid=grid)
+    obj = _with_grid_prox(Objective(dim=1, value_fn=lambda x: float(x[0]) ** 2), 2)
+    run = ppa_run(obj, 1.0, [0.1], 3)
     for p in run.points:
         np.testing.assert_array_equal(p, [0.1])
     assert run.step_norms == [0.0] * 4
@@ -211,23 +202,18 @@ def test_nonconvex_run_keeps_iterate_when_grid_is_worse():
 
 def test_nonconvex_run_matches_exact_ppa_on_convex_problem():
     obj = make_quadratic([1.0])
-    grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=401)
-    gridded = ppa_run(obj, 1.0, [2.0], 3, grid=grid)
+    gridded = ppa_run(_with_grid_prox(obj, 401), 1.0, [2.0], 3)
     exact = ppa_run(obj, 1.0, [2.0], 3)
     np.testing.assert_allclose(gridded.points, exact.points, atol=1e-12)
     np.testing.assert_allclose(gridded.values, exact.values, atol=1e-12)
 
 
 def test_nonconvex_run_input_validation():
-    grid = GridSpec(dim=1, lo=-1.0, hi=1.0, points_per_axis=3)
-    with pytest.raises(InvalidInputError):
-        ppa_run(_double_well(), 1.0, [0.0, 0.0], 1, grid=grid)
-    with pytest.raises(InvalidInputError):
-        ppa_run(_double_well(), 0.0, [0.0], 1, grid=grid)
-
-    sink = Objective(dim=1, value_fn=lambda x: -np.inf if x[0] < 0 else 0.0)
-    with pytest.raises(InvalidInputError):
-        ppa_run(sink, 1.0, [0.5], 1, grid=grid)
+    obj = _with_grid_prox(_double_well(), 3)
+    with pytest.raises(InvalidInputError, match="tau must be positive"):
+        ppa_run(obj, 0.0, [0.0], 1)
+    with pytest.raises(InvalidInputError, match="num_steps"):
+        ppa_run(obj, 1.0, [0.0], -1)
 
 
 def _ring():
@@ -236,7 +222,8 @@ def _ring():
 
 
 # SHA-256 of the points, values and step_norms bytes (float64) of each grid
-# run, taken from the separate grid runner that ppa_run(..., grid=...) replaced.
+# run, taken from the package's former grid runners; _with_grid_prox on
+# [-2, 2]^dim reproduces them bit for bit.
 GRID_RUNS = {
     "small_tau": ((_double_well, 0.2, [-0.6], 60, 1, 401),
                   "872d7e08e5f13428c356d8228dd23d646ceee62d7a16c0b249880f1683fd4f93"),
@@ -262,8 +249,9 @@ GRID_RUNS = {
 @pytest.mark.parametrize("name", sorted(GRID_RUNS))
 def test_grid_runs_are_bitwise_golden(name):
     (make, tau, x0, steps, dim, per_axis), digest = GRID_RUNS[name]
-    grid = GridSpec(dim=dim, lo=-2.0, hi=2.0, points_per_axis=per_axis)
-    run = ppa_run(make(), tau, x0, steps, grid=grid)
+    obj = make()
+    assert obj.dim == dim
+    run = ppa_run(_with_grid_prox(obj, per_axis), tau, x0, steps)
     blob = b"".join(np.array(seq, dtype=float).tobytes()
                     for seq in (run.points, run.values, run.step_norms))
     assert hashlib.sha256(blob).hexdigest() == digest
@@ -271,18 +259,34 @@ def test_grid_runs_are_bitwise_golden(name):
 
 @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
 def test_ppa_run_rejects_tau_before_any_step(tau):
-    grid = GridSpec(dim=1, lo=-1.0, hi=1.0, points_per_axis=3)
     with pytest.raises(InvalidInputError, match="tau must be positive"):
         ppa_run(make_quadratic([1.0]), tau, [1.0], 0)
-    with pytest.raises(InvalidInputError, match="tau must be positive"):
-        ppa_run(_double_well(), tau, [1.0], 0, grid=grid)
 
 
-def test_ppa_run_sends_a_nonconvex_objective_to_the_grid():
-    with pytest.raises(InvalidInputError, match="pass a grid"):
-        ppa_run(_double_well(), 1.0, [0.5], 1)
-    grid = GridSpec(dim=1, lo=-2.0, hi=2.0, points_per_axis=5)
-    assert ppa_run(_double_well(), 1.0, [0.5], 1, grid=grid).points[-1].tolist() == [1.0]
+def test_ppa_run_sends_a_nonconvex_objective_to_its_prox_fn():
+    obj = _with_grid_prox(_double_well(), 5)
+    assert ppa_run(obj, 1.0, [0.5], 1).points[-1].tolist() == [1.0]
+
+    def refuse(x):
+        raise AssertionError("no oracle call before the capability check")
+
+    # no prox_fn: the first step stops before any oracle is called
+    bare = Objective(dim=1, value_fn=refuse, gradient_fn=refuse, lipschitz=2.0)
+    with pytest.raises(CapabilityError) as excinfo:
+        ppa_run(bare, 1.0, [0.5], num_steps=1)
+    assert excinfo.value.missing == "prox_fn"
+
+
+def test_growth_via_ppa_runs_a_nonconvex_objective_through_its_prox_fn():
+    obj = _with_grid_prox(_double_well(), 401)
+    taus = [1.0, 0.1, 0.01]
+    report = certify_growth_via_ppa(obj, [2.0], HolderFunction(2.0, 0.5), taus,
+                                    num_steps=50)
+    assert [row["tau"] for row in report.per_tau] == taus
+    assert report.checked == 3 and report.violations == 0
+    # the largest tau reaches the global minimizer; smaller ones stall
+    # short of it on the grid
+    assert ppa_run(obj, 1.0, [2.0], 50).points[-1].tolist() == [1.0]
 
 
 def test_moreau_quadratic_literals():

@@ -6,7 +6,6 @@ PUBLIC_NAMES = {
     "CertReport",
     "DeskScaleLimitError",
     "EmptyRegionError",
-    "GridSpec",
     "HolderFunction",
     "InnerSolveError",
     "InvalidInputError",
