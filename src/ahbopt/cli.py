@@ -66,15 +66,9 @@ def _json_flag(text):
         raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from exc
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON experiment config file")
-    parser.add_argument("--out", help="output directory (default: out_dir from "
-                                      "the config, else the working directory)")
+def _add_problem_flags(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="fallback seed for problem construction and sampling")
-
-
-def _add_problem_flags(parser):
     parser.add_argument("--problem", choices=PROBLEM_KINDS, default=None,
                         help="built-in problem kind")
     parser.add_argument("--params", type=_json_flag, default=None,
@@ -82,8 +76,8 @@ def _add_problem_flags(parser):
     parser.add_argument("--problem-seed", type=int, default=None)
 
 
-def _add_solver_flags(parser):
-    for f in dataclasses.fields(SolverConfig):
+def _add_solver_flags(parser, solver_fields):
+    for f in solver_fields:
         parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
                             choices=METHODS if f.name == "method" else None)
     parser.add_argument("--x0", default=None,
@@ -111,6 +105,12 @@ def _load_config_file(path):
         data = json_value(handle.read())
     if not isinstance(data, dict):
         raise InvalidSpecError("experiment config must be a JSON object")
+    extra = set(data) - {"problem", "runs", "x0", "out_dir"}
+    if extra:
+        raise InvalidSpecError(f"unknown experiment config keys: {sorted(extra)}")
+    out_dir = data.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise InvalidSpecError(f"out_dir must be a string, got {out_dir!r}")
     return data
 
 
@@ -140,8 +140,9 @@ def _problem_from(args, file_data):
 
 
 def _solver_overrides(args):
+    # compare has no --method; each of its runs names its own
     return {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)
-            if getattr(args, f.name) is not None}
+            if getattr(args, f.name, None) is not None}
 
 
 def _resolve_x0(x0_spec, dim, fallback_seed):
@@ -200,8 +201,6 @@ def _run_methods(args, default_runs) -> int:
     if args.command == "solve" and len(run_datas) > 1:
         raise InvalidSpecError(f"solve takes one run, the config has {len(run_datas)}; "
                                "use compare")
-    if args.command == "compare":
-        overrides.pop("method", None)
     configs = []
     for run_data in run_datas:
         embedded = run_data.pop("problem", None)
@@ -303,18 +302,19 @@ def cmd_fit_rate(args) -> int:
     return EXIT_OK
 
 
-def _run_flags(func):
+def _run_flags(func, solver_fields):
     def add(parser):
-        _add_common(parser)
+        parser.add_argument("--config", help="JSON experiment config file")
+        parser.add_argument("--out", help="output directory (default: out_dir from "
+                                          "the config, else the working directory)")
         _add_problem_flags(parser)
-        _add_solver_flags(parser)
+        _add_solver_flags(parser, solver_fields)
         parser.set_defaults(func=func)
     return add
 
 
 def _cert_flags(add_own):
     def add(parser):
-        _add_common(parser)
         _add_problem_flags(parser)
         parser.set_defaults(func=cmd_certify)
         add_own(parser)
@@ -362,7 +362,6 @@ def _add_certify_commands(parser):
 
 
 def _add_fit_rate_flags(parser):
-    _add_common(parser)
     parser.add_argument("--trace", required=True)
     parser.add_argument("--model", choices=("linear", "power"), required=True)
     parser.add_argument("--k-min", dest="k_min", type=int, default=None)
@@ -373,10 +372,12 @@ def _add_fit_rate_flags(parser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="ahbopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    solver_fields = dataclasses.fields(SolverConfig)
     sub.add_parser("solve", help="run one solver and write its trace",
-                   add_flags=_run_flags(cmd_solve))
+                   add_flags=_run_flags(cmd_solve, solver_fields))
+    # every field after method: compare runs the config's methods, or all four
     sub.add_parser("compare", help="run several methods on one problem",
-                   add_flags=_run_flags(cmd_compare))
+                   add_flags=_run_flags(cmd_compare, solver_fields[1:]))
     sub.add_parser("certify", help="sample-based condition checks",
                    add_flags=_add_certify_commands)
     sub.add_parser("fit-rate", help="fit convergence rates from a trace CSV",

@@ -103,20 +103,15 @@ class SolverState:
     """Mutable loop state at iterate k.
 
     ``gamma_tilde`` is the distance-decrease surrogate for the current
-    iterate; the ``*_prev`` fields carry the step size, momentum weight,
-    optimality gap, and squared gradient norm of the iterate just left,
-    which the surrogate recursion consumes. ``record``, when set, holds
-    the measurements of the iterate this state was advanced from.
+    iterate, 0 at k = 0. ``record``, when set, holds the measurements of
+    the iterate this state was advanced from: its step size, momentum
+    weight, optimality gap and gradient norm among them.
     """
 
     k: int
     x: Array
     x_prev: Array
     gamma_tilde: float = 0.0
-    alpha_prev: float = 0.0
-    beta_prev: float = 0.0
-    f_prev_gap: float = 0.0
-    g_prev_norm_sq: float = 0.0
     record: Optional[IterationRecord] = None
     stop: Optional[str] = None
 
@@ -126,20 +121,6 @@ def initial_state(x0) -> SolverState:
     if x.ndim != 1 or x.size == 0:
         raise InvalidInputError("start point must be a nonempty 1-d vector")
     return SolverState(k=0, x=x, x_prev=x.copy())
-
-
-def update_gamma_tilde(state, m_k_norm_sq, lipschitz) -> float:
-    """Advance the distance-decrease surrogate by one step.
-
-    The passed state's ``alpha_prev``, ``beta_prev``, ``f_prev_gap``,
-    ``g_prev_norm_sq``, and ``gamma_tilde`` all refer to the previous
-    iterate; ``m_k_norm_sq`` is the squared length of the step that was
-    just taken. At k = 0 the surrogate is 0 by definition and this is
-    not called.
-    """
-    return (m_k_norm_sq
-            - state.alpha_prev * (state.f_prev_gap + state.g_prev_norm_sq / (2.0 * lipschitz))
-            + state.beta_prev * state.gamma_tilde)
 
 
 def _ahb_beta(alpha_k, g_k, m_k, m_sq, gamma_tilde_k, beta_cap):
@@ -246,9 +227,10 @@ def _advance(state, lipschitz, gap, y, g, g_sq, m, alpha, beta):
     m_next = x_next - x
     m_next_sq = float(m_next.dot(m_next))
     state.k, state.x, state.x_prev = state.k + 1, x_next, x
-    state.alpha_prev, state.beta_prev = alpha, beta
-    state.f_prev_gap, state.g_prev_norm_sq = gap, g_sq
-    state.gamma_tilde = update_gamma_tilde(state, m_next_sq, lipschitz)
+    # the surrogate recursion, from the step size, momentum weight, gap and
+    # |g|^2 of the iterate just left
+    state.gamma_tilde = (m_next_sq - alpha * (gap + g_sq / (2.0 * lipschitz))
+                         + beta * state.gamma_tilde)
     return m_next, m_next_sq
 
 

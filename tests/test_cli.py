@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from ahbopt import IterationRecord, Trace, certify, read_csv, write_csv
-from ahbopt.cli import main
+from ahbopt.cli import build_parser, main
 
 
 def _json_stdout(capsys):
@@ -171,10 +172,37 @@ def test_config_entry_of_the_wrong_type_is_a_config_error(entry, tmp_path, capsy
     assert err.startswith(f"error: {next(iter(entry))} must be")
 
 
+@pytest.mark.parametrize("out_dir", [5, ["a"], True, {"a": 1}],
+                         ids=["int", "list", "bool", "object"])
+def test_config_out_dir_that_is_not_a_string_is_a_config_error(out_dir, tmp_path,
+                                                                monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.json").write_text(json.dumps(
+        {"problem": {"kind": "quadratic"}, "out_dir": out_dir}))
+    assert main(["solve", "--config", "exp.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: out_dir must be a string, got {out_dir!r}\n"
+    assert os.listdir(tmp_path) == ["exp.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_config_key_that_nothing_reads_is_a_config_error(command, tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.json").write_text(json.dumps(
+        {"problem": {"kind": "quadratic"}, "run": [{"method": "gd"}], "outdir": "x"}))
+    assert main([command, "--config", "exp.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unknown experiment config keys: ['outdir', 'run']\n"
+    assert os.listdir(tmp_path) == ["exp.json"]
+
+
 # SHA-256 of the help text at 80 columns (Python 3.11 argparse); the solver
 # flags are derived from SolverConfig and must print as they were written.
 HELP_DIGESTS = {
-    "compare": "e1893f3818d8baed776111d6f12adc47be845ecfaead2614d444465664862b45",
+    "compare": "4f3b0609446f58f8bf44f9b76cecaf21b7ae120e5de5e41f110830673bcf9af4",
     "solve": "5429155cc17ae2aa71976702c198f4f387a756d26d9f6a6b620ebdce8255fca7",
 }
 
@@ -194,12 +222,12 @@ def test_solver_command_help_is_pinned(command, monkeypatch, capsys):
 OTHER_HELP_DIGESTS = {
     "": "0ac7cad0d12421eebcac60a32c3bc295927d696d97165f80223e0aeb01f60773",
     "certify": "74bcb9416fb750cf2c9b87d9d9521cbedeb527f140ad17dbef5cf9984a21a9c4",
-    "certify kl": "d41893f36bf250466a2b9b673529ca062dfa56faef70926892ce06498663ee60",
-    "certify growth": "58322ae2dc96fd81200f506084162a0094f72e9e5c0c992377d6eac746db3e42",
-    "certify growth-ppa": "3f36f4c5c6fb15d0189d87d51167bb1b470397be586d0ec5d7376a092c9fc0a2",
-    "certify moreau": "49cf71b14048f318506024a9d3d57cb7a1f318771dac61d0c2376364a4df856d",
+    "certify kl": "155e433c74c48ba71e7f0679c79e9b756fbcc60c7849a776697dab9f5b9d963b",
+    "certify growth": "9553c3fe2aab452054c27c935d0d48d5b41baf40a1cf94e91c63630a8b3a71d7",
+    "certify growth-ppa": "307ff85e6465dae0c2cd4579ce957b8cceb597ecb551e1d837397aaa7d400675",
+    "certify moreau": "e524e9255b630051d59e7e75c052839dadb6abed8b6ea28e152f778fac5526f3",
     "certify rate": "be3d9d83de5d0659bae43de87bcc8945a6a15fd660c9e9267dd1b9270a25d26f",
-    "fit-rate": "2f57fab02c2ac37cd32b0546b548132888e601156267e1846534b5624520ef1b",
+    "fit-rate": "0a370dbb1107d3332080a704d04b246969835a5309a96fad5326009f17524afa",
 }
 
 
@@ -819,6 +847,69 @@ def test_certify_moreau_with_infinite_envelope_gaps_is_a_config_error(capfd):
     out, err = capfd.readouterr()
     assert out == ""
     assert err == "error: only 0 usable envelope samples in 10000 trials\n"
+
+
+# one valid command line per command; "{tmp}" stands for a fresh directory
+_VALID_ARGVS = {
+    "solve": ["solve", "--problem", "quadratic", "--max-iters", "3", "--out", "{tmp}/out"],
+    "compare": ["compare", "--problem", "quadratic", "--max-iters", "3",
+                "--out", "{tmp}/out"],
+    "certify kl": ["certify", "kl", "--problem", "quadratic", "--samples", "5",
+                   "--seed", "1"],
+    "certify growth": ["certify", "growth", "--problem", "quadratic", "--samples", "5",
+                       "--seed", "1"],
+    "certify growth-ppa": ["certify", "growth-ppa", "--problem", "quadratic",
+                           "--x", "[2.0]", "--steps", "5"],
+    "certify moreau": ["certify", "moreau", "--problem", "abs_value", "--samples", "20"],
+    "certify rate": ["certify", "rate", "--delta0", "1", "--c", "0.1", "--theta", "2",
+                     "--steps", "50"],
+    "fit-rate": ["fit-rate", "--trace", "{tmp}/gd.csv", "--model", "linear"],
+}
+
+
+def _valid_argv(command, tmp_path):
+    if command == "fit-rate":
+        assert main(["solve", "--problem", "quadratic", "--method", "gd", "--gd-mu", "0.5",
+                     "--x0", '{"seed": 4, "norm": 1.0}', "--max-iters", "40",
+                     "--out", str(tmp_path)]) == 0
+    return [arg.replace("{tmp}", str(tmp_path)) for arg in _VALID_ARGVS[command]]
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGVS))
+def test_every_parsed_flag_is_read(command, tmp_path, capsys):
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(_valid_argv(command, tmp_path), namespace=Recorder())
+    reads.clear()  # argparse itself looks at the namespace while it parses
+    assert args.func(args) in (0, 3)
+    capsys.readouterr()
+    unread = set(vars(args)) - reads - {"func", "command", "certify_cmd"}
+    assert not unread, f"{command} parses flags it never reads: {sorted(unread)}"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("compare", "--method"),
+    *[(f"certify {sub}", flag) for sub in ("kl", "growth", "growth-ppa", "moreau")
+      for flag in ("--config", "--out")],
+    ("fit-rate", "--config"), ("fit-rate", "--out"), ("fit-rate", "--seed"),
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(command, flag, tmp_path,
+                                                           capsys):
+    value = {"--method": "gd", "--seed": "3", "--out": str(tmp_path / "newdir"),
+             "--config": str(tmp_path / "missing.json")}[flag]
+    argv = _valid_argv(command, tmp_path) + [flag, value]
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unrecognized arguments: {flag} {value}\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_a_usage_error_between_calls_in_one_process_changes_nothing(capsys):

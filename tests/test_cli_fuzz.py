@@ -79,17 +79,40 @@ def _run_cli(argv):
     return code, err.getvalue()
 
 
+# what a config adds besides problem, runs and x0: nothing, so that --out
+# names the output directory; an out_dir of any JSON type, where a string
+# is a relative path; or keys that nothing reads
+_extras = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries({"out_dir": st.one_of(
+        st.text(alphabet="ab", max_size=2), _junk.filter(lambda v: not isinstance(v, str)))}),
+    st.dictionaries(st.sampled_from(["run", "outdir", "Problem", "seed"]), _junk,
+                    min_size=1, max_size=2),
+)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["solve", "compare"]), problem=_problems(),
-       runs=_runs, x0=_x0)
-def test_generated_configs_end_in_an_exit_code(command, problem, runs, x0):
+       runs=_runs, x0=_x0, extra=_extras)
+def test_generated_configs_end_in_an_exit_code(command, problem, runs, x0, extra):
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "config.json")
-        with open(config, "w", encoding="utf-8") as handle:
-            json.dump({"problem": problem, "runs": runs, "x0": x0}, handle)
-        code, err = _run_cli([command, "--config", config, "--out", os.path.join(tmp, "out")])
+        # every relative output path lands in the temporary directory
+        os.chdir(tmp)
+        try:
+            with open("config.json", "w", encoding="utf-8") as handle:
+                json.dump({"problem": problem, "runs": runs, "x0": x0, **extra}, handle)
+            code, err = _run_cli([command, "--config", "config.json"]
+                                 + ([] if extra else ["--out", "out"]))
+            written = os.listdir(tmp)
+        finally:
+            os.chdir(cwd)
     assert code in EXIT_CODES
     assert "Traceback" not in err
+    out_dir = extra.get("out_dir")
+    if set(extra) - {"out_dir"} or not isinstance(out_dir, (str, type(None))):
+        assert code == 1
+        assert written == ["config.json"]
 
 
 @settings(max_examples=200, deadline=None)

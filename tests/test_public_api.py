@@ -43,7 +43,6 @@ PUBLIC_NAMES = {
     "run_solver",
     "step",
     "summarize",
-    "update_gamma_tilde",
     "verify_recursive_rate",
     "write_csv",
 }

@@ -22,7 +22,6 @@ from ahbopt import (
     make_quadratic,
     run_solver,
     step,
-    update_gamma_tilde,
     write_csv,
 )
 from ahbopt.solvers import METHODS
@@ -41,13 +40,6 @@ def test_ahb_alpha_values():
         assert state.record.alpha == pytest.approx(alpha)
 
 
-def test_update_gamma_tilde_plugin():
-    carried = SolverState(k=1, x=np.zeros(1), x_prev=np.zeros(1),
-                          gamma_tilde=2.0, alpha_prev=1.0, beta_prev=0.5,
-                          f_prev_gap=0.0, g_prev_norm_sq=0.0)
-    assert update_gamma_tilde(carried, 1.0, 1.0) == pytest.approx(2.0)
-
-
 def test_gamma_tilde_matches_direct_recursion():
     # drive the stepper and rebuild the surrogate sequence independently
     obj = make_quadratic([1.0, 10.0])
@@ -57,8 +49,8 @@ def test_gamma_tilde_matches_direct_recursion():
     for _ in range(12):
         state = step(state, obj, cfg)
         xs.append(state.x.copy())
-        alphas.append(state.alpha_prev)
-        betas.append(state.beta_prev)
+        alphas.append(state.record.alpha)
+        betas.append(state.record.beta)
         surrogates.append(state.gamma_tilde)
 
     gamma = 0.0
@@ -287,7 +279,7 @@ def test_certified_decrease_property(spectrum, mu0, scale):
         state = step(state, obj, cfg)
         d_cur = float(state.x @ state.x)
         assert d_cur <= d_prev - c0 * gap_prev + slack
-        assert 0.0 <= state.beta_prev <= 1.0
+        assert 0.0 <= state.record.beta <= 1.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -350,12 +342,12 @@ GOLDEN_TRACES = {
 }
 
 # SHA-256 of 30 public step states per method on the least-squares problem
-# (x, the carried *_prev fields, gamma_tilde for ahb, and the record).
+# (x, gamma_tilde for ahb, and the record).
 GOLDEN_STEPS = {
-    "ahb": "c6acf610d5981532cb5a7d15f3a7fe34e5102c2d80b222dd74a285a4925bc800",
-    "alrhb": "da7ba04f91149ca138b42228e7d6c36a0ac1f34c67c617ec251e7ad39f6ffb9a",
-    "gd": "0065b6c8fb9805113c3a7e61471df4b490313ea07a40944b53c6f7293d015909",
-    "nesterov": "1ff423403484a2fdaf5767d8921bcb9208e631f67a5d49ffdf8afa7b976460e9",
+    "ahb": "2addef0a7dab7c8e58a6cc99b9e0112ae97cbc63fff1cbcb552f008b7fb82a51",
+    "alrhb": "e06f3651afe1b702f943b114c61322c11841344869ccf38b6c556a4371035719",
+    "gd": "fc7300de12837b69d10c2b4f5a6e39b4e57f87a005c4f0016c54cd53531c5ca4",
+    "nesterov": "0e7b117936910ad15ae800fac01d90b1752f58452bd6607cf493142b50faaa35",
 }
 
 _LS = make_least_squares(200, 200, [1.0 / i for i in range(1, 201)], seed=5)
@@ -387,9 +379,7 @@ def test_step_states_are_bitwise_golden(method):
     blob = b""
     for _ in range(30):
         state = step(state, _LS, cfg)
-        carried = [state.alpha_prev, state.beta_prev, state.f_prev_gap, state.g_prev_norm_sq]
-        if method == "ahb":
-            carried.append(state.gamma_tilde)
+        carried = [state.gamma_tilde] if method == "ahb" else []
         rec = dataclasses.astuple(state.record)
         blob += state.x.tobytes() + np.array(carried + list(rec), dtype=float).tobytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_STEPS[method]
