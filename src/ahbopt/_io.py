@@ -1,15 +1,10 @@
-"""Number and JSON formatting, JSON decoding and atomic file writes shared
-by every reader and writer."""
+"""JSON formatting, JSON decoding and atomic file writes shared by every
+reader and writer."""
 
 from __future__ import annotations
 
 import json
 import os
-
-
-def fmt(value) -> str:
-    # 17 significant digits round-trip any double exactly.
-    return f"{float(value):.17g}"
 
 
 def json_text(payload) -> str:

@@ -256,21 +256,14 @@ def check_kl(obj, xbar, r, eta, phi, num_samples=200, seed=0) -> CertReport:
     return _slice_check(obj, xbar, r, eta, num_samples, seed, judge)
 
 
-def certify_growth_direct(obj, xbar, r, eta, phi, factor=1.0,
-                          num_samples=200, seed=0) -> CertReport:
-    """Sample the level slice and test dist(x, S) <= factor * phi(gap).
-
-    ``factor`` absorbs constant slop when phi's coefficient is not
-    calibrated; pass 1 to test phi as given.
-    """
-    if not 0.0 < factor < math.inf:
-        raise InvalidInputError("factor must be positive and finite")
+def certify_growth_direct(obj, xbar, r, eta, phi, num_samples=200, seed=0) -> CertReport:
+    """Sample the level slice and test dist(x, S) <= phi(gap)."""
     if obj.solution_oracle is None:
         raise CapabilityError("solution_oracle")
 
     def judge(x, gap):
         dist = obj.distance(x)
-        bound = factor * phi(gap)
+        bound = phi(gap)
         ratio = dist / bound if bound > 0 else (math.inf if dist > 0 else 0.0)
         return ratio, ratio > 1.0 + REL_TOL
 
@@ -442,7 +435,11 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     implied sublinear envelope.
 
     Requires c * delta0^(theta - 1) < 1 so the sequence stays positive.
-    The envelope constant is the observed max of
+    ``violations`` counts the terms above the closed-form bound
+    delta_k <= (delta0^(1-theta) + c * (theta-1) * k)^(-1/(theta-1)),
+    which follows from t^(-theta) >= delta_k^(-theta) on
+    [delta_{k+1}, delta_k]; it is checked in log form with a slack of
+    1e-12. The fitted envelope constant is the observed max of
     delta_k * (1+k)^(1/(theta-1)); the witness records where it is
     attained and the fitted slope (trailing decade of the log-log
     curve) is informational. A term that overflows or leaves [0, inf),
@@ -484,7 +481,15 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
         # envelope would bound every term and certify nothing
         raise NumericalFailureError(
             k_star, f"the envelope weight at step {k_star} is {c_tilde}, not finite")
-    violations = int(np.sum(deltas > c_tilde * (1.0 + ks) ** (-exponent) * (1.0 + 1e-12)))
+    # the bound as log delta0 - log(1 + q (theta-1) k) / (theta-1) with
+    # q = c * delta0^(theta-1), so that no power overflows for theta near 1
+    # or far above it; log 0 is -inf at k = 0 and at a zero term
+    with np.errstate(divide="ignore"):
+        log_deltas, log_ks = np.log(deltas), np.log(ks)
+    log_q = math.log(c) + (theta - 1.0) * math.log(delta0)
+    log_bound = (math.log(delta0)
+                 - np.logaddexp(0.0, log_q + math.log(theta - 1.0) + log_ks) * exponent)
+    violations = int(np.sum(log_deltas > log_bound + 1e-12))
     # at least two points, so that the slope is defined
     tail_lo = min(max(num_steps // 10, 1), num_steps - 1)
     tail = slice(tail_lo, num_steps + 1)

@@ -89,14 +89,11 @@ def _add_gauge_flags(parser):
     parser.add_argument("--phi-alpha", dest="phi_alpha", type=float, default=0.5)
 
 
-def _add_slice_flags(parser, factor=False):
-    # growth alone takes --factor, listed before --samples in its help
+def _add_slice_flags(parser):
     parser.add_argument("--xbar", default="zeros")
     parser.add_argument("--r", type=float, default=1.0)
     parser.add_argument("--eta", type=float, default=1.0)
     _add_gauge_flags(parser)
-    if factor:
-        parser.add_argument("--factor", type=float, default=1.0)
     parser.add_argument("--samples", type=int, default=200)
 
 
@@ -172,7 +169,7 @@ def _run_entries(file_data, default):
     runs = default if file_data.get("runs") is None else file_data["runs"]
     if not isinstance(runs, list) or not runs or not all(isinstance(r, dict) for r in runs):
         raise InvalidSpecError("runs must be a non-empty list of objects")
-    return [dict(r) for r in runs]
+    return runs
 
 
 def _out_dir(args, file_data):
@@ -201,14 +198,8 @@ def _run_methods(args, default_runs) -> int:
     if args.command == "solve" and len(run_datas) > 1:
         raise InvalidSpecError(f"solve takes one run, the config has {len(run_datas)}; "
                                "use compare")
-    configs = []
-    for run_data in run_datas:
-        embedded = run_data.pop("problem", None)
-        # the same defaults and flags as the top-level problem
-        if embedded is not None and _problem_from(args, {"problem": embedded}) != spec:
-            raise InvalidSpecError("a run's embedded problem differs from the top-level "
-                                   "one; all runs need one shared problem")
-        configs.append(SolverConfig.from_json_dict({**run_data, **overrides}))
+    configs = [SolverConfig.from_json_dict({**run_data, **overrides})
+               for run_data in run_datas]
     obj = spec.build()
     x0_spec = args.x0 if args.x0 is not None else file_data.get("x0")
     # one start for every run; run_solver copies it. Resolved before the
@@ -281,7 +272,6 @@ def _certify_report(args):
                                   num_samples=args.samples, seed=seed)
     else:
         report = certify.certify_growth_direct(obj, xbar, args.r, eta, phi,
-                                               factor=args.factor,
                                                num_samples=args.samples, seed=seed)
     report.notes = report.notes + tuple(notes)
     return report
@@ -321,10 +311,6 @@ def _cert_flags(add_own):
     return add
 
 
-def _add_growth_flags(parser):
-    _add_slice_flags(parser, factor=True)
-
-
 def _add_ppa_flags(parser):
     parser.add_argument("--x", required=True, help="start point as JSON")
     _add_gauge_flags(parser)
@@ -352,7 +338,7 @@ def _add_certify_commands(parser):
     sub.add_parser("kl", help="sharpness of the gauge derivative",
                    add_flags=_cert_flags(_add_slice_flags))
     sub.add_parser("growth", help="distance bounded by the gauged gap",
-                   add_flags=_cert_flags(_add_growth_flags))
+                   add_flags=_cert_flags(_add_slice_flags))
     sub.add_parser("growth-ppa", help="growth via proximal path lengths",
                    add_flags=_cert_flags(_add_ppa_flags))
     sub.add_parser("moreau", help="envelope growth exponent",

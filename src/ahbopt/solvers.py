@@ -239,15 +239,15 @@ def step(state, obj, cfg) -> SolverState:
 
     The returned state's ``record`` holds the measurements of the iterate
     stepped from. When the adaptive learning rate method meets a critical
-    point, ``state`` is returned unchanged with ``stop`` set.
+    point, the returned state stays at that iterate with ``stop`` set.
+    ``state`` itself is never changed.
     """
     m = state.x - state.x_prev
     m_sq = float(m.dot(m))
     fval, gap, y, g, g_sq, alpha, beta = _measure(_plan(cfg.method, obj), state, m, m_sq, obj, cfg)
     rec = _record(state, obj, fval, gap, g_sq, alpha, beta, m_sq)
     if alpha is None:
-        state.record, state.stop = rec, _STOP_CRITICAL
-        return state
+        return replace(state, record=rec, stop=_STOP_CRITICAL)
     nxt = replace(state, record=rec, stop=None)
     _advance(nxt, obj.lipschitz, gap, y, g, g_sq, m, alpha, beta)
     return nxt

@@ -13,7 +13,7 @@ from .errors import InvalidInputError, TraceParseError
 
 CSV_HEADER = "k,fval,gap,gnorm,alpha,beta,step_norm,dist"
 
-# one row each; %.17g is the format of _io.fmt, which round-trips any double
+# one row each; 17 significant digits round-trip any double
 _ROW = "%d" + ",%.17g" * 7
 _ROW_NO_DIST = "%d" + ",%.17g" * 6 + ","
 

@@ -206,7 +206,7 @@ def test_ball_points_drawn_together_equal_drawn_one_by_one(d):
 
 def test_growth_direct_abs_value_with_slop_factor():
     report = certify_growth_direct(make_abs_value(), [0.0], 1.0, 0.5,
-                                   HolderFunction(1.0, 1.0), factor=2.0)
+                                   HolderFunction(2.0, 1.0))
     assert report.violations == 0
     assert report.worst_ratio == pytest.approx(0.5)
 
@@ -240,14 +240,11 @@ def test_growth_direct_detects_wrong_gauge_on_quartic():
     assert good.worst_ratio == pytest.approx(1.0)
 
 
-def test_growth_direct_requires_oracle_and_positive_factor():
+def test_growth_direct_requires_a_solution_oracle():
     bare = Objective(dim=1, value_fn=lambda x: float(x[0]) ** 2)
     with pytest.raises(CapabilityError) as excinfo:
         certify_growth_direct(bare, [0.0], 1.0, 0.5, HolderFunction(1.0, 0.5))
     assert excinfo.value.missing == "solution_oracle"
-    with pytest.raises(InvalidInputError):
-        certify_growth_direct(make_abs_value(), [0.0], 1.0, 0.5,
-                              HolderFunction(1.0, 1.0), factor=0.0)
 
 
 def test_growth_via_ppa_quadratic_slacks():
@@ -409,14 +406,12 @@ def test_recursive_rate_rejects_non_finite_inputs(delta0, c, theta):
 
 @pytest.mark.parametrize("check", [
     lambda: HolderFunction(math.inf, 0.5),
-    lambda: certify_growth_direct(make_quadratic([1.0]), [0.0], 1.0, 0.5,
-                                  HolderFunction(1.0, 0.5), factor=math.inf),
     lambda: check_moreau_exponent(make_abs_value(), math.inf, [0.0], 0.5),
     lambda: certify_growth_via_ppa(make_quadratic([1.0]), [1.0], HolderFunction(1.0, 0.5),
                                    [1.0, math.inf]),
     lambda: certify_growth_via_ppa(make_quadratic([1.0]), [1.0], HolderFunction(1.0, 0.5),
                                    [math.nan]),
-], ids=["phi-c", "factor", "lam", "tau-inf", "tau-nan"])
+], ids=["phi-c", "lam", "tau-inf", "tau-nan"])
 def test_non_finite_constants_are_rejected(check):
     with pytest.raises(InvalidInputError, match="finite"):
         check()
@@ -445,6 +440,16 @@ def test_recursive_rate_known_envelope_constant():
     assert c_tilde == pytest.approx(9.98, abs=0.05)
     assert slope == pytest.approx(-1.0, abs=0.05)
     assert report.violations == 0
+
+
+def test_recursive_rate_counts_terms_above_the_closed_form_bound(monkeypatch):
+    # a sequence that decays with c / 10 lies above the bound for c at every k > 0
+    damped = certify._damped_sequence
+    monkeypatch.setattr(certify, "_damped_sequence",
+                        lambda delta0, c, theta, n: damped(delta0, c / 10.0, theta, n))
+    report = verify_recursive_rate(1.0, 0.1, 2.0, 2000)
+    assert report.checked == 2001
+    assert report.violations == 2000
 
 
 def test_recursive_rate_validation():

@@ -223,7 +223,7 @@ OTHER_HELP_DIGESTS = {
     "": "0ac7cad0d12421eebcac60a32c3bc295927d696d97165f80223e0aeb01f60773",
     "certify": "74bcb9416fb750cf2c9b87d9d9521cbedeb527f140ad17dbef5cf9984a21a9c4",
     "certify kl": "155e433c74c48ba71e7f0679c79e9b756fbcc60c7849a776697dab9f5b9d963b",
-    "certify growth": "9553c3fe2aab452054c27c935d0d48d5b41baf40a1cf94e91c63630a8b3a71d7",
+    "certify growth": "b4b6330e5a4e0abc9776738933a748154b5b6045333e80a30b3cd747af10a764",
     "certify growth-ppa": "307ff85e6465dae0c2cd4579ce957b8cceb597ecb551e1d837397aaa7d400675",
     "certify moreau": "e524e9255b630051d59e7e75c052839dadb6abed8b6ea28e152f778fac5526f3",
     "certify rate": "be3d9d83de5d0659bae43de87bcc8945a6a15fd660c9e9267dd1b9270a25d26f",
@@ -241,24 +241,9 @@ def test_other_command_help_is_pinned(command, monkeypatch, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == OTHER_HELP_DIGESTS[command]
 
 
-def test_compare_rejects_disagreeing_embedded_problems(tmp_path, capsys):
-    config = {
-        "problem": {"kind": "quadratic", "params": {"spectrum": [1.0]}},
-        "runs": [
-            {"method": "gd",
-             "problem": {"kind": "quadratic", "params": {"spectrum": [2.0]}}},
-        ],
-        "out_dir": str(tmp_path),
-    }
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(config))
-    assert main(["compare", "--config", str(cfg_path)]) == 1
-    assert "shared problem" in capsys.readouterr().err
-
-
 def test_certify_growth_passes_with_slop_factor(capsys):
     code = main(["certify", "growth", "--problem", "abs_value",
-                 "--phi-alpha", "1.0", "--factor", "2.0"])
+                 "--phi-alpha", "1.0", "--phi-c", "2.0"])
     assert code == 0
     report = _json_stdout(capsys)
     assert report["violations"] == 0
@@ -637,19 +622,22 @@ def test_compare_outputs_are_bitwise_golden(record_every, tmp_path, capsys):
     assert hashlib.sha256(blob).hexdigest() == COMPARE_DIGESTS[record_every]
 
 
-def test_solve_rejects_a_disagreeing_embedded_problem(tmp_path, capsys):
-    config = {
-        "problem": {"kind": "quadratic", "params": {"spectrum": [1.0]}},
-        "runs": [{"method": "gd",
-                  "problem": {"kind": "quadratic", "params": {"spectrum": [2.0]}}}],
-        "out_dir": str(tmp_path / "out"),
-    }
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("problem", [
+    {"kind": "quadratic"}, {"kind": "quadratic", "params": {"spectrum": [2.0]}},
+    [], 0, "",
+], ids=["equal", "different", "list", "zero", "empty-string"])
+def test_a_run_problem_is_an_unknown_solver_config_key(problem, command, tmp_path, capsys):
+    # a run's config holds solver settings only; the problem is said once, at the top
+    config = {"problem": {"kind": "quadratic"},
+              "runs": [{"method": "gd", "problem": problem}],
+              "out_dir": str(tmp_path / "out")}
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(config))
-    assert main(["solve", "--config", str(cfg_path)]) == 1
+    assert main([command, "--config", str(cfg_path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "shared problem" in err and "compare" not in err
+    assert err == "error: unknown solver config keys: ['problem']\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -706,9 +694,9 @@ def test_certify_point_that_is_not_numbers_is_a_config_error(argv, capsys):
     ["moreau", "--problem", "abs_value", "--lam", "inf"],
     ["growth-ppa", "--problem", "quadratic", "--x", "[1.0]", "--tau-list", "1,inf"],
     ["kl", "--problem", "quadratic", "--phi-c", "inf"],
-    ["growth", "--problem", "quadratic", "--factor", "inf"],
+    ["growth", "--problem", "quadratic", "--phi-c", "inf"],
 ], ids=["rate-delta0", "rate-theta", "kl-r", "growth-r", "moreau-r", "moreau-lam",
-        "growth-ppa-tau", "kl-phi-c", "growth-factor"])
+        "growth-ppa-tau", "kl-phi-c", "growth-phi-c"])
 def test_certify_non_finite_input_is_a_config_error_before_sampling(argv, monkeypatch,
                                                                      capsys):
     def no_draws(*args):
@@ -719,30 +707,6 @@ def test_certify_non_finite_input_is_a_config_error_before_sampling(argv, monkey
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
-
-
-@pytest.mark.parametrize("command", ["solve", "compare"])
-def test_embedded_problem_that_omits_params_matches_the_top_level_one(command, tmp_path,
-                                                                      capsys):
-    # both sides get the default params, so the two specs agree
-    config = {"problem": {"kind": "quadratic"},
-              "runs": [{"method": "gd", "problem": {"kind": "quadratic"}}],
-              "out_dir": str(tmp_path)}
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(config))
-    assert main([command, "--config", str(cfg_path)]) == 0
-    assert capsys.readouterr().err == ""
-    assert (tmp_path / "gd.csv").exists()
-
-
-@pytest.mark.parametrize("problem", [[], 0, ""], ids=["list", "zero", "empty-string"])
-def test_embedded_problem_that_is_not_an_object_is_a_config_error(problem, tmp_path,
-                                                                 capsys):
-    config = {"runs": [{"method": "gd", "problem": problem}], "out_dir": str(tmp_path / "out")}
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(config))
-    assert main(["solve", "--problem", "quadratic", "--config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err == "error: problem spec must be an object\n"
 
 
 @pytest.mark.parametrize("params, message", [

@@ -154,8 +154,6 @@ def _certify_argvs(draw):
                  f"--seed={draw(st.integers(0, 2 ** 32))}"]
     if command in ("kl", "growth"):
         argv.append(f"--eta={draw(_flag(_positive))!r}")
-    if command == "growth":
-        argv.append(f"--factor={draw(_flag(_positive))!r}")
     if command == "moreau":
         argv.append(f"--lam={draw(_flag(_positive))!r}")
     else:

@@ -144,6 +144,14 @@ def test_alrhb_stops_at_critical_point():
     assert trace.records[-1].gap == 0.0
 
 
+def test_alrhb_step_at_a_critical_point_leaves_its_input_unchanged():
+    s0 = initial_state(np.zeros(1))
+    s1 = step(s0, make_quadratic([1.0]), SolverConfig(method="alrhb"))
+    assert s1 is not s0
+    assert s1.stop == "critical_point" and s1.record.gap == 0.0 and s1.k == 0
+    assert s0.record is None and s0.stop is None and s0.k == 0
+
+
 def test_alrhb_step_collapses_without_gap_or_momentum():
     # zero gap with a nonzero gradient isolates the 1/(2L) term
     flat = Objective(dim=1, value_fn=lambda x: 0.0,

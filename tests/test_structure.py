@@ -1,5 +1,6 @@
 """Structural rules of the package source: no import cycles inside the
-package, and no module reaching for another module's private names."""
+package, no module reaching for another module's private names, and no
+definition that only the tests read."""
 
 import ast
 import pathlib
@@ -60,6 +61,29 @@ def _scan(sources):
     return edges, private
 
 
+def _unread(sources, public):
+    """The top-level functions, classes and assigned names, as
+    ``module.name``, that no module of ``sources`` reads and ``public``
+    does not list. A read is a load of the bare name or of an attribute
+    of that name anywhere in any module; dunder names are exempt."""
+    read, defined = set(), []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, ast.Assign):
+                defined += [(module, sub.id) for target in node.targets
+                            for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read and name not in public and not name.startswith("__"))
+
+
 def _cycle(edges):
     """One import cycle as a list of modules, or None."""
     state = {}
@@ -112,3 +136,11 @@ def test_the_scan_sees_cycles_and_private_names():
                        "__init__": []}
     assert _cycle(edges) == ["a", "b", "a"]
     assert _cycle({"a": {"b"}, "b": set()}) is None
+
+
+def test_every_definition_is_read_by_the_package_or_public():
+    assert _unread(_package_sources(), set(ahbopt.__all__)) == []
+    assert _unread({
+        "a": "X, Y = 1, 2\ndef f():\n    return Y\n__all__ = []\n",
+        "b": "from . import a\na.g()\ndef g():\n    pass\nclass C:\n    pass\n",
+    }, {"C"}) == ["a.X", "a.f"]

@@ -18,8 +18,12 @@ from ahbopt import (
     summarize,
     write_csv,
 )
-from ahbopt._io import fmt
 from ahbopt.trace import CSV_HEADER
+
+
+def fmt(value) -> str:
+    # the reference format of one CSV field: 17 significant digits
+    return f"{float(value):.17g}"
 
 
 def record(k, **kwargs):
