@@ -40,6 +40,7 @@ from .errors import (CapabilityError, EmptyRegionError, InvalidInputError,
                      NumericalFailureError)
 from .objective import euclidean_norm
 from .prox import moreau_value, ppa_run
+from .trace import fit_line
 
 REL_TOL = 1e-9
 
@@ -228,12 +229,6 @@ def _slice_check(obj, xbar, r, eta, num_samples, seed, judge) -> CertReport:
                       trials=trials, notes=_shortfall_notes(len(kept), num_samples, trials))
 
 
-def _line_fit(t, y):
-    """Least squares line y ~ coef[0] * t + coef[1] and its RMS misfit."""
-    coef = np.polyfit(t, y, 1)
-    return coef, float(np.sqrt(np.mean((y - np.polyval(coef, t)) ** 2)))
-
-
 def _min_subgradient_norm_fn(obj):
     # called on the float rows the sampler keeps
     if obj.gradient_fn is not None:
@@ -332,7 +327,7 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
             limit = 2.0 * phi(gap0) - dist0
             terms = np.array([row["slack"] - limit for row in per_tau])
             if np.all(terms > 0):
-                coef, resid = _line_fit(np.log(taus), np.log(terms))
+                coef, resid = fit_line(np.log(taus), np.log(terms))
                 exponent = float(coef[0])
                 fitted = (float(math.exp(coef[1])), exponent, resid)
                 if abs(exponent - 0.5) > 0.05:
@@ -357,15 +352,10 @@ def fit_growth_exponent(samples) -> tuple:
         raise InvalidInputError("need at least 8 (gap, dist) samples")
     if any(g <= 0 or d <= 0 for g, d in pairs):
         raise InvalidInputError("gaps and distances must be positive")
-    log_gap = np.log([g for g, _ in pairs])
-    log_dist = np.log([d for _, d in pairs])
-    design = np.column_stack([np.ones_like(log_gap), log_gap])
-    coef, *_ = np.linalg.lstsq(design, log_dist, rcond=None)
-    residuals = log_dist - design @ coef
-    margin = max(0.0, float(residuals.max()))
-    c = math.exp(float(coef[0])) * (1.0 + margin)
-    rms = float(np.sqrt(np.mean(residuals ** 2)))
-    return c, float(coef[1]), rms
+    log_gap, log_dist = np.log(pairs).T
+    coef, rms = fit_line(log_gap, log_dist)
+    margin = max(0.0, float((log_dist - np.polyval(coef, log_gap)).max()))
+    return math.exp(float(coef[1])) * (1.0 + margin), float(coef[0]), rms
 
 
 def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertReport:
@@ -439,11 +429,14 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     delta_k <= (delta0^(1-theta) + c * (theta-1) * k)^(-1/(theta-1)),
     which follows from t^(-theta) >= delta_k^(-theta) on
     [delta_{k+1}, delta_k]; it is checked in log form with a slack of
-    1e-12. The fitted envelope constant is the observed max of
-    delta_k * (1+k)^(1/(theta-1)); the witness records where it is
-    attained and the fitted slope (trailing decade of the log-log
-    curve) is informational. A term that overflows or leaves [0, inf),
-    or an envelope constant that is not finite, raises
+    1e-12, over the terms at or above the smallest normal float (below
+    it the float recursion stalls while the bound keeps falling). The
+    fitted envelope constant C is the observed max of
+    delta_k * (1+k)^(1/(theta-1)), or None beyond the float range; the
+    witness records where it is attained and the fitted slope (trailing
+    decade of the log-log curve, over its positive terms) is
+    informational. ``fitted`` is None when fewer than two positive tail
+    terms remain. A term that overflows or leaves [0, inf) raises
     NumericalFailureError.
     """
     delta0, c, theta = float(delta0), float(c), float(theta)
@@ -473,51 +466,28 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     deltas = _damped_sequence(delta0, c, theta, num_steps)
     exponent = 1.0 / (theta - 1.0)
     ks = np.arange(num_steps + 1, dtype=float)
-    weighted = deltas * (1.0 + ks) ** exponent
+    # (1 + k)^(1/(theta-1)) overflows for theta near 1, and log 0 is -inf
+    # at k = 0 and at a zero term, whose envelope is 0 whatever its weight
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weighted = np.where(deltas > 0.0, deltas * (1.0 + ks) ** exponent, 0.0)
+        log_deltas, log_ks = np.log(deltas), np.log(ks)
     c_tilde = float(weighted.max())
     k_star = int(weighted.argmax())
-    if not math.isfinite(c_tilde):
-        # (1 + k)^(1/(theta-1)) overflows for theta near 1; an infinite
-        # envelope would bound every term and certify nothing
-        raise NumericalFailureError(
-            k_star, f"the envelope weight at step {k_star} is {c_tilde}, not finite")
     # the bound as log delta0 - log(1 + q (theta-1) k) / (theta-1) with
     # q = c * delta0^(theta-1), so that no power overflows for theta near 1
-    # or far above it; log 0 is -inf at k = 0 and at a zero term
-    with np.errstate(divide="ignore"):
-        log_deltas, log_ks = np.log(deltas), np.log(ks)
+    # or far above it
     log_q = math.log(c) + (theta - 1.0) * math.log(delta0)
     log_bound = (math.log(delta0)
                  - np.logaddexp(0.0, log_q + math.log(theta - 1.0) + log_ks) * exponent)
-    violations = int(np.sum(log_deltas > log_bound + 1e-12))
+    violations = int(np.sum((deltas >= _TINY) & (log_deltas > log_bound + 1e-12)))
     # at least two points, so that the slope is defined
     tail_lo = min(max(num_steps // 10, 1), num_steps - 1)
     tail = slice(tail_lo, num_steps + 1)
-    coef, resid = _line_fit(np.log(1.0 + ks[tail]), np.log(deltas[tail]))
+    positive = deltas[tail] > 0.0
+    fitted = None
+    if np.count_nonzero(positive) >= 2:
+        coef, resid = fit_line(np.log(1.0 + ks[tail][positive]), log_deltas[tail][positive])
+        fitted = (c_tilde if math.isfinite(c_tilde) else None, float(coef[0]), resid)
     return CertReport(checked=num_steps + 1, violations=violations, worst_ratio=1.0,
-                      witness=[float(k_star)], fitted=(c_tilde, float(coef[0]), resid))
+                      witness=[float(k_star)], fitted=fitted)
 
-
-def fit_rate_from_trace(trace, model, k_min=None, k_max=None) -> tuple:
-    """Fit the dist column of a trace.
-
-    ``model="linear"`` regresses log dist on k and returns the per-step
-    contraction factor; ``model="power"`` regresses log dist on
-    log(k + 1) and returns the exponent. Both return (value, residual)
-    with the RMS log-domain misfit, and need at least 8 records with
-    positive finite distances inside [k_min, k_max].
-    """
-    if model not in ("linear", "power"):
-        raise InvalidInputError("model must be 'linear' or 'power'")
-    rows = [(r.k, r.dist) for r in trace.records
-            if r.dist is not None and math.isfinite(r.dist) and r.dist > 0
-            and (k_min is None or r.k >= k_min)
-            and (k_max is None or r.k <= k_max)]
-    if len(rows) < 8:
-        raise InvalidInputError("need at least 8 positive distance records to fit")
-    ks = np.array([k for k, _ in rows], dtype=float)
-    log_dist = np.log([d for _, d in rows])
-    abscissa = ks if model == "linear" else np.log(ks + 1.0)
-    coef, resid = _line_fit(abscissa, log_dist)
-    value = math.exp(coef[0]) if model == "linear" else float(coef[0])
-    return value, resid

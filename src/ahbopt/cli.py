@@ -285,8 +285,8 @@ def cmd_certify(args) -> int:
 
 def cmd_fit_rate(args) -> int:
     fitted_trace = trace.read_csv(args.trace)
-    value, residual = certify.fit_rate_from_trace(fitted_trace, args.model,
-                                                  k_min=args.k_min, k_max=args.k_max)
+    value, residual = trace.fit_rate_from_trace(fitted_trace, args.model,
+                                                k_min=args.k_min, k_max=args.k_max)
     key = "rho" if args.model == "linear" else "exponent"
     sys.stdout.write(json_text({"model": args.model, key: value, "residual": residual}))
     return EXIT_OK

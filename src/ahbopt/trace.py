@@ -1,13 +1,18 @@
-"""Per-iteration records, trace persistence, and run summaries."""
+"""Per-iteration records, trace persistence, run summaries, and the
+fits: ``fit_line``, the one least squares line fitter that every log-linear
+fit in the package shares, and ``fit_rate_from_trace``, the contraction
+factor or power-law exponent of a trace's dist column."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import certify
+import numpy as np
+
 from ._io import atomic_write, json_text, json_value
 from .errors import InvalidInputError, TraceParseError
 
@@ -118,8 +123,39 @@ def summarize(trace) -> dict:
     for model, key, name in (("linear", "linear_rate", "rho"),
                              ("power", "power_rate", "exponent")):
         try:
-            value, residual = certify.fit_rate_from_trace(trace, model)
+            value, residual = fit_rate_from_trace(trace, model)
         except InvalidInputError:
             continue
         summary[key] = {name: value, "residual": residual}
     return summary
+
+
+def fit_line(t, y):
+    """Least squares line y ~ coef[0] * t + coef[1] and its RMS misfit."""
+    coef = np.polyfit(t, y, 1)
+    return coef, float(np.sqrt(np.mean((y - np.polyval(coef, t)) ** 2)))
+
+
+def fit_rate_from_trace(trace, model, k_min=None, k_max=None) -> tuple:
+    """Fit the dist column of a trace.
+
+    ``model="linear"`` regresses log dist on k and returns the per-step
+    contraction factor; ``model="power"`` regresses log dist on
+    log(k + 1) and returns the exponent. Both return (value, residual)
+    with the RMS log-domain misfit, and need at least 8 records with
+    positive finite distances inside [k_min, k_max].
+    """
+    if model not in ("linear", "power"):
+        raise InvalidInputError("model must be 'linear' or 'power'")
+    rows = [(r.k, r.dist) for r in trace.records
+            if r.dist is not None and math.isfinite(r.dist) and r.dist > 0
+            and (k_min is None or r.k >= k_min)
+            and (k_max is None or r.k <= k_max)]
+    if len(rows) < 8:
+        raise InvalidInputError("need at least 8 positive distance records to fit")
+    ks = np.array([k for k, _ in rows], dtype=float)
+    log_dist = np.log([d for _, d in rows])
+    abscissa = ks if model == "linear" else np.log(ks + 1.0)
+    coef, resid = fit_line(abscissa, log_dist)
+    value = math.exp(coef[0]) if model == "linear" else float(coef[0])
+    return value, resid

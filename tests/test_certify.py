@@ -452,6 +452,21 @@ def test_recursive_rate_counts_terms_above_the_closed_form_bound(monkeypatch):
     assert report.violations == 2000
 
 
+@pytest.mark.parametrize("delta0, c, theta, num_steps", [
+    (1e-300, 0.99, 1.01, 3000),  # (1 + k)^100 overflows from k = 1209
+    (1.0, 0.5, 1.0 + 1e-7, 2000),  # (1 + k)^(1e7) overflows from k = 1
+])
+def test_recursive_rate_near_theta_one_counts_terms_above_the_bound(monkeypatch, delta0, c,
+                                                                   theta, num_steps):
+    damped = certify._damped_sequence
+    monkeypatch.setattr(certify, "_damped_sequence",
+                        lambda delta0, c, theta, n: damped(delta0, c / 10.0, theta, n))
+    report = verify_recursive_rate(delta0, c, theta, num_steps)
+    assert report.checked == num_steps + 1
+    assert report.violations == num_steps
+    assert report.fitted[0] is None
+
+
 def test_recursive_rate_validation():
     with pytest.raises(InvalidInputError):
         verify_recursive_rate(-1.0, 0.5, 2.0, 10)
@@ -604,12 +619,13 @@ def _certify_suite_argvs(seed):
 
 
 # SHA-256 over the exit code and stdout of each certify-suite command, as
-# printed before the sampling checks shared one sampler and one judge loop.
+# printed before the sampling checks shared one sampler and one judge loop;
+# the two moreau reports as fitted by the one line fitter, ``trace.fit_line``.
 CERTIFY_SUITE_DIGESTS = {
-    1: "acd76649a540a20078ab5f9079b685ee68a2e2a6e3f5aa5cce99103e3a5ed8c7",
-    2: "728e6c291473061d01776b5d8d3c4f1bddf2d205581cef1540372456da3ed881",
-    3: "347cfb5e2ffd16c27f2d154ab8866b193435c9613f1df579925ceb2c689e61e8",
-    4: "943a3bf259313a303f8f4f6f2fb735c9c3fc2a58960d0fd16762dd6a1b8f392d",
+    1: "7661ff81920d73079f10906cc0f49bfb4b5a912603491832ca4094b21f8442e7",
+    2: "d8b6efa614bfce6947997ed6c305226825748fa9105a3818b54808e72f056a16",
+    3: "28b5ca8b057d9cbc8dc6ca8480fcfa0577ad6f14ad8c138be644d2c69ea87366",
+    4: "a2d4813bba21fca83c051d01d80a2dfa77f63ecc805709298df4a87093d003fd",
 }
 
 
@@ -626,7 +642,7 @@ def test_certify_suite_reports_are_golden(seed, capsys):
 POWER_REPORT_DIGESTS = {
     "kl": "410fd24d26744ccaffd3abdf6b3fc7d041e61602f7a100d83eb17177503f7fcb",
     "kl-at-cap": "c097bbbfbb10d6ea2b9aba1e0eb3a316f3c0c1137222e96daea303f65c6e5c4d",
-    "moreau": "6edb99ad6eef75e635ade3d223414e1038e29ba93de9949f5b7c78c97bb0d797",
+    "moreau": "f55b1c9cc47fd23409f1d5ca241855a29c4b7a98e6af123ae06df51fc9027549",
 }
 
 

@@ -794,13 +794,50 @@ def test_certify_rate_whose_recursion_overflows_is_a_numerical_failure(capsys):
     assert err == "numerical failure: delta_0^theta overflows at step 1\n"
 
 
-def test_certify_rate_whose_envelope_overflows_is_a_numerical_failure(capsys):
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_certify_rate_whose_envelope_overflows_reports_a_null_constant(capsys):
+    # (1 + k)^100 leaves the float range at k = 1209; the closed-form bound,
+    # not the envelope, decides the violations
     code = main(["certify", "rate", "--delta0", "1e-300", "--c", "0.99", "--theta", "1.01",
                  "--steps", "3000"])
-    assert code == 2
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "numerical failure: the envelope weight at step 1209 is inf, not finite\n"
+    assert (code, err) == (0, "")
+    report = _strict_json(out)
+    assert report["fitted"]["C"] is None and math.isfinite(report["fitted"]["alpha"])
+    assert (report["checked"], report["violations"], report["witness"]) == (3001, 0, [1209.0])
+
+
+def test_certify_rate_without_two_positive_tail_terms_reports_no_fit(capsys):
+    # the sequence falls by about 100x a step and reaches 0 near k = 12
+    code = main(["certify", "rate", "--delta0", "1e-300", "--c", "0.99",
+                 "--theta", "1.00000001", "--steps", "2000"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    report = _strict_json(out)
+    assert (report["fitted"], report["violations"]) == (None, 0)
+
+
+def test_certify_rate_certifies_contracting_sequences_across_the_float_range(capsys):
+    # theta - 1 log-uniform in [1e-8, 32], delta0 log-uniform in [1e-5, 100]
+    # and c * delta0^(theta - 1) uniform in [0.01, 0.99]: near theta = 1 the
+    # envelope weight overflows, and far above it the terms stall at a
+    # subnormal float that the bound passes
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        theta = 1.0 + math.exp(rng.uniform(math.log(1e-8), math.log(32.0)))
+        delta0 = math.exp(rng.uniform(math.log(1e-5), math.log(100.0)))
+        c = rng.uniform(0.01, 0.99) / delta0 ** (theta - 1.0)
+        argv = ["certify", "rate", "--delta0", repr(delta0), "--c", repr(c),
+                "--theta", repr(theta), "--steps", "2000"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), argv
+        assert _strict_json(out)["violations"] == 0, argv
 
 
 def test_certify_moreau_with_infinite_envelope_gaps_is_a_config_error(capfd):

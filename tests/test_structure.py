@@ -1,6 +1,7 @@
 """Structural rules of the package source: no import cycles inside the
-package, no module reaching for another module's private names, and no
-definition that only the tests read."""
+package, each module importing only the layers below it, no module
+reaching for another module's private names, and no definition that only
+the tests read."""
 
 import ast
 import pathlib
@@ -9,6 +10,10 @@ import ahbopt
 
 PACKAGE = "ahbopt"
 SOURCE = pathlib.Path(ahbopt.__file__).parent
+
+# the package's layers, lowest first; a module imports only earlier ones
+LAYERS = ("errors", "_io", "_radon", "objective", "prox", "trace", "solvers", "certify",
+          "cli", "__main__", "__init__")
 
 
 def _private(name):
@@ -116,6 +121,15 @@ def test_the_package_imports_have_no_cycle():
     edges, _ = _scan(_package_sources())
     assert edges["__init__"] >= {"certify", "objective", "solvers", "trace"}
     assert _cycle(edges) is None
+
+
+def test_each_module_imports_only_lower_layers():
+    sources = _package_sources()
+    assert sorted(sources) == sorted(LAYERS)
+    edges, _ = _scan(sources)
+    upward = {(name, dep) for name, deps in edges.items() for dep in deps
+              if LAYERS.index(dep) > LAYERS.index(name)}
+    assert upward == set()
 
 
 def test_no_module_imports_or_reads_another_modules_private_names():
