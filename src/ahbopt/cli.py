@@ -66,9 +66,17 @@ def _json_flag(text):
         raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from exc
 
 
+def _seed_flag(text):
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
+    return seed
+
+
 def _add_problem_flags(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="fallback seed for problem construction and sampling")
     parser.add_argument("--problem", choices=PROBLEM_KINDS, default=None,
                         help="built-in problem kind")
     parser.add_argument("--params", type=_json_flag, default=None,
@@ -89,12 +97,17 @@ def _add_gauge_flags(parser):
     parser.add_argument("--phi-alpha", dest="phi_alpha", type=float, default=0.5)
 
 
+def _add_sample_flags(parser, samples):
+    parser.add_argument("--samples", type=int, default=samples)
+    parser.add_argument("--seed", type=_seed_flag, default=0, help="seed for the sampled points")
+
+
 def _add_slice_flags(parser):
     parser.add_argument("--xbar", default="zeros")
     parser.add_argument("--r", type=float, default=1.0)
     parser.add_argument("--eta", type=float, default=1.0)
     _add_gauge_flags(parser)
-    parser.add_argument("--samples", type=int, default=200)
+    _add_sample_flags(parser, 200)
 
 
 def _load_config_file(path):
@@ -118,8 +131,6 @@ def _problem_from(args, file_data):
         raise InvalidSpecError("problem spec must be an object")
     spec_data = dict(spec_data)
     if args.problem is not None:
-        if spec_data.get("kind") not in (None, args.problem):
-            spec_data.pop("params", None)
         spec_data["kind"] = args.problem
     if "kind" not in spec_data:
         raise InvalidSpecError("no problem kind given; pass --problem or give the "
@@ -131,8 +142,6 @@ def _problem_from(args, file_data):
         spec_data["params"] = dict(_DEFAULT_PARAMS[spec_data["kind"]])
     if args.problem_seed is not None:
         spec_data["seed"] = args.problem_seed
-    elif "seed" not in spec_data and args.seed is not None:
-        spec_data["seed"] = args.seed
     return ProblemSpec.from_dict(spec_data)
 
 
@@ -142,21 +151,26 @@ def _solver_overrides(args):
             if getattr(args, f.name, None) is not None}
 
 
-def _resolve_x0(x0_spec, dim, fallback_seed):
+def _resolve_x0(x0_spec, dim):
     if x0_spec in (None, "zeros"):
         return np.zeros(dim), None
     if isinstance(x0_spec, str):
         x0_spec = json_value(x0_spec)
     if not isinstance(x0_spec, dict):
         raise InvalidSpecError('x0 must be "zeros" or an object with seed and norm')
+    extra = set(x0_spec) - {"kind", "seed", "norm"}
+    if extra:
+        raise InvalidSpecError(f"unknown x0 keys: {sorted(extra)}")
     kind = x0_spec.get("kind", "seeded_random")
     if kind != "seeded_random":
         raise InvalidSpecError(f"unknown x0 kind '{kind}'")
-    seed = x0_spec.get("seed", 0 if fallback_seed is None else fallback_seed)
+    seed = x0_spec.get("seed", 0)
     norm = x0_spec.get("norm", 1.0)
     if not all(type(v) in (int, float) for v in (seed, norm)) or seed % 1 != 0:
         raise InvalidSpecError(f"x0 needs an integer seed and a numeric norm, got {x0_spec}")
     seed, norm = int(seed), float(norm)
+    if seed < 0:
+        raise InvalidSpecError(f"x0 seed must be nonnegative, got {seed}")
     if not math.isfinite(norm) or norm < 0.0:
         raise InvalidSpecError(f"x0 norm must be finite and non-negative, got {norm}")
     rng = np.random.default_rng(seed)
@@ -204,7 +218,7 @@ def _run_methods(args, default_runs) -> int:
     x0_spec = args.x0 if args.x0 is not None else file_data.get("x0")
     # one start for every run; run_solver copies it. Resolved before the
     # output directory exists, so a rejected start leaves no directory behind.
-    x0, x0_seed = _resolve_x0(x0_spec, obj.dim, args.seed)
+    x0, x0_seed = _resolve_x0(x0_spec, obj.dim)
     out_dir = _out_dir(args, file_data)
     summaries, seen = {}, {}
     for cfg in configs:
@@ -241,40 +255,24 @@ def _parse_point(text, dim):
     return arr
 
 
-def _finite_eta(args, notes):
-    if args.eta == math.inf:
-        # the slice sampler needs a finite band; substitute a huge one
-        notes.append("eta was infinite; used surrogate 1e300")
-        return 1e300
-    return args.eta
-
-
 def _certify_report(args):
     if args.certify_cmd == "rate":
         # the recursion check is self-contained; no problem needed
         return certify.verify_recursive_rate(args.delta0, args.c, args.theta, args.steps)
     spec = _problem_from(args, {})
     obj = spec.build()
-    seed = args.seed if args.seed is not None else 0
     if args.certify_cmd == "moreau":
         return certify.check_moreau_exponent(obj, args.lam,
                                              _parse_point(args.xbar, obj.dim),
-                                             args.r, num_samples=args.samples, seed=seed)
+                                             args.r, num_samples=args.samples, seed=args.seed)
     phi = certify.HolderFunction(c=args.phi_c, alpha=args.phi_alpha)
     if args.certify_cmd == "growth-ppa":
         taus = [float(t) for t in args.tau_list.split(",") if t]
         return certify.certify_growth_via_ppa(obj, _parse_point(args.x, obj.dim),
                                               phi, taus, num_steps=args.steps)
-    notes = []
-    xbar, eta = _parse_point(args.xbar, obj.dim), _finite_eta(args, notes)
-    if args.certify_cmd == "kl":
-        report = certify.check_kl(obj, xbar, args.r, eta, phi,
-                                  num_samples=args.samples, seed=seed)
-    else:
-        report = certify.certify_growth_direct(obj, xbar, args.r, eta, phi,
-                                               num_samples=args.samples, seed=seed)
-    report.notes = report.notes + tuple(notes)
-    return report
+    check = certify.check_kl if args.certify_cmd == "kl" else certify.certify_growth_direct
+    return check(obj, _parse_point(args.xbar, obj.dim), args.r, args.eta, phi,
+                 num_samples=args.samples, seed=args.seed)
 
 
 def cmd_certify(args) -> int:
@@ -322,7 +320,7 @@ def _add_moreau_flags(parser):
     parser.add_argument("--lam", type=float, default=1.0)
     parser.add_argument("--xbar", default="zeros")
     parser.add_argument("--r", type=float, default=0.5)
-    parser.add_argument("--samples", type=int, default=100)
+    _add_sample_flags(parser, 100)
 
 
 def _add_rate_flags(parser):

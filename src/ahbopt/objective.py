@@ -156,6 +156,8 @@ class ProblemSpec:
         if not isinstance(self.params, dict):
             raise InvalidSpecError("params must be a mapping")
         seed = _as_int("problem seed", self.seed)
+        if seed < 0:
+            raise InvalidSpecError(f"problem seed must be nonnegative, got {seed}")
         # frozen: the copy and the int go in through object.__setattr__
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "seed", seed)

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ahbopt import IterationRecord, Trace, certify, read_csv, write_csv
+from ahbopt import IterationRecord, ProblemSpec, Trace, certify, read_csv, write_csv
 from ahbopt.cli import build_parser, main
 
 
@@ -41,13 +41,82 @@ def test_solve_writes_trace_summary_and_meta(tmp_path, capsys):
 
 
 def test_solve_seeded_start_is_reproducible(tmp_path):
-    argv = ["solve", "--problem", "least_squares", "--seed", "5",
+    argv = ["solve", "--problem", "least_squares", "--problem-seed", "5",
             "--x0", '{"seed": 11, "norm": 3.0}', "--max-iters", "40"]
     main(argv + ["--out", str(tmp_path / "a")])
     main(argv + ["--out", str(tmp_path / "b")])
     first = (tmp_path / "a" / "ahb.csv").read_bytes()
     second = (tmp_path / "b" / "ahb.csv").read_bytes()
     assert first == second
+
+
+def test_problem_seed_flag_builds_the_problem_of_the_config_seed(tmp_path, capsys):
+    x0 = {"seed": 4, "norm": 3.0}
+    assert main(["solve", "--problem", "least_squares", "--problem-seed", "3",
+                 "--x0", json.dumps(x0), "--max-iters", "40",
+                 "--out", str(tmp_path / "flag")]) == 0
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"problem": {"kind": "least_squares", "seed": 3},
+                                    "x0": x0, "out_dir": str(tmp_path / "file")}))
+    assert main(["solve", "--config", str(cfg_path), "--max-iters", "40"]) == 0
+    capsys.readouterr()
+    flag = (tmp_path / "flag" / "ahb.csv").read_bytes()
+    assert flag == (tmp_path / "file" / "ahb.csv").read_bytes()
+    sidecar = json.loads((tmp_path / "flag" / "ahb.csv.meta.json").read_text())
+    assert sidecar["problem"]["seed"] == 3
+
+
+def test_certify_sample_seed_leaves_the_problem_seed_at_zero(monkeypatch, capsys):
+    built, build = [], ProblemSpec.build
+
+    def build_and_keep(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(ProblemSpec, "build", build_and_keep)
+    for seed in ("1", "2"):
+        assert main(["certify", "growth", "--problem", "least_squares",
+                     "--samples", "5", "--seed", seed]) in (0, 3)
+    capsys.readouterr()
+    assert len(built) == 2 and built[0] == built[1]
+    assert built[0].seed == 0
+
+
+def test_problem_flag_sets_the_kind_and_keeps_the_config_params(tmp_path, capsys):
+    # the config's quadratic params go to the power factory, which rejects them
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "problem": {"kind": "quadratic", "params": {"spectrum": [1.0, 2.0]}},
+        "out_dir": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfg_path), "--problem", "power"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad parameters for 'power'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_start_key_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["solve", "--problem", "quadratic", "--x0", '{"seed": 1, "nrom": 5}',
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: unknown x0 keys: ['nrom']\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--problem", "quadratic", "--problem-seed", "-1"],
+     "problem seed must be nonnegative, got -1"),
+    (["solve", "--problem", "quadratic", "--x0", '{"seed": -3}'],
+     "x0 seed must be nonnegative, got -3"),
+    (["certify", "kl", "--problem", "quadratic", "--seed", "-1"],
+     "argument --seed: must be nonnegative, got -1"),
+], ids=["problem-seed", "x0-seed", "sample-seed"])
+def test_negative_seed_is_a_config_error_that_names_it(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + (["--out", str(out)] if argv[0] == "solve" else [])) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_solve_without_problem_is_a_config_error(tmp_path, capsys):
@@ -202,8 +271,8 @@ def test_config_key_that_nothing_reads_is_a_config_error(command, tmp_path, monk
 # SHA-256 of the help text at 80 columns (Python 3.11 argparse); the solver
 # flags are derived from SolverConfig and must print as they were written.
 HELP_DIGESTS = {
-    "compare": "4f3b0609446f58f8bf44f9b76cecaf21b7ae120e5de5e41f110830673bcf9af4",
-    "solve": "5429155cc17ae2aa71976702c198f4f387a756d26d9f6a6b620ebdce8255fca7",
+    "compare": "1d2b6599488755abd0fac856cae53c92158a8814f322d3362bcbc53cf5c4c0b1",
+    "solve": "6d73ad6b44ceb4596d1838c5e53480cecff26c572e56dbd8cf8deccc2d4e2c06",
 }
 
 
@@ -222,10 +291,10 @@ def test_solver_command_help_is_pinned(command, monkeypatch, capsys):
 OTHER_HELP_DIGESTS = {
     "": "0ac7cad0d12421eebcac60a32c3bc295927d696d97165f80223e0aeb01f60773",
     "certify": "74bcb9416fb750cf2c9b87d9d9521cbedeb527f140ad17dbef5cf9984a21a9c4",
-    "certify kl": "155e433c74c48ba71e7f0679c79e9b756fbcc60c7849a776697dab9f5b9d963b",
-    "certify growth": "b4b6330e5a4e0abc9776738933a748154b5b6045333e80a30b3cd747af10a764",
-    "certify growth-ppa": "307ff85e6465dae0c2cd4579ce957b8cceb597ecb551e1d837397aaa7d400675",
-    "certify moreau": "e524e9255b630051d59e7e75c052839dadb6abed8b6ea28e152f778fac5526f3",
+    "certify kl": "7ca9a45db9edd47d6e906eccf2ff50ea06be24f38c95995a102d32ab5d7f0b24",
+    "certify growth": "7f03783099c04531d0439513b1cf2a1df06891a333521ea38311e52fa26e0f5e",
+    "certify growth-ppa": "1eb00f0c325ff0977899f0054a025855bdbe368d61b9f25d4f28cb92a361841f",
+    "certify moreau": "0637a015863e7f5ead72f669a2ef496d44a7dce18bc12ad7b03b1ffa440c509a",
     "certify rate": "be3d9d83de5d0659bae43de87bcc8945a6a15fd660c9e9267dd1b9270a25d26f",
     "fit-rate": "0a370dbb1107d3332080a704d04b246969835a5309a96fad5326009f17524afa",
 }
@@ -289,17 +358,18 @@ def test_radon_beyond_the_ray_cap_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "ahb.csv").exists()
 
 
-def test_certify_infinite_eta_uses_surrogate_and_says_so(capsys):
-    code = main(["certify", "kl", "--problem", "abs_value",
-                 "--phi-alpha", "1.0", "--eta", "inf"])
-    assert code == 0
-    report = _json_stdout(capsys)
-    assert any("surrogate" in note for note in report["notes"])
+def test_certify_infinite_eta_is_a_config_error(capsys):
+    # +inf is no band: the slice needs a finite eta, and no surrogate stands in
+    for argv in (["kl", "--problem", "abs_value", "--phi-alpha", "1.0"],
+                 ["growth", "--problem", "quadratic", "--params", '{"spectrum": [1, 10]}',
+                  "--samples", "50"]):
+        code = main(["certify", *argv, "--eta", "inf"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: eta must be positive and finite\n")
 
 
 @pytest.mark.parametrize("command", ["kl", "growth"])
 def test_certify_negative_infinite_eta_is_a_config_error(command, capsys):
-    # only +inf is replaced by a surrogate band; -inf is not positive
     code = main(["certify", command, "--problem", "quadratic",
                  "--params", '{"spectrum": [1, 10]}', "--eta=-inf", "--samples", "50"])
     assert code == 1
@@ -894,7 +964,8 @@ def test_every_parsed_flag_is_read(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("compare", "--method"),
+    ("compare", "--method"), ("solve", "--seed"), ("compare", "--seed"),
+    ("certify growth-ppa", "--seed"),
     *[(f"certify {sub}", flag) for sub in ("kl", "growth", "growth-ppa", "moreau")
       for flag in ("--config", "--out")],
     ("fit-rate", "--config"), ("fit-rate", "--out"), ("fit-rate", "--seed"),
@@ -950,9 +1021,9 @@ def _record_bits(record):
       "--x0", '{"seed": 3, "norm": 2.0}', "--max-iters", "40"], True),
     (["solve", "--problem", "quadratic", "--params", '{"spectrum": [1.0, 10.0]}',
       "--x0", '{"seed": 3, "norm": 2.0}', "--max-iters", "40", "--record-every", "7"], True),
-    (["compare", "--problem", "least_squares", "--seed", "5",
+    (["compare", "--problem", "least_squares", "--problem-seed", "5",
       "--x0", '{"seed": 11, "norm": 3.0}', "--max-iters", "30", "--record-every", "4"], True),
-    (["compare", "--problem", "least_squares", "--seed", "2",
+    (["compare", "--problem", "least_squares", "--problem-seed", "2",
       "--params", '{"rows": 6, "cols": 9, "singular_values": [1, 0.5, 0.25, 0.1, 0.05, 0.01]}',
       "--x0", '{"seed": 1, "norm": 1.0}', "--max-iters", "25"], False),
     (["solve", "--problem", "radon", "--x0", '{"seed": 4, "norm": 1.0}',
