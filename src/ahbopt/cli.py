@@ -237,7 +237,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    return _run_methods(args, [{"method": m} for m in ("ahb", "alrhb", "nesterov", "gd")])
+    return _run_methods(args, [{"method": m} for m in METHODS])
 
 
 def _parse_point(text, dim):

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer check that
+raises them."""
 
 import copyreg
 
@@ -55,3 +56,16 @@ class TraceParseError(ToolkitError, ValueError):
     def __init__(self, message, line=None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
+
+
+def as_int(name, value, error=InvalidInputError) -> int:
+    """``value`` as an int: an integral float, or an integer type other
+    than bool (one with ``__index__``, such as a numpy integer). A bool, a
+    non-number, a fraction, NaN or +-inf raises ``error``."""
+    if isinstance(value, float):
+        integral = value.is_integer()
+    else:
+        integral = not isinstance(value, bool) and hasattr(type(value), "__index__")
+    if not integral:
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

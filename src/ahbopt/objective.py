@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, DeskScaleLimitError, InvalidInputError, InvalidSpecError
+from .errors import (CapabilityError, DeskScaleLimitError, InvalidInputError, InvalidSpecError,
+                     as_int)
 
 Array = np.ndarray
 
@@ -46,10 +47,7 @@ def euclidean_norm(v) -> float:
 
 
 def _as_int(name, value) -> int:
-    # a JSON int or an integral float: no bool, string or fraction
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
-        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return as_int(name, value, InvalidSpecError)
 
 
 @dataclass(frozen=True)
@@ -494,7 +492,7 @@ def lipschitz_estimate(obj, iters=500, tol=1e-10, seed=0) -> float:
     """
     if obj.matrix is None:
         raise CapabilityError("matrix")
-    iters = int(iters)
+    iters = as_int("iters", iters)
     if iters < 1:
         raise InvalidInputError("iters must be positive")
     if not tol > 0:

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, InnerSolveError, InvalidInputError, NumericalFailureError
+from .errors import (CapabilityError, InnerSolveError, InvalidInputError, NumericalFailureError,
+                     as_int)
 from .objective import euclidean_norm
 
 INNER_MAX_ITERS = 100_000
@@ -80,7 +81,7 @@ def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
     tau = float(tau)
     if not tau > 0:
         raise InvalidInputError("tau must be positive")
-    num_steps = int(num_steps)
+    num_steps = as_int("num_steps", num_steps)
     if num_steps < 0:
         raise InvalidInputError("num_steps must be nonnegative")
     points = [np.array(x0, dtype=float)]

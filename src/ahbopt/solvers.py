@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, InvalidInputError, NumericalFailureError
+from .errors import CapabilityError, InvalidInputError, NumericalFailureError, as_int
 from .trace import IterationRecord, Trace
 
 Array = np.ndarray
@@ -65,8 +65,8 @@ class SolverConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidInputError(f"{f.name} must be a number, got {value!r}")
-            if type(f.default) is int and value % 1 != 0:
-                raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
+            if type(f.default) is int:
+                as_int(f.name, value)
         if not 0.0 <= self.mu0 < 1.0:
             raise InvalidInputError("mu0 must lie in [0, 1)")
         if not self.beta_cap > 0.0:
@@ -168,9 +168,9 @@ def _alrhb(state, cfg, lipschitz, gap, g, g_sq, m, m_sq):
 # method: (rule, objective fields it requires, gradient taken at y = x + beta * m)
 _RULES = {
     "ahb": (_ahb, ("gradient_fn", "lipschitz", "min_value"), False),
-    "gd": (_gd, ("gradient_fn", "lipschitz"), False),
-    "nesterov": (_nesterov, ("gradient_fn", "lipschitz"), True),
     "alrhb": (_alrhb, ("gradient_fn", "lipschitz", "min_value"), False),
+    "nesterov": (_nesterov, ("gradient_fn", "lipschitz"), True),
+    "gd": (_gd, ("gradient_fn", "lipschitz"), False),
 }
 
 METHODS = tuple(_RULES)

@@ -269,10 +269,11 @@ def test_config_key_that_nothing_reads_is_a_config_error(command, tmp_path, monk
 
 
 # SHA-256 of the help text at 80 columns (Python 3.11 argparse); the solver
-# flags are derived from SolverConfig and must print as they were written.
+# flags are derived from SolverConfig and must print as they were written, and
+# the --method choices in METHODS order.
 HELP_DIGESTS = {
     "compare": "1d2b6599488755abd0fac856cae53c92158a8814f322d3362bcbc53cf5c4c0b1",
-    "solve": "6d73ad6b44ceb4596d1838c5e53480cecff26c572e56dbd8cf8deccc2d4e2c06",
+    "solve": "6fa0e09dcb5b91befa45304e2b370370c912c70a8ab29e8fd6f82082d4673406",
 }
 
 
@@ -447,6 +448,27 @@ def test_certify_growth_ppa_reports_per_tau(capsys):
     assert [row["tau"] for row in report["per_tau"]] == [1.0, 0.1]
 
 
+@pytest.mark.parametrize("phi_c, taus", [("1.4142135623730951", "1e-30,1e-31"),
+                                         ("1e8", "1e-14,1e-16")])
+def test_certify_growth_ppa_passes_a_true_gauge_at_tiny_taus(phi_c, taus, capsys):
+    # the slacks match their closed form up to rounding, which is no violation
+    code = main(["certify", "growth-ppa", "--problem", "quadratic",
+                 "--params", '{"spectrum": [1.0]}', "--x", "[2.0]", "--tau-list", taus,
+                 "--steps", "3", "--phi-c", phi_c])
+    report = _json_stdout(capsys)
+    assert (code, report["violations"], report["fitted"]) == (0, 0, None)
+
+
+def test_certify_growth_ppa_counts_each_broken_path_bound(capsys):
+    code = main(["certify", "growth-ppa", "--problem", "quadratic",
+                 "--params", '{"spectrum": [1.0]}', "--x", "[2.0]",
+                 "--tau-list", "1,0.1,0.01", "--steps", "200", "--phi-c", "0.5"])
+    report = _json_stdout(capsys)
+    assert (code, report["violations"]) == (3, 2)
+    assert [row["path_length"] > row["bound"] for row in report["per_tau"]] == [
+        False, True, True]
+
+
 def test_certify_growth_ppa_non_finite_start_is_a_numerical_failure(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -461,7 +483,7 @@ def test_certify_growth_ppa_non_finite_start_is_a_numerical_failure(capsys):
 
 
 def test_certify_growth_ppa_repeated_taus_are_a_config_error(capsys):
-    # one distinct tau leaves the exponent line a single abscissa to fit
+    # a repeated tau would repeat a per_tau row
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["certify", "growth-ppa", "--problem", "quadratic", "--x=[2.0]",
