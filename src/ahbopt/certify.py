@@ -37,8 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CapabilityError, EmptyRegionError, InvalidInputError,
-                     NumericalFailureError, as_int)
-from .objective import euclidean_norm
+                     NumericalFailureError, as_int, as_positive)
+from .objective import as_point, euclidean_norm
 from .prox import moreau_value, ppa_run
 from .trace import fit_line
 
@@ -62,8 +62,7 @@ class HolderFunction:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.c < math.inf:
-            raise InvalidInputError("c must be positive and finite")
+        as_positive("c", self.c)
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidInputError("alpha must lie in (0, 1]")
 
@@ -76,7 +75,11 @@ class HolderFunction:
         if t <= 0:
             # the one-sided limit; callers sample strictly positive gaps
             return math.inf
-        return self.c * self.alpha * float(t) ** (self.alpha - 1.0)
+        try:
+            return self.c * self.alpha * float(t) ** (self.alpha - 1.0)
+        except OverflowError:
+            # t^(alpha - 1) beyond the float range, at a subnormal t
+            return math.inf
 
 
 @dataclass
@@ -142,9 +145,7 @@ def _accepted(xbar, r, num_samples, seed, keep, screen=None):
     given, returns a mask of the rows of a chunk that ``keep`` might
     accept; the rows it rules out count as trials but skip ``keep``.
     Returns the kept values and the number of trials."""
-    r = float(r)
-    if not 0.0 < r < math.inf:
-        raise InvalidInputError("r must be positive and finite")
+    r = as_positive("r", r)
     rng = np.random.default_rng(seed)
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_FLOATS // (xbar.size + 2)))
     kept, trials, cap = [], 0, _REJECTION_FACTOR * num_samples
@@ -198,12 +199,9 @@ def _slice_check(obj, xbar, r, eta, num_samples, seed, judge) -> CertReport:
     and f(xbar) + eta and judge each: ``judge(x, gap)`` returns the
     left/right ratio and whether the inequality broke. The witness is the
     first point of the worst ratio."""
-    if not (eta > 0 and math.isfinite(eta)):
-        raise InvalidInputError("eta must be positive and finite")
-    num_samples = as_int("num_samples", num_samples)
-    if num_samples < 1:
-        raise InvalidInputError("num_samples must be positive")
-    xbar = np.asarray(xbar, dtype=float)
+    eta = as_positive("eta", eta)
+    num_samples = as_int("num_samples", num_samples, low=1)
+    xbar = as_point(obj, "xbar", xbar)
     fbar = obj.value(xbar)
     value_fn = obj.value_fn
 
@@ -281,12 +279,10 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
         raise InvalidInputError("tau_list must hold positive finite values")
     if len(set(taus)) < len(taus):
         raise InvalidInputError("tau_list must not repeat a value")
-    num_steps = as_int("num_steps", num_steps)
-    if num_steps < 1:
-        raise InvalidInputError("num_steps must be at least 1")
+    num_steps = as_int("num_steps", num_steps, low=1)
     if obj.min_value is None:
         raise CapabilityError("min_value")
-    x0 = np.asarray(x, dtype=float)
+    x0 = as_point(obj, "x", x)
     gap0 = max(obj.value(x0) - obj.min_value, 0.0)
     if not math.isfinite(gap0):
         raise NumericalFailureError(0, f"non-finite gap {gap0} at the start point")
@@ -345,17 +341,13 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
     their exponent, sharp ones are rounded off by the quadratic
     infimal convolution.
     """
-    lam = float(lam)
-    if not 0.0 < lam < math.inf:
-        raise InvalidInputError("lam must be positive and finite")
+    lam = as_positive("lam", lam)
     if obj.growth_exponent is None:
         raise CapabilityError("growth_exponent")
     if obj.solution_oracle is None:
         raise CapabilityError("solution_oracle")
-    num_samples = as_int("num_samples", num_samples)
-    if num_samples < 8:
-        raise InvalidInputError("need at least 8 samples to fit")
-    xbar = np.asarray(xbar, dtype=float)
+    num_samples = as_int("num_samples", num_samples, low=8)
+    xbar = as_point(obj, "xbar", xbar)
     env_min = moreau_value(obj, lam, xbar)
 
     def keep(x):
@@ -409,17 +401,18 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     which follows from t^(-theta) >= delta_k^(-theta) on
     [delta_{k+1}, delta_k]; it is checked in log form with a slack of
     1e-12, over the terms at or above the smallest normal float (below
-    it the float recursion stalls while the bound keeps falling). The
-    fitted envelope constant C is the observed max of
-    delta_k * (1+k)^(1/(theta-1)), or None beyond the float range; the
-    witness records where it is attained and the fitted slope (trailing
-    decade of the log-log curve, over its positive terms) is
-    informational. ``fitted`` is None when fewer than two positive tail
-    terms remain. A term that overflows or leaves [0, inf) raises
-    NumericalFailureError.
+    it the float recursion stalls while the bound keeps falling).
+    ``worst_ratio`` is the largest delta_k / bound_k among those terms
+    with k >= 1 (the bound is delta0 at k = 0), and ``witness`` the first
+    k attaining it; both are 0.0 when there is none. The fitted envelope
+    constant C is the observed max of delta_k * (1+k)^(1/(theta-1)), or
+    None beyond the float range, and the fitted slope (trailing decade of
+    the log-log curve, over its positive terms) is informational.
+    ``fitted`` is None when fewer than two positive tail terms remain. A
+    term that overflows or leaves [0, inf) raises NumericalFailureError.
     """
     delta0, c, theta = float(delta0), float(c), float(theta)
-    num_steps = as_int("num_steps", num_steps)
+    num_steps = as_int("num_steps", num_steps, low=1)
     if not all(map(math.isfinite, (delta0, c, theta))):
         raise InvalidInputError("delta0, c and theta must be finite")
     if delta0 < 0:
@@ -428,8 +421,6 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
         raise InvalidInputError("c must be positive")
     if not theta > 1:
         raise InvalidInputError("theta must exceed 1")
-    if num_steps < 1:
-        raise InvalidInputError("num_steps must be positive")
     try:
         contracting = c * delta0 ** (theta - 1.0) < 1.0
     except OverflowError:
@@ -451,14 +442,20 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
         weighted = np.where(deltas > 0.0, deltas * (1.0 + ks) ** exponent, 0.0)
         log_deltas, log_ks = np.log(deltas), np.log(ks)
     c_tilde = float(weighted.max())
-    k_star = int(weighted.argmax())
     # the bound as log delta0 - log(1 + q (theta-1) k) / (theta-1) with
     # q = c * delta0^(theta-1), so that no power overflows for theta near 1
     # or far above it
     log_q = math.log(c) + (theta - 1.0) * math.log(delta0)
     log_bound = (math.log(delta0)
                  - np.logaddexp(0.0, log_q + math.log(theta - 1.0) + log_ks) * exponent)
-    violations = int(np.sum((deltas >= _TINY) & (log_deltas > log_bound + 1e-12)))
+    counted = deltas >= _TINY
+    violations = int(np.sum(counted & (log_deltas > log_bound + 1e-12)))
+    # the worst counted term past k = 0, where the bound is delta0 by construction
+    with np.errstate(over="ignore"):
+        ratios = np.exp(np.where(counted[1:], log_deltas[1:] - log_bound[1:], -np.inf))
+    worst, witness = 0.0, 0.0
+    if counted[1:].any():
+        worst, witness = float(ratios.max()), float(ratios.argmax() + 1)
     # at least two points, so that the slope is defined
     tail_lo = min(max(num_steps // 10, 1), num_steps - 1)
     tail = slice(tail_lo, num_steps + 1)
@@ -467,6 +464,6 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     if np.count_nonzero(positive) >= 2:
         coef, resid = fit_line(np.log(1.0 + ks[tail][positive]), log_deltas[tail][positive])
         fitted = (c_tilde if math.isfinite(c_tilde) else None, float(coef[0]), resid)
-    return CertReport(checked=num_steps + 1, violations=violations, worst_ratio=1.0,
-                      witness=[float(k_star)], fitted=fitted)
+    return CertReport(checked=num_steps + 1, violations=violations, worst_ratio=worst,
+                      witness=[witness], fitted=fitted)
 

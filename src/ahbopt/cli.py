@@ -18,7 +18,8 @@ import numpy as np
 
 from . import certify, trace
 from ._io import atomic_write, json_text, json_value
-from .errors import InvalidInputError, InvalidSpecError, NumericalFailureError, ToolkitError
+from .errors import (InvalidInputError, InvalidSpecError, NumericalFailureError, ToolkitError,
+                     as_int)
 from .objective import PROBLEM_KINDS, ProblemSpec
 from .solvers import METHODS, SolverConfig, run_solver
 
@@ -168,9 +169,7 @@ def _resolve_x0(x0_spec, dim):
     norm = x0_spec.get("norm", 1.0)
     if not all(type(v) in (int, float) for v in (seed, norm)) or seed % 1 != 0:
         raise InvalidSpecError(f"x0 needs an integer seed and a numeric norm, got {x0_spec}")
-    seed, norm = int(seed), float(norm)
-    if seed < 0:
-        raise InvalidSpecError(f"x0 seed must be nonnegative, got {seed}")
+    seed, norm = as_int("x0 seed", seed, InvalidSpecError, low=0), float(norm)
     if not math.isfinite(norm) or norm < 0.0:
         raise InvalidSpecError(f"x0 norm must be finite and non-negative, got {norm}")
     rng = np.random.default_rng(seed)
@@ -248,8 +247,6 @@ def _parse_point(text, dim):
     if not all(type(v) in (int, float) for v in numbers):
         raise InvalidInputError(f"point must be a JSON number or list of numbers, got {text}")
     arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.ndim != 1 or arr.size != dim:
-        raise InvalidInputError(f"point must have dimension {dim}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"point must be finite, got {text}")
     return arr

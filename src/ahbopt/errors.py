@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the integer check that
-raises them."""
+"""Exception types shared across the toolkit, and the two numeric input
+checks that raise them: integers at or above a bound, and positive finite
+reals."""
 
 import copyreg
 
@@ -58,14 +59,34 @@ class TraceParseError(ToolkitError, ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def as_int(name, value, error=InvalidInputError) -> int:
+def as_int(name, value, error=InvalidInputError, low=None) -> int:
     """``value`` as an int: an integral float, or an integer type other
     than bool (one with ``__index__``, such as a numpy integer). A bool, a
-    non-number, a fraction, NaN or +-inf raises ``error``."""
+    non-number, a fraction, NaN or +-inf raises ``error``, and so does an
+    integer below ``low`` when that bound is given."""
     if isinstance(value, float):
         integral = value.is_integer()
     else:
         integral = not isinstance(value, bool) and hasattr(type(value), "__index__")
     if not integral:
         raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
+        raise error(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def as_positive(name, value, error=InvalidInputError) -> float:
+    """``value`` as a float in (0, inf). A bool, a non-number, NaN, zero, a
+    negative or +-inf raises ``error``, and so does an integer beyond the
+    float range."""
+    number = 0.0
+    if not isinstance(value, bool) and hasattr(type(value), "__float__"):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not 0.0 < number < float("inf"):
+        raise error(f"{name} must be positive and finite")
+    return number

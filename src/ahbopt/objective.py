@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (CapabilityError, DeskScaleLimitError, InvalidInputError, InvalidSpecError,
-                     as_int)
+                     as_int, as_positive)
 
 Array = np.ndarray
 
@@ -46,8 +46,17 @@ def euclidean_norm(v) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _as_int(name, value) -> int:
-    return as_int(name, value, InvalidSpecError)
+def as_point(obj, name, x) -> Array:
+    """``x`` as a float array; a shape other than ``(obj.dim,)`` raises
+    InvalidInputError naming ``name``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (obj.dim,):
+        raise InvalidInputError(f"{name} must have shape ({obj.dim},), got {x.shape}")
+    return x
+
+
+def _as_int(name, value, low) -> int:
+    return as_int(name, value, InvalidSpecError, low)
 
 
 @dataclass(frozen=True)
@@ -153,9 +162,7 @@ class ProblemSpec:
                 f"unknown problem kind '{self.kind}'; expected one of {PROBLEM_KINDS}")
         if not isinstance(self.params, dict):
             raise InvalidSpecError("params must be a mapping")
-        seed = _as_int("problem seed", self.seed)
-        if seed < 0:
-            raise InvalidSpecError(f"problem seed must be nonnegative, got {seed}")
+        seed = _as_int("problem seed", self.seed, 0)
         # frozen: the copy and the int go in through object.__setattr__
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "seed", seed)
@@ -276,9 +283,7 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     singular_values : nonincreasing positive sequence of length
         min(rows, cols), whose first entry squared is finite and nonzero.
     """
-    rows, cols = _as_int("rows", rows), _as_int("cols", cols)
-    if rows < 1 or cols < 1:
-        raise InvalidSpecError("rows and cols must be positive")
+    rows, cols = _as_int("rows", rows, 1), _as_int("cols", cols, 1)
     sv = np.asarray(singular_values, dtype=float)
     r = min(rows, cols)
     if sv.ndim != 1 or sv.size != r:
@@ -337,14 +342,10 @@ def make_power(p, dim, ball_radius) -> Objective:
     with constant (p-1) * ball_radius^(p-2). The growth exponent is 1/p.
     """
     p = float(p)
-    dim = _as_int("dim", dim)
-    radius = float(ball_radius)
+    dim = _as_int("dim", dim, 1)
+    radius = as_positive("ball_radius", ball_radius, InvalidSpecError)
     if not p >= 2:
         raise InvalidSpecError("power objectives need p >= 2")
-    if dim < 1:
-        raise InvalidSpecError("dim must be positive")
-    if not radius > 0:
-        raise InvalidSpecError("ball_radius must be positive")
     try:
         lipschitz = (p - 1.0) * radius ** (p - 2.0)
     except OverflowError:
@@ -427,16 +428,12 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
     The Lipschitz bound comes from power iteration on A^T A with a 1.01
     upper bias.
     """
-    grid_n = _as_int("grid_n", grid_n)
-    num_angles = _as_int("num_angles", num_angles)
-    rays_per_angle = _as_int("rays_per_angle", rays_per_angle)
-    if grid_n < 1:
-        raise InvalidSpecError("grid_n must be positive")
+    grid_n = _as_int("grid_n", grid_n, 1)
+    num_angles = _as_int("num_angles", num_angles, 1)
+    rays_per_angle = _as_int("rays_per_angle", rays_per_angle, 1)
     if grid_n > MAX_RADON_GRID:
         raise DeskScaleLimitError(
             f"grid_n = {grid_n} exceeds the desk-scale cap of {MAX_RADON_GRID}")
-    if num_angles < 1 or rays_per_angle < 1:
-        raise InvalidSpecError("num_angles and rays_per_angle must be positive")
     if num_angles * rays_per_angle > MAX_RADON_RAYS:
         raise DeskScaleLimitError(
             f"num_angles * rays_per_angle = {num_angles * rays_per_angle} exceeds the "
@@ -492,9 +489,5 @@ def lipschitz_estimate(obj, iters=500, tol=1e-10, seed=0) -> float:
     """
     if obj.matrix is None:
         raise CapabilityError("matrix")
-    iters = as_int("iters", iters)
-    if iters < 1:
-        raise InvalidInputError("iters must be positive")
-    if not tol > 0:
-        raise InvalidInputError("tol must be positive")
-    return _power_iteration(obj.matrix, iters, float(tol), seed)
+    iters = as_int("iters", iters, low=1)
+    return _power_iteration(obj.matrix, iters, as_positive("tol", tol), seed)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CapabilityError, InnerSolveError, InvalidInputError, NumericalFailureError,
-                     as_int)
-from .objective import euclidean_norm
+                     as_int, as_positive)
+from .objective import as_point, euclidean_norm
 
 INNER_MAX_ITERS = 100_000
 
@@ -50,9 +50,7 @@ def prox_point(obj, tau, x) -> np.ndarray:
     1/(L + 1/tau)) until the inner gradient norm falls below
     1e-12 * (1 + |x|) / tau.
     """
-    tau = float(tau)
-    if not tau > 0:
-        raise InvalidInputError("tau must be positive")
+    tau = as_positive("tau", tau)
     x = np.asarray(x, dtype=float)
     if obj.prox_fn is not None:
         return obj.prox(tau, x)
@@ -78,13 +76,9 @@ def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
     A nonconvex objective needs its own ``prox_fn``; without one the first
     step raises ``CapabilityError("prox_fn")``.
     """
-    tau = float(tau)
-    if not tau > 0:
-        raise InvalidInputError("tau must be positive")
-    num_steps = as_int("num_steps", num_steps)
-    if num_steps < 0:
-        raise InvalidInputError("num_steps must be nonnegative")
-    points = [np.array(x0, dtype=float)]
+    tau = as_positive("tau", tau)
+    num_steps = as_int("num_steps", num_steps, low=0)
+    points = [as_point(obj, "x0", x0).copy()]
     for _ in range(num_steps):
         points.append(prox_point(obj, tau, points[-1]))
     values = [obj.value(p) for p in points]

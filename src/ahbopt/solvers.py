@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, InvalidInputError, NumericalFailureError, as_int
+from .errors import CapabilityError, InvalidInputError, NumericalFailureError, as_int, as_positive
+from .objective import as_point
 from .trace import IterationRecord, Trace
 
 Array = np.ndarray
@@ -65,8 +66,6 @@ class SolverConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidInputError(f"{f.name} must be a number, got {value!r}")
-            if type(f.default) is int:
-                as_int(f.name, value)
         if not 0.0 <= self.mu0 < 1.0:
             raise InvalidInputError("mu0 must lie in [0, 1)")
         if not self.beta_cap > 0.0:
@@ -77,12 +76,10 @@ class SolverConfig:
             raise InvalidInputError("nesterov_nu must be at least 2")
         if not 0.0 < self.alrhb_beta < 1.0:
             raise InvalidInputError("alrhb_beta must lie in (0, 1)")
-        if self.max_iters < 0:
-            raise InvalidInputError("max_iters must be nonnegative")
+        as_int("max_iters", self.max_iters, low=0)
         if self.gap_tol < 0.0 or math.isnan(self.gap_tol):
             raise InvalidInputError("gap_tol must be nonnegative")
-        if self.record_every < 1:
-            raise InvalidInputError("record_every must be at least 1")
+        as_int("record_every", self.record_every, low=1)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -182,8 +179,7 @@ def _plan(method, obj):
     for name in needs:
         if getattr(obj, name) is None:
             raise CapabilityError(name)
-    if not obj.lipschitz > 0:
-        raise InvalidInputError("lipschitz must be positive")
+    as_positive("lipschitz", obj.lipschitz)
     return rule, at_y, None if at_y else obj.shortcut("value_and_gradient_fn")
 
 
@@ -273,7 +269,7 @@ def run_solver(obj, cfg, x0, problem_spec=None, x0_seed=None) -> Trace:
     minimum value is known), when ``max_iters`` steps have been taken,
     or at a critical point for the adaptive learning rate method.
     """
-    state = initial_state(x0)
+    state = initial_state(as_point(obj, "x0", x0))
     meta = {
         "problem": problem_spec.to_dict() if problem_spec is not None else None,
         "config": cfg.to_json_dict(),

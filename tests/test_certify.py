@@ -47,6 +47,9 @@ def test_holder_function_values_and_derivative():
     linear = HolderFunction(3.0, 1.0)
     assert linear(2.0) == pytest.approx(6.0)
     assert linear.derivative(5.0) == pytest.approx(3.0)
+    # t^(alpha - 1) beyond the float range at a subnormal t, as a kl sample in
+    # a ball of radius 2.2e-309 meets it
+    assert HolderFunction(1.0, 2.0 ** -9).derivative(4.2e-310) == math.inf
 
 
 def test_holder_function_validation():
@@ -466,6 +469,25 @@ def test_recursive_rate_counts_terms_above_the_closed_form_bound(monkeypatch):
     report = verify_recursive_rate(1.0, 0.1, 2.0, 2000)
     assert report.checked == 2001
     assert report.violations == 2000
+    assert report.worst_ratio > 1.0
+    assert report.worst_ratio == pytest.approx(9.5575, abs=1e-4)
+    assert report.witness == [2000.0]
+
+
+@pytest.mark.parametrize("delta0, c, theta, num_steps, worst, witness", [
+    (1.0, 0.1, 2.0, 10000, 0.999305, 10000.0),
+    (0.5, 0.9, 3.0, 10000, 0.999675, 10000.0),
+    (2.0, 0.01, 1.5, 10000, 0.999849, 1.0),
+    # every term past k = 0 lies below the smallest normal float
+    (1e-310, 0.5, 2.0, 10, 0.0, 0.0),
+])
+def test_recursive_rate_worst_ratio_is_the_largest_term_over_its_bound(delta0, c, theta,
+                                                                       num_steps, worst,
+                                                                       witness):
+    report = verify_recursive_rate(delta0, c, theta, num_steps)
+    assert report.violations == 0
+    assert report.worst_ratio == pytest.approx(worst, abs=1e-6)
+    assert report.witness == [witness]
 
 
 @pytest.mark.parametrize("delta0, c, theta, num_steps", [
@@ -637,12 +659,13 @@ def _certify_suite_argvs(seed):
 # SHA-256 over the exit code and stdout of each certify-suite command, as
 # printed before the sampling checks shared one sampler and one judge loop;
 # the two moreau reports as fitted by the one line fitter, ``trace.fit_line``;
-# the growth-ppa report with ``fitted`` null, as it fits no power law.
+# the growth-ppa report with ``fitted`` null, as it fits no power law; the
+# rate report with ``worst_ratio`` read from the sequence, no longer 1.0.
 CERTIFY_SUITE_DIGESTS = {
-    1: "3bb43508cc18130faa6ecbaa275d3f696833f0ab387a8a5ca541fb91a76046bf",
-    2: "8da2f3683e33245ff9fca1b738735f7e86ad19c2ef39deced7130d806a45b391",
-    3: "7485247c9a823769b581ad77b73b8b5f6dda588b35e0a5de48535a48429846da",
-    4: "1853fff1885c7afb84f29f414ffa6ab1801db49e0fb19f511451a9d0544b0c25",
+    1: "a1044ded9b24bbfe22676166a1cad245921b27c652453dec947eaad0b5d56f74",
+    2: "44bfa1c115c767dc466572bb138e104d813c7d78a4bad6eae3d82675b10e2b00",
+    3: "ef7d9d1184e076f0a3d690b86ff74b18bd10869f8765d7fe1fef69dd83aec869",
+    4: "9c95f847c1b3df18ea864dcbab5f75ba65e822907af92ea62b5c42f00e998247",
 }
 
 

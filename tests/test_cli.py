@@ -105,6 +105,31 @@ def test_unknown_start_key_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["certify", "kl", "--problem", "quadratic", "--seed", "abc"],
+     "argument --seed: invalid int value: 'abc'"),
+    (["solve", "--problem", "quadratic", "--x0", '{"kind": "grid"}'], "unknown x0 kind 'grid'"),
+    # JSON Infinity would reach the sidecar, which must stay strict JSON
+    (["solve", "--problem", "power", "--params",
+      '{"p": 2, "dim": 1, "ball_radius": Infinity}'], "ball_radius must be positive and finite"),
+    (["certify", "kl", "--problem", "quadratic", "--params", '{"spectrum": [1, 2, 4]}',
+      "--xbar", "[0.0]"], "xbar must have shape (3,), got (1,)"),
+    (["certify", "moreau", "--problem", "quadratic", "--lam", "inf"],
+     "lam must be positive and finite"),
+], ids=["seed-not-an-int", "x0-kind", "infinite-radius", "xbar-dimension", "infinite-lam"])
+def test_bad_input_is_a_config_error_that_names_it(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + (["--out", str(out)] if argv[0] == "solve" else [])) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "exp.json").write_text("[1]")
+    assert main(["solve", "--config", str(tmp_path / "exp.json")]) == 1
+    assert capsys.readouterr() == ("", "error: experiment config must be a JSON object\n")
+
+
+@pytest.mark.parametrize("argv, message", [
     (["solve", "--problem", "quadratic", "--problem-seed", "-1"],
      "problem seed must be nonnegative, got -1"),
     (["solve", "--problem", "quadratic", "--x0", '{"seed": -3}'],
@@ -493,6 +518,16 @@ def test_certify_growth_ppa_repeated_taus_are_a_config_error(capsys):
     assert err == "error: tau_list must not repeat a value\n"
 
 
+def test_certify_growth_ppa_non_finite_certificate_is_a_numerical_failure(capsys):
+    # phi(gap) = 1e308 * 2 overflows, and with it the bound 2 |x1 - x0| + 2 phi(gap)
+    code = main(["certify", "growth-ppa", "--problem", "quadratic", "--params",
+                 '{"spectrum": [1.0]}', "--x", "[2.0]", "--phi-c", "1e308", "--phi-alpha", "1",
+                 "--tau-list", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: non-finite certificate at tau=1: ")
+
+
 def test_certify_kl_reports_trials_and_shortfall(capsys):
     # about 2e-5 of the unit disc lies in the slice, so the 100k-trial cap
     # accepts only a few of the 1000 requested points
@@ -849,20 +884,25 @@ def test_certify_rate_whose_power_overflows_is_a_config_error(capsys):
     assert err == "error: need c * delta0^(theta-1) < 1 for a contracting sequence\n"
 
 
-@pytest.mark.parametrize("params", [
-    {"p": 5, "dim": 1, "ball_radius": 5.6e102},
-    {"p": 1e10, "dim": 1, "ball_radius": 4.0},
-    {"p": 4.0, "dim": 1, "ball_radius": float("inf")},
-    {"p": float("inf"), "dim": 1, "ball_radius": 1.0},
+_INFINITE_BOUND = "the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) must be finite"
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"p": 5, "dim": 1, "ball_radius": 5.6e102}, _INFINITE_BOUND),
+    ({"p": 1e10, "dim": 1, "ball_radius": 4.0}, _INFINITE_BOUND),
+    # an infinite radius is refused as an input, before the bound is formed
+    ({"p": 4.0, "dim": 1, "ball_radius": float("inf")},
+     "ball_radius must be positive and finite"),
+    ({"p": float("inf"), "dim": 1, "ball_radius": 1.0}, _INFINITE_BOUND),
 ], ids=["huge-radius", "huge-p", "inf-radius", "inf-p"])
-def test_power_with_an_infinite_lipschitz_bound_is_a_config_error(params, tmp_path, capsys):
+def test_power_with_an_infinite_lipschitz_bound_is_a_config_error(params, message, tmp_path,
+                                                                  capsys):
     code = main(["solve", "--problem", "power", "--params", json.dumps(params),
                  "--out", str(tmp_path)])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) "
-                          "must be finite")
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("method", ["gd", "nesterov"])
@@ -894,14 +934,15 @@ def _strict_json(text):
 
 def test_certify_rate_whose_envelope_overflows_reports_a_null_constant(capsys):
     # (1 + k)^100 leaves the float range at k = 1209; the closed-form bound,
-    # not the envelope, decides the violations
+    # not the envelope, decides the violations and the witness
     code = main(["certify", "rate", "--delta0", "1e-300", "--c", "0.99", "--theta", "1.01",
                  "--steps", "3000"])
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     report = _strict_json(out)
     assert report["fitted"]["C"] is None and math.isfinite(report["fitted"]["alpha"])
-    assert (report["checked"], report["violations"], report["witness"]) == (3001, 0, [1209.0])
+    assert (report["checked"], report["violations"], report["witness"]) == (3001, 0, [1.0])
+    assert 0.999 < report["worst_ratio"] <= 1.0
 
 
 def test_certify_rate_without_two_positive_tail_terms_reports_no_fit(capsys):

@@ -1,0 +1,22 @@
+import os
+
+import pytest
+
+from ahbopt._io import atomic_write
+
+
+def test_atomic_write_replaces_the_file_and_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "out.json"
+    atomic_write(str(path), "old")
+    atomic_write(str(path), "new")
+    assert path.read_text() == "new"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_failed_atomic_write_reraises_and_leaves_no_temporary_file(tmp_path):
+    # a rename onto a directory fails after the temporary file is written
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        atomic_write(str(tmp_path / "taken"), "text")
+    assert os.listdir(tmp_path) == ["taken"]
+    assert (tmp_path / "taken").is_dir()

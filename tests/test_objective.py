@@ -320,6 +320,15 @@ def test_problem_spec_validation():
         ProblemSpec.from_dict({"kind": "quadratic", "params": {}, "extra": 1})
     with pytest.raises(InvalidSpecError):
         ProblemSpec(kind="quadratic", params={"bogus": 3}).build()
+    with pytest.raises(InvalidSpecError, match="problem spec must be an object"):
+        ProblemSpec.from_dict([])
+    with pytest.raises(InvalidSpecError, match="problem spec needs a 'kind'"):
+        ProblemSpec.from_dict({})
+
+
+def test_unknown_phantom_is_a_spec_error():
+    with pytest.raises(InvalidSpecError, match="unknown phantom 'stars'"):
+        make_radon(4, 3, 5, "stars")
 
 
 def test_problem_spec_seed_must_be_an_integer():

@@ -252,6 +252,8 @@ def test_solver_config_json_round_trip():
     assert SolverConfig.from_json_dict({}) == SolverConfig()
     with pytest.raises(InvalidInputError):
         SolverConfig.from_json_dict({"momentum": 0.9})
+    with pytest.raises(InvalidInputError, match="solver config must be an object"):
+        SolverConfig.from_json_dict([])
 
 
 def test_run_solver_deterministic():
