@@ -17,15 +17,22 @@ depends on the seed and not on the chunk size.
 
 The two level-slice checks, ``check_kl`` and ``certify_growth_direct``,
 keep only points with 0 < f(x) - f(xbar) < eta, and most ball points
-miss that slice. When the objective has a batched value oracle
-(``Objective.values_fn``, which the quadratic, power and abs_value
-built-ins carry), one call per chunk screens out the rows whose batched
-gap lies clearly outside the slice; every survivor still goes through
-the per-row ``obj.value`` test and the per-row judge. The screen only
-ever rules rows out, with a slack wider than the batched oracle's error,
-so a report is the same with or without it. Objectives without the
-oracle, or whose ``value_fn`` was replaced, take the per-row path for
-every point.
+miss that slice. The batched oracles of ``Objective`` (on the quadratic,
+power and abs_value built-ins) decide rows in bulk, and a row takes the
+exact per-row calls only where its batched answer lies within its error
+bound of a decision, so a report is the same without them:
+
+- The batched gap v - fbar lies within s = 1e-9 * (|v| + |fbar|) + tiny
+  of the exact gap: a gap in (s, eta - s) is in the slice, one outside
+  (-s, eta + s) is out, and any other takes one ``value_fn`` call.
+- A batched ratio is proportional to gap^a (a = alpha - 1 for kl, -alpha
+  for growth), so it lies within e = 2 * (|a| * s / gap + 1e-10 + 1e-12)
+  relative of the exact one: the gap's error raised to a, the oracles'
+  1e-10 and ``pow`` rounding, doubled for their products. Where it is
+  finite and s / gap and e are below 1e-3, the interval ratio * (1 -+ e)
+  decides whether the row breaks the inequality. The exact judge, at the
+  exact gap, decides the other rows and those whose interval reaches the
+  largest lower bound of all rows, so the worst ratio and witness are exact.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ class HolderFunction:
 
     def __post_init__(self):
         as_positive("c", self.c)
-        if not 0.0 < self.alpha <= 1.0:
+        if not as_positive("alpha", self.alpha) <= 1.0:
             raise InvalidInputError("alpha must lie in (0, 1]")
 
     def __call__(self, t) -> float:
@@ -137,32 +144,24 @@ def _ball_points(rng, center, radius, count):
     return center + scale[:, None] * g[:, :d], drawn
 
 
-def _accepted(xbar, r, num_samples, seed, keep, screen=None):
+def _accepted(xbar, r, num_samples, seed, take):
     """Draw uniform points of B_r(xbar) in chunks and pass each to
-    ``keep``, which returns the value to keep or None. Stops at
-    ``num_samples`` kept values or after 100 trials per requested sample,
-    and draws no chunk it does not consume. ``screen(points)``, when
-    given, returns a mask of the rows of a chunk that ``keep`` might
-    accept; the rows it rules out count as trials but skip ``keep``.
-    Returns the kept values and the number of trials."""
+    ``take(points, drawn, need)``, with the mask of rows that hold a point:
+    it returns at most ``need`` kept values and the rows it consumed, all of
+    them unless it kept ``need``. Stops at ``num_samples`` kept values or
+    after 100 trials per requested sample, and draws no chunk it does not
+    consume. Returns the kept values of each chunk and the trial count."""
     r = as_positive("r", r)
     rng = np.random.default_rng(seed)
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_FLOATS // (xbar.size + 2)))
-    kept, trials, cap = [], 0, _REJECTION_FACTOR * num_samples
-    while trials < cap and len(kept) < num_samples:
+    chunks, count, trials, cap = [], 0, 0, _REJECTION_FACTOR * num_samples
+    while trials < cap and count < num_samples:
         points, drawn = _ball_points(rng, xbar, r, min(rows, cap - trials))
-        if screen is not None:
-            drawn &= screen(points)
-        used = len(points)
-        for i in np.flatnonzero(drawn).tolist():
-            value = keep(points[i])
-            if value is not None:
-                kept.append(value)
-                if len(kept) == num_samples:
-                    used = i + 1
-                    break
+        kept, used = take(points, drawn, num_samples - count)
+        chunks.append(kept)
+        count += len(kept)
         trials += used
-    return kept, trials
+    return chunks, trials
 
 
 def _shortfall_notes(checked, requested, trials):
@@ -172,56 +171,70 @@ def _shortfall_notes(checked, requested, trials):
             f"in {trials} trials",)
 
 
-def _slice_screen(values, fbar, eta):
-    """A screen for ``_accepted`` from a batched value oracle, or None.
-
-    It rules a row out only when its batched gap v - fbar is finite and
-    lies outside (-s, eta + s), with slack s = 1e-9 * (|v| + |fbar|) plus
-    the smallest normal float. That slack exceeds the error ``values_fn``
-    may make plus the rounding of both subtractions, so every row whose
-    exact gap lies in (0, eta) survives, and ``keep`` decides each
-    survivor as it would unscreened."""
-    if values is None:
-        return None
-
-    def screen(points):
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = values(points)
-            gap = v - fbar
-            slack = 1e-9 * (np.abs(v) + abs(fbar)) + _TINY
-            return ~np.isfinite(gap) | ((gap > -slack) & (gap < eta + slack))
-
-    return screen
+def _slice_rows(values, points, fbar, eta):
+    """The batched gaps v - fbar of ``points``, their slack s and the masks of
+    rows inside the slice (0, eta) and of undecided rows; the rest lie out.
+    s = 1e-9 * (|v| + |fbar|) + tiny exceeds the error of ``values_fn`` plus
+    the rounding of both subtractions. With ``values`` None all are undecided."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.full(len(points), np.nan) if values is None else values(points)
+        gap, slack = v - fbar, 1e-9 * (np.abs(v) + abs(fbar)) + _TINY
+    inside = (gap > slack) & (gap < eta - slack)
+    outside = np.isfinite(gap) & ((gap <= -slack) | (gap >= eta + slack))
+    return gap, slack, inside, ~(inside | outside)
 
 
-def _slice_check(obj, xbar, r, eta, num_samples, seed, judge) -> CertReport:
+def _slice_check(obj, xbar, r, eta, num_samples, seed, judge, ratios, power, limit):
     """Sample B_r(xbar) for points with value strictly between f(xbar)
     and f(xbar) + eta and judge each: ``judge(x, gap)`` returns the
-    left/right ratio and whether the inequality broke. The witness is the
-    first point of the worst ratio."""
+    left/right ratio and whether the inequality broke, as a ratio above
+    ``limit`` does. ``ratios(xs, gaps)``, or None, is the batched judge, with
+    ratios proportional to gap^power (see the module docstring). The
+    witness is the first point of the worst ratio."""
     eta = as_positive("eta", eta)
     num_samples = as_int("num_samples", num_samples, low=1)
     xbar = as_point(obj, "xbar", xbar)
     fbar = obj.value(xbar)
-    value_fn = obj.value_fn
+    value_fn, values = obj.value_fn, obj.shortcut("values_fn")
 
-    def keep(x):
-        # x is a float row of a chunk, so the oracle needs no conversion
-        gap = float(value_fn(x)) - fbar
-        # a view would keep its whole chunk alive
-        return (x.copy(), gap) if 0.0 < gap < eta else None
+    def take(points, drawn, need):
+        gap, slack, inside, undecided = _slice_rows(values, points, fbar, eta)
+        inside &= drawn
+        before, found = np.cumsum(inside) - inside, 0  # rows kept ahead of each row
+        for i in np.flatnonzero(undecided & drawn).tolist():
+            if before[i] + found >= need:
+                break
+            # a float row of a chunk, so the oracle needs no conversion
+            exact = float(value_fn(points[i])) - fbar
+            if 0.0 < exact < eta:
+                inside[i], gap[i], slack[i] = True, exact, 0.0
+                found += 1
+        rows = np.flatnonzero(inside)[:need]
+        used = int(rows[-1]) + 1 if len(rows) == need else len(points)
+        return np.column_stack((points[rows], gap[rows], slack[rows])), used
 
-    kept, trials = _accepted(xbar, r, num_samples, seed, keep,
-                             _slice_screen(obj.shortcut("values_fn"), fbar, eta))
-    if not kept:
+    chunks, trials = _accepted(xbar, r, num_samples, seed, take)
+    kept = np.concatenate(chunks)
+    if not len(kept):
         raise EmptyRegionError(f"no sample of {trials} landed in the level slice "
                                f"(0, {eta:g}) within radius {r:g}")
-    worst, witness, violations = -math.inf, kept[0][0], 0
-    for x, gap in kept:
-        ratio, violated = judge(x, gap)
+    xs, gaps, slacks = kept[:, :-2], kept[:, -2], kept[:, -1]
+    with np.errstate(all="ignore"):
+        rel = slacks / gaps
+        ratio = np.full(len(kept), np.nan) if ratios is None else ratios(xs, gaps)
+        error = 2.0 * (abs(power) * rel + 1e-10 + 1e-12)
+        decided = np.isfinite(ratio) & (np.maximum(rel, error) < 1e-3)
+        low, high = ratio * (1.0 - error), ratio * (1.0 + error)
+    floor = np.max(low, where=decided, initial=-np.inf)  # the largest lower bound
+    judged = ~decided | ((low <= limit) & (limit <= high)) | (high >= floor)
+    violations = int(np.count_nonzero(~judged & (low > limit)))
+    worst, witness = -math.inf, xs[0]
+    for i in np.flatnonzero(judged).tolist():
+        gap = float(gaps[i]) if slacks[i] == 0.0 else float(value_fn(xs[i])) - fbar
+        ratio_i, violated = judge(xs[i], gap)
         violations += bool(violated)
-        if ratio > worst:
-            worst, witness = ratio, x
+        if ratio_i > worst:
+            worst, witness = ratio_i, xs[i]
     return CertReport(checked=len(kept), violations=violations,
                       worst_ratio=worst, witness=[float(w) for w in witness],
                       trials=trials, notes=_shortfall_notes(len(kept), num_samples, trials))
@@ -246,7 +259,12 @@ def check_kl(obj, xbar, r, eta, phi, num_samples=200, seed=0) -> CertReport:
         product = phi.derivative(gap) * slope_at(x)
         return math.inf if product == 0.0 else 1.0 / product, product < 1.0 - REL_TOL
 
-    return _slice_check(obj, xbar, r, eta, num_samples, seed, judge)
+    def ratios(xs, gaps):
+        return 1.0 / (phi.c * phi.alpha * gaps ** (phi.alpha - 1.0) * obj.slopes_fn(xs))
+
+    return _slice_check(obj, xbar, r, eta, num_samples, seed, judge,
+                        obj.shortcut("slopes_fn") and ratios, phi.alpha - 1.0,
+                        1.0 / (1.0 - REL_TOL))
 
 
 def certify_growth_direct(obj, xbar, r, eta, phi, num_samples=200, seed=0) -> CertReport:
@@ -260,7 +278,11 @@ def certify_growth_direct(obj, xbar, r, eta, phi, num_samples=200, seed=0) -> Ce
         ratio = dist / bound if bound > 0 else (math.inf if dist > 0 else 0.0)
         return ratio, ratio > 1.0 + REL_TOL
 
-    return _slice_check(obj, xbar, r, eta, num_samples, seed, judge)
+    def ratios(xs, gaps):
+        return obj.distances_fn(xs) / (phi.c * gaps ** phi.alpha)
+
+    return _slice_check(obj, xbar, r, eta, num_samples, seed, judge,
+                        obj.shortcut("distances_fn") and ratios, -phi.alpha, 1.0 + REL_TOL)
 
 
 def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
@@ -350,13 +372,20 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
     xbar = as_point(obj, "xbar", xbar)
     env_min = moreau_value(obj, lam, xbar)
 
-    def keep(x):
-        gap = moreau_value(obj, lam, x) - env_min
-        dist = obj.distance(x)
-        # an infinite gap or distance has no logarithm to fit
-        return (gap, dist) if 0.0 < gap < math.inf and 0.0 < dist < math.inf else None
+    def take(points, drawn, need):
+        kept = []
+        for i in np.flatnonzero(drawn).tolist():
+            gap = moreau_value(obj, lam, points[i]) - env_min
+            dist = obj.distance(points[i])
+            # an infinite gap or distance has no logarithm to fit
+            if 0.0 < gap < math.inf and 0.0 < dist < math.inf:
+                kept.append((gap, dist))
+                if len(kept) == need:
+                    return kept, i + 1
+        return kept, len(points)
 
-    samples, trials = _accepted(xbar, r, num_samples, seed, keep)
+    chunks, trials = _accepted(xbar, r, num_samples, seed, take)
+    samples = [sample for chunk in chunks for sample in chunk]
     if len(samples) < 8:
         raise EmptyRegionError(
             f"only {len(samples)} usable envelope samples in {trials} trials")

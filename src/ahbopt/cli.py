@@ -169,7 +169,11 @@ def _resolve_x0(x0_spec, dim):
     norm = x0_spec.get("norm", 1.0)
     if not all(type(v) in (int, float) for v in (seed, norm)) or seed % 1 != 0:
         raise InvalidSpecError(f"x0 needs an integer seed and a numeric norm, got {x0_spec}")
-    seed, norm = as_int("x0 seed", seed, InvalidSpecError, low=0), float(norm)
+    seed = as_int("x0 seed", seed, InvalidSpecError, low=0)
+    try:
+        norm = float(norm)
+    except OverflowError:  # an integer beyond the float range
+        norm = math.inf
     if not math.isfinite(norm) or norm < 0.0:
         raise InvalidSpecError(f"x0 norm must be finite and non-negative, got {norm}")
     rng = np.random.default_rng(seed)

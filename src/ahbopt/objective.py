@@ -38,12 +38,24 @@ class PowerIterationWarning(UserWarning):
 
 # each shortcut oracle field and the fields whose work it does
 _SHORTCUT_PARTNERS = {"value_and_gradient_fn": ("value_fn", "gradient_fn"),
-                      "values_fn": ("value_fn",)}
+                      "values_fn": ("value_fn",),
+                      "slopes_fn": ("gradient_fn", "subgrad_min_norm"),
+                      "distances_fn": ("solution_oracle",)}
 
 
 def euclidean_norm(v) -> float:
     """|v| of a real 1-d array, the expression ``np.linalg.norm`` evaluates."""
     return math.sqrt(float(v.dot(v)))
+
+
+def _row_norms(xs):
+    """|x| at each row of ``xs``, or NaN below 1e-140, where the squares that
+    an exact norm sums may underflow and no relative error bound holds."""
+    norms = np.linalg.norm(xs, axis=1)
+    return np.where(norms >= 1e-140, norms, np.nan)
+
+
+_row_norms.partners = (euclidean_norm,)
 
 
 def as_point(obj, name, x) -> Array:
@@ -75,14 +87,16 @@ class Objective:
     values_fn : ``values_fn(X)`` returns f at each row of a 2-d array. Unlike the
         other oracles it need not be bitwise equal to ``value_fn``: wherever
         ``value_fn(x)`` is finite, the entry for x is non-finite or lies within
-        1e-10 * |value_fn(x)| of it (up to underflow). The certify samplers use
-        it only to rule rows out and confirm every survivor with ``value_fn``.
-        Its ``partners`` attribute is ``(value_fn,)``.
+        1e-10 * |value_fn(x)| of it (up to underflow). Its ``partners``
+        attribute is ``(value_fn,)``.
+    slopes_fn, distances_fn : the same for the norm of ``gradient_fn(x)`` (else
+        ``subgrad_min_norm(x)``) and for ``solution_oracle(x)``, with
+        ``partners`` ``(gradient_fn, subgrad_min_norm)`` and ``(solution_oracle,)``.
 
-    ``value_and_gradient_fn`` and ``values_fn`` are shortcuts: consumers use
-    one only while its ``partners`` still names this objective's own oracles
-    (see :meth:`shortcut`), so a ``dataclasses.replace`` that swaps an oracle
-    is never bypassed.
+    ``value_and_gradient_fn`` and the batched oracles are shortcuts: consumers
+    use one only while its ``partners`` still names this objective's own
+    oracles (see :meth:`shortcut`), so a ``dataclasses.replace`` that swaps
+    an oracle is never bypassed.
     lipschitz : bound on the gradient's Lipschitz constant, global when
         ``domain_radius`` is None and valid on the centered ball of that
         radius otherwise.
@@ -116,6 +130,8 @@ class Objective:
     subgrad_min_norm: Optional[Callable[[Array], float]] = None
     value_and_gradient_fn: Optional[Callable[[Array], tuple]] = None
     values_fn: Optional[Callable[[Array], Array]] = None
+    slopes_fn: Optional[Callable[[Array], Array]] = None
+    distances_fn: Optional[Callable[[Array], Array]] = None
 
     def shortcut(self, name) -> Optional[Callable]:
         """The shortcut field ``name`` while its ``partners`` attribute names
@@ -178,7 +194,7 @@ class ProblemSpec:
             if self.kind == "abs_value":
                 return make_abs_value(**self.params)
             return make_radon(**self.params)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise InvalidSpecError(f"bad parameters for '{self.kind}': {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -215,10 +231,13 @@ def make_quadratic(spectrum) -> Objective:
     def values(xs):
         return 0.5 * ((xs * xs) @ lam)
 
-    values.partners = (value,)
-
     def gradient(x):
         return lam * x
+
+    def slopes(xs):
+        return _row_norms(xs * lam)
+
+    values.partners, slopes.partners = (value,), (gradient, None)
 
     def prox(t, x):
         return x / (1.0 + t * lam)
@@ -226,9 +245,10 @@ def make_quadratic(spectrum) -> Objective:
     return Objective(
         dim=dim,
         value_fn=value,
-        # a sum of dim positive terms in another order: the two differ by at
-        # most about dim * 2^-52 relative, within 1e-10 up to this bound
-        values_fn=values if dim <= 10 ** 5 else None,
+        # each batched oracle sums dim positive terms in another order: it differs
+        # by at most about dim * 2^-52 relative, within 1e-10 up to this bound
+        **(dict(values_fn=values, slopes_fn=slopes, distances_fn=_row_norms)
+           if dim <= 10 ** 5 else {}),
         gradient_fn=gradient,
         lipschitz=float(lam.max()),
         min_value=0.0,
@@ -362,20 +382,25 @@ def make_power(p, dim, ball_radius) -> Objective:
     def values(xs):
         return np.linalg.norm(xs, axis=1) ** p / p
 
-    values.partners = (value,)
-
     def gradient(x):
         r = np.linalg.norm(x)
         if r == 0.0:
             return np.zeros_like(x)
         return (r ** (p - 2.0)) * x
 
+    def slopes(xs):
+        # the norm of each row's gradient |x|^(p-2) x, as ``gradient`` forms it
+        return _row_norms(xs * (np.linalg.norm(xs, axis=1) ** (p - 2.0))[:, None])
+
+    values.partners, slopes.partners = (value,), (gradient, None)
+
     return Objective(
         dim=dim,
         value_fn=value,
-        # the norms differ by at most about (dim + 1) * 2^-53 relative and the
-        # p-th power multiplies that by p: within 1e-10 up to this bound
-        values_fn=values if p * (dim + 1) <= 10 ** 5 else None,
+        # the norms differ by at most about (dim + 1) * 2^-53 relative and a power
+        # of at most p multiplies that by p: within 1e-10 up to this bound
+        **(dict(values_fn=values, slopes_fn=slopes, distances_fn=_row_norms)
+           if p * (dim + 1) <= 10 ** 5 else {}),
         gradient_fn=gradient,
         lipschitz=lipschitz,
         min_value=0.0,
@@ -400,7 +425,13 @@ def make_abs_value() -> Objective:
     def values(xs):
         return np.abs(xs[:, 0])
 
-    values.partners = (value,)
+    def slope(x):
+        return 0.0 if x[0] == 0.0 else 1.0
+
+    def slopes(xs):
+        return (xs[:, 0] != 0.0).astype(float)
+
+    values.partners, slopes.partners = (value,), (None, slope)
 
     def prox(t, x):
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
@@ -409,13 +440,15 @@ def make_abs_value() -> Objective:
         dim=1,
         value_fn=value,
         values_fn=values,
+        slopes_fn=slopes,
+        distances_fn=values,  # |x| is also the distance to the solution set {0}
         min_value=0.0,
-        solution_oracle=lambda x: float(abs(x[0])),
+        solution_oracle=value,
         prox_fn=prox,
         convex_flag=True,
         x_true=np.zeros(1),
         growth_exponent=1.0,
-        subgrad_min_norm=lambda x: 0.0 if x[0] == 0.0 else 1.0,
+        subgrad_min_norm=slope,
     )
 
 

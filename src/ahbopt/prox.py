@@ -89,13 +89,15 @@ def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
 def moreau_value(obj, lam, x) -> float:
     """Moreau envelope value: f at the prox point plus the quadratic
     penalty that produced it."""
+    lam = as_positive("lam", lam)
     p = prox_point(obj, lam, x)
     x = np.asarray(x, dtype=float)
     d = p - x
-    return obj.value(p) + float(d.dot(d)) / (2.0 * float(lam))
+    return obj.value(p) + float(d.dot(d)) / (2.0 * lam)
 
 
 def moreau_gradient(obj, lam, x) -> np.ndarray:
     """Envelope gradient (x - prox(lam, x)) / lam; 1/lam-Lipschitz."""
+    lam = as_positive("lam", lam)
     x = np.asarray(x, dtype=float)
-    return (x - prox_point(obj, lam, x)) / float(lam)
+    return (x - prox_point(obj, lam, x)) / lam

@@ -66,6 +66,10 @@ class SolverConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidInputError(f"{f.name} must be a number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:  # an integer beyond the float range
+                raise InvalidInputError(f"{f.name} lies beyond the float range") from None
         if not 0.0 <= self.mu0 < 1.0:
             raise InvalidInputError("mu0 must lie in [0, 1)")
         if not self.beta_cap > 0.0:
@@ -77,7 +81,7 @@ class SolverConfig:
         if not 0.0 < self.alrhb_beta < 1.0:
             raise InvalidInputError("alrhb_beta must lie in (0, 1)")
         as_int("max_iters", self.max_iters, low=0)
-        if self.gap_tol < 0.0 or math.isnan(self.gap_tol):
+        if not self.gap_tol >= 0.0:
             raise InvalidInputError("gap_tol must be nonnegative")
         as_int("record_every", self.record_every, low=1)
 

@@ -59,6 +59,9 @@ def test_holder_function_validation():
         HolderFunction(1.0, 0.0)
     with pytest.raises(InvalidInputError):
         HolderFunction(1.0, 1.5)
+    for alpha in ("0.5", True, None):
+        with pytest.raises(InvalidInputError, match="alpha must be positive and finite"):
+            HolderFunction(1.0, alpha)
     with pytest.raises(InvalidInputError):
         HolderFunction(1.0, 0.5)(-1.0)
 
@@ -714,15 +717,24 @@ def _batched_objectives(draw):
     return make_power(draw(st.floats(2.0, 20.0)), d, 1.0)
 
 
+def _exact_slopes(obj, points):
+    if obj.gradient_fn is not None:
+        return np.array([np.linalg.norm(obj.gradient_fn(x)) for x in points])
+    return np.array([obj.subgrad_min_norm(x) for x in points])
+
+
 @settings(deadline=None, max_examples=100)
 @given(obj=_batched_objectives(), data=st.data())
 def test_batched_values_are_within_the_screen_slack_and_keep_every_slice_row(obj, data):
     points = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), obj.dim),
                               elements=st.floats(-50.0, 50.0)))
     xbar = data.draw(arrays(np.float64, obj.dim, elements=st.floats(-50.0, 50.0)))
-    batched = obj.shortcut("values_fn")(points)
     exact = np.array([obj.value_fn(x) for x in points])
-    assert np.all(np.abs(batched - exact) <= 1e-10 * np.abs(exact) + TINY)
+    for name, oracle in [("values_fn", exact), ("slopes_fn", _exact_slopes(obj, points)),
+                         ("distances_fn", np.array([obj.distance(x) for x in points]))]:
+        batched = obj.shortcut(name)(points)
+        close = np.abs(batched - oracle) <= 1e-10 * np.abs(oracle) + TINY
+        assert np.all(close | (~np.isfinite(batched) & (name != "values_fn"))), name
 
     # put fbar just below one row's value or eta just past one row's gap, so
     # that row sits at an edge of the slice
@@ -731,19 +743,33 @@ def test_batched_values_are_within_the_screen_slack_and_keep_every_slice_row(obj
     gaps = exact - fbar
     edges = [float(np.nextafter(g, math.inf)) for g in gaps if g > 0]
     eta = data.draw(st.sampled_from(edges) if edges else st.floats(1e-6, 1e3))
-    survives = certify._slice_screen(obj.shortcut("values_fn"), fbar, eta)(points)
-    assert np.all(survives[(gaps > 0) & (gaps < eta)])
+    _, _, inside, undecided = certify._slice_rows(obj.shortcut("values_fn"), points,
+                                                  fbar, eta)
+    in_slice = (gaps > 0) & (gaps < eta)
+    assert np.all(in_slice[inside])
+    assert np.all((inside | undecided)[in_slice])
 
 
 def _slice_checks(seed):
-    """(objective, check) pairs: level-slice checks on each built-in with a
-    batched value oracle. The last stops at the trial cap."""
+    """(objective, check) pairs: level-slice checks on each built-in with
+    batched oracles, three of them with a gauge the samples break. The last
+    stops at the trial cap."""
     phi, linear = HolderFunction(SQRT2, 0.5), HolderFunction(1.0, 1.0)
+    root = HolderFunction(1.0, 0.5)
+    # on [1] every kl product is c / sqrt(2) = 1 - 1.5e-9, which breaks the
+    # inequality by less than the batched ratios' error bound
+    near = HolderFunction(SQRT2 * (1.0 - 1.5e-9), 0.5)
     quadratic = make_quadratic([1.0, 10.0])
     return [
+        (make_quadratic([1.0]), lambda o: check_kl(o, [0.0], 1.0, 0.5, near, num_samples=100,
+                                                   seed=seed)),
         (quadratic, lambda o: check_kl(o, [0.0, 0.0], 1.0, 0.05, phi, num_samples=100,
                                        seed=seed)),
         (quadratic, lambda o: certify_growth_direct(o, [0.5, 0.0], 1.0, 0.5, phi,
+                                                    num_samples=100, seed=seed)),
+        (quadratic, lambda o: check_kl(o, [0.0, 0.0], 1.0, 0.05, root, num_samples=100,
+                                       seed=seed)),
+        (quadratic, lambda o: certify_growth_direct(o, [0.3, -0.2], 1.0, 0.5, root,
                                                     num_samples=100, seed=seed)),
         (make_power(4.0, 2, 2.0),
          lambda o: check_kl(o, [0.0, 0.0], 1.0, 0.2, HolderFunction(SQRT2, 0.25),
@@ -757,14 +783,64 @@ def _slice_checks(seed):
     ]
 
 
+_BATCHED = ("values_fn", "slopes_fn", "distances_fn")
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_screened_reports_equal_unscreened_reports(seed):
+    violated = 0
     for obj, check in _slice_checks(seed):
-        assert obj.shortcut("values_fn") is not None
+        assert all(obj.shortcut(name) is not None for name in _BATCHED)
         screened = check(obj).to_json_dict()
-        unscreened = check(dataclasses.replace(obj, values_fn=None)).to_json_dict()
+        unscreened = check(dataclasses.replace(obj, **dict.fromkeys(_BATCHED))).to_json_dict()
         assert json.dumps(screened, sort_keys=True) == json.dumps(unscreened, sort_keys=True)
+        violated += screened["violations"] > 0
     assert screened["trials"] == 5000
+    assert violated >= 3
+
+
+def test_rows_within_their_error_bound_of_the_limit_take_the_exact_judge():
+    # every ratio breaks the limit, most of them by less than their error
+    # bound, so only the exact judge can count those rows
+    limit = 1.0 + 1e-9
+    near = limit * (1.0 + 1e-11)
+    judged = []
+
+    def judge(x, gap):
+        judged.append(x)
+        return (2.0 if x[0] > 0.9 else near), True
+
+    def ratios(xs, gaps):
+        return np.where(xs[:, 0] > 0.9, 2.0, near)
+
+    report = certify._slice_check(make_quadratic([1.0, 10.0]), [0.0, 0.0], 1.0, 0.5, 200, 5,
+                                  judge, ratios, -0.5, limit)
+    assert report.worst_ratio == 2.0 and near < 2.0
+    assert report.violations == report.checked == len(judged) == 200
+
+
+def test_slice_check_evaluates_no_undecided_row_past_its_last_sample(monkeypatch):
+    # a batched value oracle with no answer on every other row leaves those
+    # rows undecided, among rows it places inside the slice
+    obj = _counted_quadratic()
+    values = obj.values_fn
+
+    def patchy(xs):
+        v = values(xs)
+        v[1::2] = np.nan
+        return v
+
+    patchy.partners = values.partners
+    obj = dataclasses.replace(obj, values_fn=patchy)
+    masks = _recorded_undecided(monkeypatch)
+    phi = HolderFunction(SQRT2, 0.5)
+    report = check_kl(obj, [0.0, 0.0], 1.0, 0.05, phi, num_samples=300, seed=3)
+    assert report.checked == 300
+    undecided = _consumed(masks, report.trials)
+    assert undecided > report.trials / 3
+    assert undecided + 1 <= obj.value_fn.calls <= undecided + 1 + obj.gradient_fn.calls
+    stripped = dataclasses.replace(make_quadratic([1.0, 10.0]), **dict.fromkeys(_BATCHED))
+    assert report == check_kl(stripped, [0.0, 0.0], 1.0, 0.05, phi, num_samples=300, seed=3)
 
 
 def _counted(fn):
@@ -813,8 +889,8 @@ def test_moreau_exponent_skips_infinite_envelope_gaps():
 
 def _counted_quadratic():
     """quadratic [1, 10] whose value, gradient, distance and prox oracles
-    count their calls; the batched value oracle stays a partner of the
-    counted value oracle, so the screen still runs."""
+    count their calls; the batched oracles stay partners of the counted
+    oracles, so the slice checks still use them."""
     obj = make_quadratic([1.0, 10.0])
     value, gradient, distance = (_counted(obj.value_fn), _counted(obj.gradient_fn),
                                  _counted(obj.solution_oracle))
@@ -822,35 +898,38 @@ def _counted_quadratic():
     def values(xs):
         return obj.values_fn(xs)
 
+    def slopes(xs):
+        return obj.slopes_fn(xs)
+
+    def distances(xs):
+        return obj.distances_fn(xs)
+
     def prox(lam, x):
         prox.calls += 1
         return obj.prox_fn(lam, x)
 
-    values.partners = (value,)
+    values.partners, slopes.partners, distances.partners = (value,), (gradient, None), (distance,)
     prox.calls = 0
     return dataclasses.replace(obj, value_fn=value, gradient_fn=gradient,
-                               solution_oracle=distance, values_fn=values, prox_fn=prox)
+                               solution_oracle=distance, values_fn=values, slopes_fn=slopes,
+                               distances_fn=distances, prox_fn=prox)
 
 
-def _recorded_screens(monkeypatch):
-    """Record the mask each slice screen returns, one per chunk."""
-    masks, make = [], certify._slice_screen
+def _recorded_undecided(monkeypatch):
+    """Record the mask of undecided rows ``_slice_rows`` returns, one per chunk."""
+    masks, place = [], certify._slice_rows
 
-    def slice_screen(values, fbar, eta):
-        screen = make(values, fbar, eta)
+    def slice_rows(*args):
+        placed = place(*args)
+        masks.append(placed[3].copy())
+        return placed
 
-        def recorded(points):
-            masks.append(screen(points))
-            return masks[-1]
-
-        return recorded
-
-    monkeypatch.setattr(certify, "_slice_screen", slice_screen)
+    monkeypatch.setattr(certify, "_slice_rows", slice_rows)
     return masks
 
 
-def _survivors(masks, trials):
-    # screen survivors among the first ``trials`` rows, which the sampler consumed
+def _consumed(masks, trials):
+    # undecided rows among the first ``trials`` rows, which the sampler consumed
     count, seen = 0, 0
     for mask in masks:
         count += int(np.count_nonzero(mask[:max(trials - seen, 0)]))
@@ -858,25 +937,40 @@ def _survivors(masks, trials):
     return count
 
 
-@pytest.mark.parametrize("eta, samples", [(0.05, 200), (1e-3, 40)],
+# the stops-at-count cases are the suite's kl-true and growth commands
+@pytest.mark.parametrize("eta, samples", [(0.05, 2000), (1e-3, 40)],
                          ids=["stops-at-count", "stops-at-cap"])
 @pytest.mark.parametrize("check", ["kl", "growth"])
 def test_slice_checks_call_each_oracle_once_per_row_they_judge(check, eta, samples,
                                                              monkeypatch):
-    obj, masks = _counted_quadratic(), _recorded_screens(monkeypatch)
+    seed = int(_certify_suite_argvs(1)[0 if check == "kl" else 2][-1]) if samples > 40 else 4
     xbar, phi = [0.0, 0.0], HolderFunction(SQRT2, 0.5)
-    run = {"kl": lambda: check_kl(obj, xbar, 1.0, eta, phi, samples, seed=4),
-           "growth": lambda: certify_growth_direct(obj, xbar, 1.0, eta, phi,
-                                                   num_samples=samples, seed=4)}[check]
-    report = run()
-    assert report.checked == samples or report.trials == 100 * samples
-    survivors = _survivors(masks, report.trials)
-    assert report.checked <= survivors < report.trials / 10
-    # one value call per screen survivor, plus one for f(xbar)
-    assert obj.value_fn.calls == survivors + 1
-    judged_by_slope = check != "growth"
-    assert obj.gradient_fn.calls == (report.checked if judged_by_slope else 0)
-    assert obj.solution_oracle.calls == (0 if judged_by_slope else report.checked)
+    run = {"kl": lambda o: check_kl(o, xbar, 1.0, eta, phi, samples, seed=seed),
+           "growth": lambda o: certify_growth_direct(o, xbar, 1.0, eta, phi,
+                                                     num_samples=samples, seed=seed)}[check]
+    masks = _recorded_undecided(monkeypatch)
+    for batched in (True, False):
+        obj = _counted_quadratic()
+        if not batched:
+            obj = dataclasses.replace(obj, **dict.fromkeys(_BATCHED))
+        masks.clear()
+        report = run(obj)
+        assert report.checked == samples or report.trials == 100 * samples
+        judge = obj.gradient_fn if check == "kl" else obj.solution_oracle
+        unused = obj.solution_oracle if check == "kl" else obj.gradient_fn
+        assert unused.calls == 0
+        if not batched:
+            # the per-row path: one value call per trial and one judge call
+            # per kept row, plus one value call for f(xbar)
+            assert obj.value_fn.calls == report.trials + 1
+            assert judge.calls == report.checked
+            continue
+        undecided = _consumed(masks, report.trials)
+        assert undecided < report.trials / 1000
+        # one value call per undecided row, one for f(xbar), and one for the
+        # exact gap of each exactly judged row that the batched gap placed
+        assert undecided + 1 <= obj.value_fn.calls <= undecided + 1 + judge.calls
+        assert 1 <= judge.calls <= max(1, report.checked // 100)
 
 
 def test_moreau_exponent_calls_prox_once_per_trial_plus_once():

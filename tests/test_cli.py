@@ -123,6 +123,37 @@ def test_bad_input_is_a_config_error_that_names_it(argv, message, tmp_path, caps
     assert not out.exists()
 
 
+_BEYOND_FLOATS = "1" + "0" * 400  # a JSON integer that no float holds
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["solve", "--problem", "power", "--params",
+      f'{{"p": {_BEYOND_FLOATS}, "dim": 1, "ball_radius": 1}}'], None,
+     "bad parameters for 'power': int too large to convert to float"),
+    (["solve", "--problem", "quadratic", "--params", f'{{"spectrum": [{_BEYOND_FLOATS}]}}'],
+     None, "bad parameters for 'quadratic': int too large to convert to float"),
+    (["solve", "--problem", "least_squares", "--params",
+      f'{{"rows": 1, "cols": 1, "singular_values": [{_BEYOND_FLOATS}]}}'], None,
+     "bad parameters for 'least_squares': int too large to convert to float"),
+    (["solve", "--problem", "quadratic", "--x0", f'{{"seed": 1, "norm": {_BEYOND_FLOATS}}}'],
+     None, "x0 norm must be finite and non-negative, got inf"),
+    (["compare", "--problem", "quadratic"],
+     f'{{"runs": [{{"method": "ahb", "gap_tol": {_BEYOND_FLOATS}}}]}}',
+     "gap_tol lies beyond the float range"),
+], ids=["power-p", "spectrum", "singular-values", "x0-norm", "gap-tol"])
+def test_an_integer_beyond_the_float_range_is_a_config_error(argv, config, message, tmp_path,
+                                                            capsys):
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "exp.json").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "exp.json")]
+    assert main(argv + ["--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith(f"error: {message}") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
     (tmp_path / "exp.json").write_text("[1]")
     assert main(["solve", "--config", str(tmp_path / "exp.json")]) == 1

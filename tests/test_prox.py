@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -293,6 +294,13 @@ def test_moreau_quadratic_literals():
     obj = make_quadratic([1.0])
     assert moreau_value(obj, 1.0, [2.0]) == pytest.approx(1.0)
     np.testing.assert_allclose(moreau_gradient(obj, 1.0, [2.0]), [1.0])
+
+
+@pytest.mark.parametrize("envelope", [moreau_value, moreau_gradient])
+@pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
+def test_moreau_envelope_names_a_bad_lam(envelope, lam):
+    with pytest.raises(InvalidInputError, match="lam must be positive and finite"):
+        envelope(make_quadratic([1.0]), lam, [1.0])
 
 
 def test_moreau_abs_is_huber():
