@@ -43,10 +43,6 @@ class DeskScaleLimitError(ToolkitError, ValueError):
     """A requested size exceeds the built-in desk-scale limits."""
 
 
-class InnerSolveError(ToolkitError):
-    """The iterative prox sub-solver failed to reach its tolerance."""
-
-
 class EmptyRegionError(ToolkitError):
     """Rejection sampling found no points in the requested region."""
 

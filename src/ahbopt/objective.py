@@ -44,8 +44,18 @@ _SHORTCUT_PARTNERS = {"value_and_gradient_fn": ("value_fn", "gradient_fn"),
 
 
 def euclidean_norm(v) -> float:
-    """|v| of a real 1-d array, the expression ``np.linalg.norm`` evaluates."""
-    return math.sqrt(float(v.dot(v)))
+    """|v| of a real 1-d array: where v.v lies in [1e-290, 1e290], sqrt(v.v),
+    the expression ``np.linalg.norm`` evaluates; elsewhere max|v_i| * |v / max|v_i||,
+    which neither overflows nor underflows. NaN gives NaN and inf gives inf."""
+    # vdot sums as dot does, bit for bit, without dot's overflow warning
+    square = float(np.vdot(v, v))
+    if 1e-290 <= square <= 1e290:
+        return math.sqrt(square)
+    top = float(np.abs(v).max())
+    if not 0.0 < top < math.inf:
+        return top
+    w = v / top
+    return top * math.sqrt(float(w.dot(w)))
 
 
 def _row_norms(xs):
@@ -103,7 +113,6 @@ class Objective:
     min_value : exact infimum when known.
     solution_oracle : exact distance to the solution set.
     prox_fn : ``prox_fn(lam, x)`` returns argmin_z f(z) + |z-x|^2/(2 lam).
-    convex_flag : True when f is convex.
     domain_radius : radius of validity for ``lipschitz``.
     matrix, target : the pair (A, y) when f(x) = 0.5 |A x - y|^2; exposes
         matrix-vector products for spectral estimation.
@@ -121,7 +130,6 @@ class Objective:
     min_value: Optional[float] = None
     solution_oracle: Optional[Callable[[Array], float]] = None
     prox_fn: Optional[Callable[[float, Array], Array]] = None
-    convex_flag: bool = False
     domain_radius: Optional[float] = None
     matrix: object = None
     target: Optional[Array] = None
@@ -254,7 +262,6 @@ def make_quadratic(spectrum) -> Objective:
         min_value=0.0,
         solution_oracle=euclidean_norm,
         prox_fn=prox,
-        convex_flag=True,
         x_true=np.zeros(dim),
         growth_exponent=0.5,
     )
@@ -347,7 +354,6 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
         min_value=0.0,
         solution_oracle=(lambda x: euclidean_norm(x - x_true)) if full_column_rank else None,
         prox_fn=prox,
-        convex_flag=True,
         matrix=a,
         target=y,
         x_true=x_true,
@@ -360,6 +366,7 @@ def make_power(p, dim, ball_radius) -> Objective:
 
     Requires p >= 2 so the gradient |x|^(p-2) x is Lipschitz on the ball,
     with constant (p-1) * ball_radius^(p-2). The growth exponent is 1/p.
+    The prox scales x by s / |x|, where s solves s + lam * s^(p-1) = |x|.
     """
     p = float(p)
     dim = _as_int("dim", dim, 1)
@@ -394,6 +401,36 @@ def make_power(p, dim, ball_radius) -> Objective:
 
     values.partners, slopes.partners = (value,), (gradient, None)
 
+    def prox(t, x):
+        # (s / |x|) x, s in [0, |x|] the root of the increasing, convex h(s) = s + t s^(p-1) - |x|:
+        # Newton's method from min(|x|, (|x| / t)^(1/(p-1))), at or above the root, bisecting
+        # whenever a step leaves the bracket or s^(p-1) overflows
+        r = euclidean_norm(x)
+        if not 0.0 < r < math.inf:  # 0 is its own prox; a non-finite |x| leaves no s to find
+            return x.copy()
+        c = t ** (1.0 / (p - 1.0))  # t s^(p-1) = (c s)^(p-1) overflows only where h does
+        lo, hi = 0.0, r
+        s = min(r, r ** (1.0 / (p - 1.0)) / c)
+        for _ in range(2200):  # about 2,100 halvings close a bracket across every float
+            try:
+                grow = (c * s) ** (p - 2.0) * c  # t s^(p-2): h'(s) = 1 + (p - 1) grow
+            except OverflowError:
+                grow = math.inf
+            h = s + grow * s - r
+            if h == 0.0:
+                break
+            lo, hi = (lo, s) if h > 0.0 else (s, hi)
+            slope = 1.0 + (p - 1.0) * grow
+            step = s - h / slope
+            if step == s and slope < math.inf:
+                break
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+                if step in (lo, hi):
+                    break
+            s = step
+        return (s / r) * x
+
     return Objective(
         dim=dim,
         value_fn=value,
@@ -405,7 +442,7 @@ def make_power(p, dim, ball_radius) -> Objective:
         lipschitz=lipschitz,
         min_value=0.0,
         solution_oracle=euclidean_norm,
-        convex_flag=True,
+        prox_fn=prox,
         domain_radius=radius,
         x_true=np.zeros(dim),
         growth_exponent=1.0 / p,
@@ -445,7 +482,6 @@ def make_abs_value() -> Objective:
         min_value=0.0,
         solution_oracle=value,
         prox_fn=prox,
-        convex_flag=True,
         x_true=np.zeros(1),
         growth_exponent=1.0,
         subgrad_min_norm=slope,
@@ -484,7 +520,6 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
         **_data_fit(a, y),
         lipschitz=_power_iteration(a, iters=5000, tol=1e-12, seed=0),
         min_value=0.0,
-        convex_flag=True,
         matrix=a,
         target=y,
         x_true=x_true,

@@ -1,6 +1,6 @@
-"""Proximal machinery: prox evaluation, one proximal point runner whose
-inner map is ``prox_point`` (a nonconvex objective brings its own
-``prox_fn``), and Moreau envelope values and gradients."""
+"""Proximal machinery: prox evaluation through the objective's exact
+``prox_fn``, one proximal point runner whose inner map is ``prox_point``,
+and Moreau envelope values and gradients."""
 
 from __future__ import annotations
 
@@ -8,11 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapabilityError, InnerSolveError, InvalidInputError, NumericalFailureError,
-                     as_int, as_positive)
+from .errors import InvalidInputError, NumericalFailureError, as_int, as_positive
 from .objective import as_point, euclidean_norm
-
-INNER_MAX_ITERS = 100_000
 
 
 @dataclass
@@ -22,7 +19,7 @@ class PpaRun:
     ``points[k]`` is the k-th iterate (``points[0]`` the start),
     ``values[k]`` its objective value, and ``step_norms[k]`` the distance
     from the previous iterate (0 at k = 0). Values are checked to be
-    nonincreasing up to inner-solve noise.
+    nonincreasing up to rounding.
     """
 
     tau: float
@@ -42,40 +39,14 @@ class PpaRun:
 
 
 def prox_point(obj, tau, x) -> np.ndarray:
-    """Minimizer of f(z) + |z - x|^2 / (2 tau).
-
-    Uses the objective's exact prox when registered. Otherwise, for a
-    smooth convex objective with a Lipschitz bound, runs constant-step
-    gradient descent on the strongly convex inner problem (step
-    1/(L + 1/tau)) until the inner gradient norm falls below
-    1e-12 * (1 + |x|) / tau.
-    """
-    tau = as_positive("tau", tau)
-    x = np.asarray(x, dtype=float)
-    if obj.prox_fn is not None:
-        return obj.prox(tau, x)
-    if not (obj.convex_flag and obj.gradient_fn is not None and obj.lipschitz is not None):
-        raise CapabilityError(
-            "prox_fn", "need an exact prox, or a smooth convex objective "
-            "with a Lipschitz bound for the inner solve")
-    step = 1.0 / (obj.lipschitz + 1.0 / tau)
-    tol = 1e-12 * (1.0 + euclidean_norm(x)) / tau
-    z = x.copy()
-    for _ in range(INNER_MAX_ITERS):
-        g = obj.gradient(z) + (z - x) / tau
-        if euclidean_norm(g) <= tol:
-            return z
-        z = z - step * g
-    raise InnerSolveError(
-        f"prox inner solve missed tolerance {tol:g} in {INNER_MAX_ITERS} iterations")
+    """Minimizer of f(z) + |z - x|^2 / (2 tau), from the objective's exact
+    prox; an objective without one raises CapabilityError("prox_fn")."""
+    return obj.prox(as_positive("tau", tau), as_point(obj, "x", x))
 
 
 def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
-    """Iterate the proximal point map ``prox_point`` num_steps times.
-
-    A nonconvex objective needs its own ``prox_fn``; without one the first
-    step raises ``CapabilityError("prox_fn")``.
-    """
+    """Iterate the proximal point map ``prox_point`` num_steps times; an
+    objective without a ``prox_fn`` stops at the first step."""
     tau = as_positive("tau", tau)
     num_steps = as_int("num_steps", num_steps, low=0)
     points = [as_point(obj, "x0", x0).copy()]
@@ -89,15 +60,13 @@ def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
 def moreau_value(obj, lam, x) -> float:
     """Moreau envelope value: f at the prox point plus the quadratic
     penalty that produced it."""
-    lam = as_positive("lam", lam)
-    p = prox_point(obj, lam, x)
-    x = np.asarray(x, dtype=float)
+    lam, x = as_positive("lam", lam), as_point(obj, "x", x)
+    p = obj.prox(lam, x)
     d = p - x
     return obj.value(p) + float(d.dot(d)) / (2.0 * lam)
 
 
 def moreau_gradient(obj, lam, x) -> np.ndarray:
     """Envelope gradient (x - prox(lam, x)) / lam; 1/lam-Lipschitz."""
-    lam = as_positive("lam", lam)
-    x = np.asarray(x, dtype=float)
-    return (x - prox_point(obj, lam, x)) / lam
+    lam, x = as_positive("lam", lam), as_point(obj, "x", x)
+    return (x - obj.prox(lam, x)) / lam

@@ -314,7 +314,6 @@ def test_growth_via_ppa_proxy_mode_notes_missing_oracle():
         lipschitz=1.0,
         min_value=0.0,
         prox_fn=lambda lam, x: x / (1.0 + lam),
-        convex_flag=True,
     )
     report = certify_growth_via_ppa(obj, [2.0], HolderFunction(SQRT2, 0.5),
                                     [1.0, 0.1])
@@ -332,8 +331,7 @@ def test_growth_via_ppa_input_validation():
     with pytest.raises(InvalidInputError):
         certify_growth_via_ppa(obj, [1.0], phi, [1.0], num_steps=0)
     no_min = Objective(dim=1, value_fn=lambda x: float(x[0]) ** 2,
-                       prox_fn=lambda lam, x: x / (1.0 + 2.0 * lam),
-                       convex_flag=True)
+                       prox_fn=lambda lam, x: x / (1.0 + 2.0 * lam))
     with pytest.raises(CapabilityError) as excinfo:
         certify_growth_via_ppa(no_min, [1.0], phi, [1.0])
     assert excinfo.value.missing == "min_value"
@@ -681,11 +679,13 @@ def test_certify_suite_reports_are_golden(seed, capsys):
     assert digest.hexdigest() == CERTIFY_SUITE_DIGESTS[seed]
 
 
-# SHA-256 of the sorted-key JSON report, taken with the same reference.
+# SHA-256 of the sorted-key JSON report, taken with the same reference; the
+# moreau report with power's exact prox, whose C and residual moved in their
+# last digits from the former inner gradient solve.
 POWER_REPORT_DIGESTS = {
     "kl": "410fd24d26744ccaffd3abdf6b3fc7d041e61602f7a100d83eb17177503f7fcb",
     "kl-at-cap": "c097bbbfbb10d6ea2b9aba1e0eb3a316f3c0c1137222e96daea303f65c6e5c4d",
-    "moreau": "f55b1c9cc47fd23409f1d5ca241855a29c4b7a98e6af123ae06df51fc9027549",
+    "moreau": "fa90e1ef840d24dc2a5b20bce8b9316e0684be1c0d338906314e801104d0c502",
 }
 
 
@@ -879,9 +879,29 @@ def test_replaced_value_oracle_is_called_once_per_trial():
     assert value.calls == report.trials + 1  # one more for f(xbar)
 
 
+def test_kl_flags_a_product_a_millionth_below_one():
+    # on quadratic [1], phi = c t^(1/2) gives the KL product c / sqrt(2) at every point
+    report = check_kl(make_quadratic([1.0]), [0.0], 1.0, 0.5,
+                      HolderFunction(SQRT2 * (1.0 - 1e-6), 0.5), num_samples=50, seed=1)
+    assert report.checked == report.violations == 50
+    assert report.worst_ratio == pytest.approx(1.0 / (1.0 - 1e-6), rel=1e-12)
+
+
+def test_moreau_exponent_flags_an_exponent_a_tenth_off():
+    # x^2 / 2 with its own prox: the envelope x^2 / (2 (1 + lam)) grows with
+    # exponent 1/2, where the objective claims 0.4
+    obj = Objective(dim=1, value_fn=lambda x: 0.5 * float(x[0]) ** 2,
+                    solution_oracle=lambda x: abs(float(x[0])),
+                    prox_fn=lambda lam, x: x / (1.0 + lam), growth_exponent=0.4)
+    report = check_moreau_exponent(obj, 1.0, [0.0], 1.0, num_samples=20)
+    assert (report.checked, report.violations) == (20, 1)
+    assert report.witness[0] == pytest.approx(0.5, abs=1e-9)
+    assert report.worst_ratio == pytest.approx(2.0, abs=1e-6)
+
+
 def test_moreau_exponent_skips_infinite_envelope_gaps():
     # points ~1e300 away square to an infinite envelope gap, which has no
-    # logarithm to fit
+    # logarithm to fit; their distance stays finite
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EmptyRegionError, match="only 0 usable envelope samples"):
             check_moreau_exponent(make_quadratic([1.0]), 1.0, [0.0], 1e300, num_samples=20)

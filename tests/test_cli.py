@@ -525,6 +525,30 @@ def test_certify_growth_ppa_counts_each_broken_path_bound(capsys):
         False, True, True]
 
 
+def test_certify_exits_3_on_exactly_one_violation(capsys):
+    code = main(["certify", "growth-ppa", "--problem", "quadratic",
+                 "--params", '{"spectrum": [1.0]}', "--x", "[2.0]",
+                 "--tau-list", "0.1", "--steps", "200", "--phi-c", "0.5"])
+    assert (code, _json_stdout(capsys)["violations"]) == (3, 1)
+
+
+def test_certify_growth_ppa_on_power_steps_outside_the_lipschitz_ball(capsys):
+    # the exact prox holds at |x| = 5.3, outside the ball of radius 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["certify", "growth-ppa", "--problem", "power",
+                     "--params", '{"p": 4, "dim": 1, "ball_radius": 2}', "--x", "[5.3]",
+                     "--phi-c", "2", "--phi-alpha", "0.25", "--tau-list", "1", "--steps", "5"])
+    assert (code, _json_stdout(capsys)["violations"]) == (0, 0)
+
+
+def test_certify_growth_ppa_on_radon_names_the_missing_prox(capsys):
+    code = main(["certify", "growth-ppa", "--problem", "radon",
+                 "--x", json.dumps([0.5] * 64), "--steps", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: objective does not provide 'prox_fn'\n")
+
+
 def test_certify_growth_ppa_non_finite_start_is_a_numerical_failure(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

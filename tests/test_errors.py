@@ -18,7 +18,6 @@ INSTANCES = [
     errors.NumericalFailureError(5),
     errors.NumericalFailureError(7, "overflow at step 7"),
     errors.DeskScaleLimitError("too big"),
-    errors.InnerSolveError("no convergence"),
     errors.EmptyRegionError("empty"),
     errors.TraceParseError("bad header"),
     errors.TraceParseError("bad row", line=3),

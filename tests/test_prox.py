@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from hypothesis import strategies as st
 from ahbopt import (
     CapabilityError,
     HolderFunction,
-    InnerSolveError,
     InvalidInputError,
     NumericalFailureError,
     Objective,
     PpaRun,
     certify_growth_via_ppa,
     make_abs_value,
+    make_power,
     make_quadratic,
     moreau_gradient,
     moreau_value,
@@ -55,40 +56,79 @@ def _diag_quadratic_without_prox(diag):
         value_fn=lambda x: 0.5 * float(x @ (diag * x)),
         gradient_fn=lambda x: diag * x,
         lipschitz=float(diag.max()),
-        convex_flag=True,
     )
 
 
-def test_prox_point_inner_solve_matches_closed_form():
-    # No prox_fn registered, so the strongly convex inner problem is
-    # solved by gradient descent; compare against the diagonal formula.
-    diag = np.array([1.0, 10.0])
-    obj = _diag_quadratic_without_prox(diag)
-    x = np.array([1.0, -2.0])
-    tau = 0.3
-    got = prox_point(obj, tau, x)
-    np.testing.assert_allclose(got, x / (1.0 + tau * diag), atol=1e-9)
-
-
 def test_prox_point_capability_error_without_fallback():
-    nonsmooth = Objective(dim=1, value_fn=lambda x: abs(float(x[0])),
-                          convex_flag=True)
-    with pytest.raises(CapabilityError) as excinfo:
-        prox_point(nonsmooth, 1.0, [1.0])
-    assert excinfo.value.missing == "prox_fn"
-
+    # without a prox_fn there is no prox, whether f is nonsmooth, nonconvex
+    # or a smooth convex quadratic with a Lipschitz bound
+    nonsmooth = Objective(dim=1, value_fn=lambda x: abs(float(x[0])))
     nonconvex = Objective(dim=1, value_fn=lambda x: float(x[0]) ** 2,
                           gradient_fn=lambda x: 2.0 * x, lipschitz=2.0)
-    with pytest.raises(CapabilityError):
-        prox_point(nonconvex, 1.0, [1.0])
+    for obj in (nonsmooth, nonconvex, _diag_quadratic_without_prox([1.0])):
+        with pytest.raises(CapabilityError) as excinfo:
+            prox_point(obj, 1.0, [1.0])
+        assert excinfo.value.missing == "prox_fn"
 
 
-def test_prox_point_inner_solve_gives_up():
-    # A nearly flat direction plus a huge tau keeps the inner gradient
-    # norm above the tolerance for the whole iteration budget.
-    obj = _diag_quadratic_without_prox([1e-7, 1.0])
-    with pytest.raises(InnerSolveError):
-        prox_point(obj, 1e9, [1.0, 1.0])
+def _bisected_radius(p, tau, r):
+    """The root of s + tau s^(p-1) = r in [0, r], halving the bracket until
+    its midpoint is one of its ends."""
+    lo, hi = 0.0, r
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if mid + tau * mid ** (p - 1.0) > r:
+            hi = mid
+        else:
+            lo = mid
+
+
+def test_power_prox_scales_x_to_the_bisected_radius():
+    # half the norms log-uniform from 1e-300, where mostly s = |x| to the last
+    # bit, half from 1e-2, where the power term moves s
+    rng = np.random.default_rng(20)
+    for k in range(400):
+        p = float(rng.choice([2.0, 3.0, 4.0, rng.uniform(2.0, 20.0)]))
+        dim, radius = int(rng.integers(1, 4)), 10 ** rng.uniform(-1, 1)
+        tau = 10 ** rng.uniform(-3, 3)
+        direction = rng.standard_normal(dim)
+        norm = 10 ** rng.uniform(-300 if k % 2 else -2, math.log10(1e3 * radius))
+        x = norm * direction / math.hypot(*direction)
+        r = math.hypot(*x)
+        got = prox_point(make_power(p, dim, radius), tau, x)
+        np.testing.assert_allclose(got, _bisected_radius(p, tau, r) / r * x, rtol=1e-14)
+
+
+def test_power_prox_solves_its_radius_equation_at_the_float_extremes():
+    # |x| / tau overflows, so the root finder starts at |x|, where tau s^(p-1)
+    # overflows too, and bisects down; s + 1e-300 s^3 = 1e300 at s = 1e200 (1 - 1e-100 / 3)
+    np.testing.assert_allclose(prox_point(make_power(4.0, 1, 1.0), 1e-300, [1e300]),
+                               [1e200], rtol=1e-13)
+    np.testing.assert_array_equal(prox_point(make_power(2.0, 1, 1.0), 1e300, [1e300]), [1.0])
+    np.testing.assert_array_equal(prox_point(make_power(3.0, 2, 1.0), 1.0, [0.0, 0.0]),
+                                  [0.0, 0.0])
+
+
+def test_power_prox_far_outside_the_lipschitz_ball_is_exact_and_quiet():
+    # |x| = 5.22 is outside the ball of radius 2 that the Lipschitz bound holds on
+    x = np.array([3.0, 4.0]) * (5.22 / 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = prox_point(make_power(4.0, 2, 2.0), 7.56, x)
+    s = math.hypot(*z)
+    assert s + 7.56 * s ** 3 == pytest.approx(5.22, rel=1e-15)
+    np.testing.assert_allclose(z / s, x / 5.22, rtol=1e-15)
+
+
+@pytest.mark.parametrize("call", [prox_point, moreau_value, moreau_gradient])
+@pytest.mark.parametrize("obj, x", [(make_quadratic([1.0, 10.0]), [1.0]),
+                                    (make_abs_value(), [[2.0]])],
+                         ids=["short", "two-dimensional"])
+def test_prox_maps_reject_a_point_of_the_wrong_shape(call, obj, x):
+    with pytest.raises(InvalidInputError, match=r"x must have shape \((2|1),\)"):
+        call(obj, 1.0, x)
 
 
 def test_ppa_run_quadratic_halves_each_step():
@@ -120,7 +160,7 @@ def test_ppa_run_zero_steps_and_bad_counts():
 
 
 def test_ppa_run_steps_a_nonconvex_objective_through_its_prox_fn():
-    # x^2 with convex_flag left False: the run takes its registered prox
+    # x^2 through its registered prox
     obj = Objective(dim=1, value_fn=lambda x: float(x[0]) ** 2,
                     prox_fn=lambda lam, x: x / (1.0 + 2.0 * lam))
     run = ppa_run(obj, 1.0, [1.0], 2)
@@ -140,7 +180,7 @@ def test_ppa_record_rejects_ascent_but_tolerates_noise():
         PpaRun(tau=1.0, points=pts, values=[1.0, 2.0], step_norms=[0.0, 1.0])
     assert excinfo.value.iteration == 1
 
-    # Inner-solve noise below the relative slack must not trip the check.
+    # Rounding noise below the relative slack must not trip the check.
     PpaRun(tau=1.0, points=pts, values=[1.0, 1.0 + 1e-10],
            step_norms=[0.0, 1.0])
 

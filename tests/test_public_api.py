@@ -7,7 +7,6 @@ PUBLIC_NAMES = {
     "DeskScaleLimitError",
     "EmptyRegionError",
     "HolderFunction",
-    "InnerSolveError",
     "InvalidInputError",
     "InvalidSpecError",
     "IterationRecord",
