@@ -16,14 +16,17 @@ requested sample. The generator fills a chunk row by row, so a report
 depends on the seed and not on the chunk size.
 
 The two level-slice checks, ``check_kl`` and ``certify_growth_direct``,
-keep only points with 0 < f(x) - f(xbar) < eta, and most ball points
-miss that slice. The batched oracles of ``Objective`` (on the quadratic,
-power and abs_value built-ins) decide rows in bulk, and a row takes the
-exact per-row calls only where its batched answer lies within its error
-bound of a decision, so a report is the same without them:
+keep only points with tiny <= f(x) - f(xbar) < eta, tiny the smallest
+normal float, and most ball points miss that slice. A subnormal gap has
+lost bits to underflow, so no relative tolerance could judge it. The
+batched oracles of ``Objective`` (on the quadratic, power and abs_value
+built-ins) decide rows in bulk, and a row takes the exact per-row calls
+only where its batched answer lies within its error bound of a
+decision, so a report is the same without them:
 
-- The batched gap v - fbar lies within s = 1e-9 * (|v| + |fbar|) + tiny
-  of the exact gap: a gap in (s, eta - s) is in the slice, one outside
+- The batched gap v - fbar lies within 1e-9 * (|v| + |fbar|) + tiny of
+  the exact gap. With s = 1e-9 * (|v| + |fbar|) + 2 * tiny, a gap in
+  (s, eta - s) is in the slice, its exact gap above tiny, one outside
   (-s, eta + s) is out, and any other takes one ``value_fn`` call.
 - A batched ratio is proportional to gap^a (a = alpha - 1 for kl, -alpha
   for growth), so it lies within e = 2 * (|a| * s / gap + 1e-10 + 1e-12)
@@ -44,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CapabilityError, EmptyRegionError, InvalidInputError,
-                     NumericalFailureError, as_int, as_positive)
+                     NumericalFailureError, as_int, as_positive, as_real)
 from .objective import as_point, euclidean_norm
 from .prox import moreau_value, ppa_run
 from .trace import fit_line
@@ -70,8 +73,7 @@ class HolderFunction:
 
     def __post_init__(self):
         as_positive("c", self.c)
-        if not as_positive("alpha", self.alpha) <= 1.0:
-            raise InvalidInputError("alpha must lie in (0, 1]")
+        as_real("alpha", self.alpha, "(0, 1]")
 
     def __call__(self, t) -> float:
         if t < 0:
@@ -173,20 +175,21 @@ def _shortfall_notes(checked, requested, trials):
 
 def _slice_rows(values, points, fbar, eta):
     """The batched gaps v - fbar of ``points``, their slack s and the masks of
-    rows inside the slice (0, eta) and of undecided rows; the rest lie out.
-    s = 1e-9 * (|v| + |fbar|) + tiny exceeds the error of ``values_fn`` plus
-    the rounding of both subtractions. With ``values`` None all are undecided."""
+    rows inside the slice [tiny, eta) and of undecided rows; the rest lie out.
+    s = 1e-9 * (|v| + |fbar|) + 2 * tiny exceeds the error of ``values_fn``
+    plus the rounding of both subtractions by tiny, so a gap above s is at
+    least tiny exactly. With ``values`` None all are undecided."""
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.full(len(points), np.nan) if values is None else values(points)
-        gap, slack = v - fbar, 1e-9 * (np.abs(v) + abs(fbar)) + _TINY
+        gap, slack = v - fbar, 1e-9 * (np.abs(v) + abs(fbar)) + 2.0 * _TINY
     inside = (gap > slack) & (gap < eta - slack)
     outside = np.isfinite(gap) & ((gap <= -slack) | (gap >= eta + slack))
     return gap, slack, inside, ~(inside | outside)
 
 
 def _slice_check(obj, xbar, r, eta, num_samples, seed, judge, ratios, power, limit):
-    """Sample B_r(xbar) for points with value strictly between f(xbar)
-    and f(xbar) + eta and judge each: ``judge(x, gap)`` returns the
+    """Sample B_r(xbar) for points whose gap f(x) - f(xbar) lies in
+    [tiny, eta) and judge each: ``judge(x, gap)`` returns the
     left/right ratio and whether the inequality broke, as a ratio above
     ``limit`` does. ``ratios(xs, gaps)``, or None, is the batched judge, with
     ratios proportional to gap^power (see the module docstring). The
@@ -206,7 +209,7 @@ def _slice_check(obj, xbar, r, eta, num_samples, seed, judge, ratios, power, lim
                 break
             # a float row of a chunk, so the oracle needs no conversion
             exact = float(value_fn(points[i])) - fbar
-            if 0.0 < exact < eta:
+            if _TINY <= exact < eta:
                 inside[i], gap[i], slack[i] = True, exact, 0.0
                 found += 1
         rows = np.flatnonzero(inside)[:need]
@@ -217,7 +220,7 @@ def _slice_check(obj, xbar, r, eta, num_samples, seed, judge, ratios, power, lim
     kept = np.concatenate(chunks)
     if not len(kept):
         raise EmptyRegionError(f"no sample of {trials} landed in the level slice "
-                               f"(0, {eta:g}) within radius {r:g}")
+                               f"[{_TINY:g}, {eta:g}) within radius {r:g}")
     xs, gaps, slacks = kept[:, :-2], kept[:, -2], kept[:, -1]
     with np.errstate(all="ignore"):
         rel = slacks / gaps
@@ -296,9 +299,9 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
     no distance oracle. A start gap, path length, bound or slack that is
     not finite raises NumericalFailureError.
     """
-    taus = [float(t) for t in tau_list]
-    if not taus or not all(0.0 < t < math.inf for t in taus):
-        raise InvalidInputError("tau_list must hold positive finite values")
+    taus = [as_positive("tau", t) for t in tau_list]
+    if not taus:
+        raise InvalidInputError("tau_list must not be empty")
     if len(set(taus)) < len(taus):
         raise InvalidInputError("tau_list must not repeat a value")
     num_steps = as_int("num_steps", num_steps, low=1)
@@ -344,11 +347,9 @@ def fit_growth_exponent(samples) -> tuple:
     misfit and C is inflated by the largest positive residual so the
     fitted law sits above the samples (to first order).
     """
-    pairs = [(float(g), float(d)) for g, d in samples]
+    pairs = [(as_positive("gap", g), as_positive("dist", d)) for g, d in samples]
     if len(pairs) < 8:
         raise InvalidInputError("need at least 8 (gap, dist) samples")
-    if any(g <= 0 or d <= 0 for g, d in pairs):
-        raise InvalidInputError("gaps and distances must be positive")
     log_gap, log_dist = np.log(pairs).T
     coef, rms = fit_line(log_gap, log_dist)
     margin = max(0.0, float((log_dist - np.polyval(coef, log_gap)).max()))
@@ -440,16 +441,9 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     ``fitted`` is None when fewer than two positive tail terms remain. A
     term that overflows or leaves [0, inf) raises NumericalFailureError.
     """
-    delta0, c, theta = float(delta0), float(c), float(theta)
     num_steps = as_int("num_steps", num_steps, low=1)
-    if not all(map(math.isfinite, (delta0, c, theta))):
-        raise InvalidInputError("delta0, c and theta must be finite")
-    if delta0 < 0:
-        raise InvalidInputError("delta0 must be nonnegative")
-    if not c > 0:
-        raise InvalidInputError("c must be positive")
-    if not theta > 1:
-        raise InvalidInputError("theta must exceed 1")
+    delta0, c = as_real("delta0", delta0, "[0, inf)"), as_positive("c", c)
+    theta = as_real("theta", theta, "(1, inf)")
     try:
         contracting = c * delta0 ** (theta - 1.0) < 1.0
     except OverflowError:

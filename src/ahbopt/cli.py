@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import certify, trace
 from ._io import atomic_write, json_text, json_value
 from .errors import (InvalidInputError, InvalidSpecError, NumericalFailureError, ToolkitError,
-                     as_int)
+                     as_int, as_real)
 from .objective import PROBLEM_KINDS, ProblemSpec
 from .solvers import METHODS, SolverConfig, run_solver
 
@@ -165,17 +164,8 @@ def _resolve_x0(x0_spec, dim):
     kind = x0_spec.get("kind", "seeded_random")
     if kind != "seeded_random":
         raise InvalidSpecError(f"unknown x0 kind '{kind}'")
-    seed = x0_spec.get("seed", 0)
-    norm = x0_spec.get("norm", 1.0)
-    if not all(type(v) in (int, float) for v in (seed, norm)) or seed % 1 != 0:
-        raise InvalidSpecError(f"x0 needs an integer seed and a numeric norm, got {x0_spec}")
-    seed = as_int("x0 seed", seed, InvalidSpecError, low=0)
-    try:
-        norm = float(norm)
-    except OverflowError:  # an integer beyond the float range
-        norm = math.inf
-    if not math.isfinite(norm) or norm < 0.0:
-        raise InvalidSpecError(f"x0 norm must be finite and non-negative, got {norm}")
+    seed = as_int("x0 seed", x0_spec.get("seed", 0), InvalidSpecError, low=0)
+    norm = as_real("x0 norm", x0_spec.get("norm", 1.0), "[0, inf)", InvalidSpecError)
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)
     direction *= norm / np.linalg.norm(direction)

@@ -1,6 +1,6 @@
-"""Exception types shared across the toolkit, and the two numeric input
-checks that raise them: integers at or above a bound, and positive finite
-reals."""
+"""Exception types shared across the toolkit, and the three numeric input
+checks that raise them: integers at or above a bound, positive finite
+reals, and reals in an interval."""
 
 import copyreg
 
@@ -73,16 +73,39 @@ def as_int(name, value, error=InvalidInputError, low=None) -> int:
     return value
 
 
+def _real(value) -> float:
+    """``value`` as a float; NaN, which lies in no interval, for a bool, an
+    integer beyond the float range, or a non-number: anything whose product
+    with a float is not a real number, such as a string, a Decimal or an
+    array of several numbers."""
+    if isinstance(value, bool):
+        return float("nan")
+    try:
+        return float(value * 1.0)
+    except (OverflowError, TypeError):
+        return float("nan")
+
+
 def as_positive(name, value, error=InvalidInputError) -> float:
     """``value`` as a float in (0, inf). A bool, a non-number, NaN, zero, a
     negative or +-inf raises ``error``, and so does an integer beyond the
     float range."""
-    number = 0.0
-    if not isinstance(value, bool) and hasattr(type(value), "__float__"):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
+    number = _real(value)
     if not 0.0 < number < float("inf"):
         raise error(f"{name} must be positive and finite")
+    return number
+
+
+def as_real(name, value, interval, error=InvalidInputError) -> float:
+    """``value`` as a float in ``interval``, written as the docs write it:
+    "[0, 1)", "(0, inf]". A bracket takes its end in, a parenthesis leaves
+    it out. Anything else, a bool, a non-number, NaN or an integer beyond
+    the float range among it, raises ``error`` with the message
+    "<name> must lie in <interval>"."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    number = _real(value)
+    above = number >= low if interval[0] == "[" else number > low
+    below = number <= high if interval[-1] == "]" else number < high
+    if not (above and below):
+        raise error(f"{name} must lie in {interval}")
     return number

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (CapabilityError, DeskScaleLimitError, InvalidInputError, InvalidSpecError,
-                     as_int, as_positive)
+                     as_int, as_positive, as_real)
 
 Array = np.ndarray
 
@@ -45,8 +45,9 @@ _SHORTCUT_PARTNERS = {"value_and_gradient_fn": ("value_fn", "gradient_fn"),
 
 def euclidean_norm(v) -> float:
     """|v| of a real 1-d array: where v.v lies in [1e-290, 1e290], sqrt(v.v),
-    the expression ``np.linalg.norm`` evaluates; elsewhere max|v_i| * |v / max|v_i||,
-    which neither overflows nor underflows. NaN gives NaN and inf gives inf."""
+    the expression ``np.linalg.norm`` evaluates; elsewhere ``math.hypot``, which
+    does not underflow and overflows only where |v| lies beyond the float range.
+    NaN gives NaN and inf gives inf."""
     # vdot sums as dot does, bit for bit, without dot's overflow warning
     square = float(np.vdot(v, v))
     if 1e-290 <= square <= 1e290:
@@ -54,8 +55,7 @@ def euclidean_norm(v) -> float:
     top = float(np.abs(v).max())
     if not 0.0 < top < math.inf:
         return top
-    w = v / top
-    return top * math.sqrt(float(w.dot(w)))
+    return math.hypot(*v.tolist())
 
 
 def _row_norms(xs):
@@ -159,7 +159,8 @@ class Objective:
     def prox(self, lam, x) -> Array:
         if self.prox_fn is None:
             raise CapabilityError("prox_fn")
-        return np.asarray(self.prox_fn(float(lam), np.asarray(x, dtype=float)), dtype=float)
+        return np.asarray(self.prox_fn(as_positive("lam", lam), np.asarray(x, dtype=float)),
+                          dtype=float)
 
     def distance(self, x) -> float:
         if self.solution_oracle is None:
@@ -202,7 +203,7 @@ class ProblemSpec:
             if self.kind == "abs_value":
                 return make_abs_value(**self.params)
             return make_radon(**self.params)
-        except (TypeError, OverflowError) as exc:
+        except TypeError as exc:
             raise InvalidSpecError(f"bad parameters for '{self.kind}': {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -226,11 +227,10 @@ def make_quadratic(spectrum) -> Objective:
     The prox is componentwise x_i / (1 + lam * lam_i) and the gradient
     Lipschitz constant is max(lam).
     """
-    lam = np.asarray(spectrum, dtype=float)
+    lam = np.asarray(spectrum, dtype=object)
     if lam.ndim != 1 or lam.size == 0:
         raise InvalidSpecError("spectrum must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
-        raise InvalidSpecError("spectrum entries must be finite and positive")
+    lam = np.array([as_positive("spectrum entries", v, InvalidSpecError) for v in lam])
     dim = int(lam.size)
 
     def value(x):
@@ -311,13 +311,12 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
         min(rows, cols), whose first entry squared is finite and nonzero.
     """
     rows, cols = _as_int("rows", rows, 1), _as_int("cols", cols, 1)
-    sv = np.asarray(singular_values, dtype=float)
+    sv = np.asarray(singular_values, dtype=object)
     r = min(rows, cols)
     if sv.ndim != 1 or sv.size != r:
         raise InvalidSpecError(
             f"singular_values must have length min(rows, cols) = {r}, got {sv.size}")
-    if not np.all(np.isfinite(sv)) or np.any(sv <= 0):
-        raise InvalidSpecError("singular values must be finite and positive")
+    sv = np.array([as_positive("singular values", v, InvalidSpecError) for v in sv])
     if np.any(np.diff(sv) > 0):
         raise InvalidSpecError("singular values must be nonincreasing")
 
@@ -368,11 +367,9 @@ def make_power(p, dim, ball_radius) -> Objective:
     with constant (p-1) * ball_radius^(p-2). The growth exponent is 1/p.
     The prox scales x by s / |x|, where s solves s + lam * s^(p-1) = |x|.
     """
-    p = float(p)
+    p = as_real("p", p, "[2, inf)", InvalidSpecError)
     dim = _as_int("dim", dim, 1)
     radius = as_positive("ball_radius", ball_radius, InvalidSpecError)
-    if not p >= 2:
-        raise InvalidSpecError("power objectives need p >= 2")
     try:
         lipschitz = (p - 1.0) * radius ** (p - 2.0)
     except OverflowError:
@@ -383,14 +380,15 @@ def make_power(p, dim, ball_radius) -> Objective:
                                f"must be finite and positive, got p = {p:g}, "
                                f"ball_radius = {radius:g}")
 
+    # |x| as a numpy float, whose power beyond the float range is inf, not OverflowError
     def value(x):
-        return float(np.linalg.norm(x) ** p) / p
+        return float(np.float64(euclidean_norm(x)) ** p) / p
 
     def values(xs):
         return np.linalg.norm(xs, axis=1) ** p / p
 
     def gradient(x):
-        r = np.linalg.norm(x)
+        r = np.float64(euclidean_norm(x))
         if r == 0.0:
             return np.zeros_like(x)
         return (r ** (p - 2.0)) * x

@@ -23,20 +23,25 @@ one residual, and 3 for Nesterov, which takes f at x but g at y.
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, InvalidInputError, NumericalFailureError, as_int, as_positive
+from .errors import (CapabilityError, InvalidInputError, NumericalFailureError, as_int,
+                     as_positive, as_real)
 from .objective import as_point
 from .trace import IterationRecord, Trace
 
 Array = np.ndarray
 
 _STOP_GAP, _STOP_MAX, _STOP_CRITICAL = "gap_tol", "max_iters", "critical_point"
+
+# the interval of each real SolverConfig field; checked, never stored back, so
+# a config keeps the numbers it was given
+_INTERVALS = {"mu0": "[0, 1)", "beta_cap": "(0, inf]", "gd_mu": "(0, 2)",
+              "nesterov_nu": "[2, inf]", "alrhb_beta": "(0, 1)", "gap_tol": "[0, inf]"}
 
 
 @dataclass(frozen=True)
@@ -62,27 +67,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method '{self.method}'; expected one of {METHODS}")
-        for f in fields(self)[1:]:  # every field after method is a number
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidInputError(f"{f.name} must be a number, got {value!r}")
-            try:
-                float(value)
-            except OverflowError:  # an integer beyond the float range
-                raise InvalidInputError(f"{f.name} lies beyond the float range") from None
-        if not 0.0 <= self.mu0 < 1.0:
-            raise InvalidInputError("mu0 must lie in [0, 1)")
-        if not self.beta_cap > 0.0:
-            raise InvalidInputError("beta_cap must be positive (may be inf)")
-        if not 0.0 < self.gd_mu < 2.0:
-            raise InvalidInputError("gd_mu must lie in (0, 2)")
-        if not self.nesterov_nu >= 2.0:
-            raise InvalidInputError("nesterov_nu must be at least 2")
-        if not 0.0 < self.alrhb_beta < 1.0:
-            raise InvalidInputError("alrhb_beta must lie in (0, 1)")
+        for name, interval in _INTERVALS.items():
+            as_real(name, getattr(self, name), interval)
         as_int("max_iters", self.max_iters, low=0)
-        if not self.gap_tol >= 0.0:
-            raise InvalidInputError("gap_tol must be nonnegative")
         as_int("record_every", self.record_every, low=1)
 
     def to_json_dict(self) -> dict:

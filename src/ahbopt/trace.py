@@ -131,8 +131,11 @@ def summarize(trace) -> dict:
 
 
 def fit_line(t, y):
-    """Least squares line y ~ coef[0] * t + coef[1] and its RMS misfit."""
-    coef = np.polyfit(t, y, 1)
+    """Least squares line y ~ coef[0] * t + coef[1] and its RMS misfit; abscissae
+    too close to tell apart leave no slope and raise InvalidInputError."""
+    coef, _, rank, _, _ = np.polyfit(t, y, 1, full=True)
+    if rank < 2:
+        raise InvalidInputError("a line fit needs at least two distinct abscissae")
     return coef, float(np.sqrt(np.mean((y - np.polyval(coef, t)) ** 2)))
 
 

@@ -59,8 +59,8 @@ def test_holder_function_validation():
         HolderFunction(1.0, 0.0)
     with pytest.raises(InvalidInputError):
         HolderFunction(1.0, 1.5)
-    for alpha in ("0.5", True, None):
-        with pytest.raises(InvalidInputError, match="alpha must be positive and finite"):
+    for alpha in ("0.5", True, None, 10 ** 400):
+        with pytest.raises(InvalidInputError, match=r"^alpha must lie in \(0, 1\]$"):
             HolderFunction(1.0, alpha)
     with pytest.raises(InvalidInputError):
         HolderFunction(1.0, 0.5)(-1.0)
@@ -102,6 +102,39 @@ def test_level_slice_can_be_empty():
     with pytest.raises(EmptyRegionError):
         check_kl(make_quadratic([1.0]), [0.0], 1.0, 1e-300,
                  HolderFunction(SQRT2, 0.5))
+
+
+# each built-in with a batched judge, the gauge under which its level-slice
+# inequalities hold with equality somewhere, and a radius at which most gaps
+# are subnormal
+_TRUE_GAUGES = {
+    "quadratic": (make_quadratic([1.0, 4.0]), HolderFunction(SQRT2, 0.5), 1e-160),
+    "power": (make_power(3.0, 2, 1.0), HolderFunction(3.0 ** (1.0 / 3.0), 1.0 / 3.0), 1e-106),
+    "abs_value": (make_abs_value(), HolderFunction(1.0, 1.0), 1e-310),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TRUE_GAUGES))
+def test_true_gauges_hold_at_every_radius_down_to_the_float_floor(kind):
+    # a subnormal gap has lost bits, so the slice starts at the smallest normal
+    # float: below it a check finds no sample rather than a false violation
+    obj, phi, floor = _TRUE_GAUGES[kind]
+    halved = HolderFunction(phi.c / 2.0, phi.alpha)
+    rng = random.Random(28)
+    radii = [floor] + [10.0 ** rng.uniform(-300.0, 2.0) for _ in range(30)]
+    for seed, r in enumerate(radii):
+        for check in (check_kl, certify_growth_direct):
+            try:
+                report = check(obj, np.zeros(obj.dim), r, 1e300, phi, 20, seed=seed)
+            except EmptyRegionError:
+                continue
+            assert report.violations == 0, (check.__name__, r)
+    # at radii whose gaps are normal, a false gauge still breaks
+    for seed in range(10):
+        r = 10.0 ** rng.uniform(-90.0, 2.0)
+        for check in (check_kl, certify_growth_direct):
+            assert check(obj, np.zeros(obj.dim), r, 1e300, halved, 20,
+                         seed=seed).violations > 0, (check.__name__, r)
 
 
 def test_level_slice_rejects_bad_region():
@@ -363,6 +396,16 @@ def test_fit_growth_exponent_validation():
         fit_growth_exponent([(1.0, 1.0)] * 7 + [(0.0, 1.0)])
     with pytest.raises(InvalidInputError):
         fit_growth_exponent([(1.0, 1.0)] * 7 + [(1.0, -2.0)])
+    # one gap eight times leaves no slope to fit
+    with pytest.raises(InvalidInputError, match="two distinct abscissae"):
+        fit_growth_exponent([(2.0, 1.0)] * 8)
+
+
+def test_moreau_exponent_with_one_distinct_gap_is_an_input_error():
+    # a unit ball around 2^52 holds only the floats 2^52 - 1, 2^52 and 2^52 + 1,
+    # so every kept sample has one envelope gap and no exponent can be fitted
+    with pytest.raises(InvalidInputError, match="two distinct abscissae"):
+        check_moreau_exponent(make_quadratic([1.0]), 1.0, [2.0 ** 52], 1.0, num_samples=8)
 
 
 @settings(deadline=None, max_examples=60)
@@ -417,11 +460,16 @@ def test_moreau_exponent_capability_and_validation():
         check_moreau_exponent(obj, 1.0, [0.0], 0.5, num_samples=7)
 
 
-@pytest.mark.parametrize("delta0, c, theta", [(math.nan, 0.1, 2.0), (1.0, 0.1, math.inf),
-                                              (0.0, math.inf, 2.0), (1.0, math.nan, 2.0)])
-def test_recursive_rate_rejects_non_finite_inputs(delta0, c, theta):
-    with pytest.raises(InvalidInputError, match="must be finite"):
+@pytest.mark.parametrize("delta0, c, theta, message", [
+    (math.nan, 0.1, 2.0, "delta0 must lie in [0, inf)"),
+    (1.0, 0.1, math.inf, "theta must lie in (1, inf)"),
+    (0.0, math.inf, 2.0, "c must be positive and finite"),
+    (1.0, math.nan, 2.0, "c must be positive and finite"),
+], ids=["nan-0.1-2.0", "1.0-0.1-inf", "0.0-inf-2.0", "1.0-nan-2.0"])
+def test_recursive_rate_rejects_non_finite_inputs(delta0, c, theta, message):
+    with pytest.raises(InvalidInputError) as excinfo:
         verify_recursive_rate(delta0, c, theta, 100)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("check", [

@@ -1,13 +1,15 @@
 import copy
 import dataclasses
+import decimal
 import fractions
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 import ahbopt
-from ahbopt import errors
+from ahbopt import cli, errors
 
 INSTANCES = [
     errors.ToolkitError("base"),
@@ -148,7 +150,17 @@ POSITIVE_SITES = {
     "lipschitz_estimate": ("tol", lambda v: ahbopt.lipschitz_estimate(_LSQ, tol=v)),
     "run_solver": ("lipschitz", lambda v: ahbopt.run_solver(
         dataclasses.replace(_QUAD, lipschitz=v), ahbopt.SolverConfig(max_iters=3), [1.0])),
+    "certify_growth_via_ppa": ("tau", lambda v: ahbopt.certify_growth_via_ppa(
+        _QUAD, [1.0], ahbopt.HolderFunction(1.0, 0.5), [1.0, v], num_steps=2)),
+    "verify_recursive_rate": ("c", lambda v: ahbopt.verify_recursive_rate(0.5, v, 2.0, 10)),
+    "fit_growth_exponent": ("dist", lambda v: ahbopt.fit_growth_exponent(
+        [(1.0, 1.0)] * 8 + [(1.0, v)])),
+    "Objective.prox": ("lam", lambda v: _QUAD.prox(v, [1.0])),
+    "make_quadratic": ("spectrum entries", lambda v: ahbopt.make_quadratic([1.0, v])),
+    "make_least_squares": ("singular values",
+                           lambda v: ahbopt.make_least_squares(2, 2, [v, v], 0)),
 }
+_SPEC_REALS = {"make_power", "make_quadratic", "make_least_squares"}
 
 
 @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf"), -float("inf"), True, "1",
@@ -157,7 +169,7 @@ POSITIVE_SITES = {
 @pytest.mark.parametrize("site", sorted(POSITIVE_SITES))
 def test_library_reals_must_be_positive_and_finite(site, value):
     name, call = POSITIVE_SITES[site]
-    error = errors.InvalidSpecError if site == "make_power" else errors.InvalidInputError
+    error = errors.InvalidSpecError if site in _SPEC_REALS else errors.InvalidInputError
     with pytest.raises(error) as excinfo:
         call(value)
     assert str(excinfo.value) == f"{name} must be positive and finite"
@@ -165,8 +177,54 @@ def test_library_reals_must_be_positive_and_finite(site, value):
 
 def test_positive_reals_come_back_as_floats():
     for value in (2, 2.0, np.float32(2.0), np.int64(2), fractions.Fraction(2)):
-        number = errors.as_positive("x", value)
-        assert type(number) is float and number == 2.0
+        for number in (errors.as_positive("x", value), errors.as_real("x", value, "[2, 2]")):
+            assert type(number) is float and number == 2.0
+
+
+# each real with an interval, named as its error names it: the interval as the
+# docs write it, and a call with the value under test that is otherwise valid
+INTERVAL_SITES = {
+    "mu0": ("[0, 1)", lambda v: ahbopt.SolverConfig(mu0=v)),
+    "beta_cap": ("(0, inf]", lambda v: ahbopt.SolverConfig(beta_cap=v)),
+    "gd_mu": ("(0, 2)", lambda v: ahbopt.SolverConfig(gd_mu=v)),
+    "nesterov_nu": ("[2, inf]", lambda v: ahbopt.SolverConfig(nesterov_nu=v)),
+    "alrhb_beta": ("(0, 1)", lambda v: ahbopt.SolverConfig(alrhb_beta=v)),
+    "gap_tol": ("[0, inf]", lambda v: ahbopt.SolverConfig(gap_tol=v)),
+    "alpha": ("(0, 1]", lambda v: ahbopt.HolderFunction(1.0, v)),
+    "p": ("[2, inf)", lambda v: ahbopt.make_power(v, 1, 1.0)),
+    "delta0": ("[0, inf)", lambda v: ahbopt.verify_recursive_rate(v, 0.1, 2.0, 10)),
+    "theta": ("(1, inf)", lambda v: ahbopt.verify_recursive_rate(0.5, 0.1, v, 10)),
+    "x0 norm": ("[0, inf)", lambda v: cli._resolve_x0({"seed": 1, "norm": v}, 2)),
+}
+_SPEC_INTERVALS = {"p", "x0 norm"}
+
+
+def _refused(site, value):
+    interval, call = INTERVAL_SITES[site]
+    error = errors.InvalidSpecError if site in _SPEC_INTERVALS else errors.InvalidInputError
+    with pytest.raises(error) as excinfo:
+        call(value)
+    assert str(excinfo.value) == f"{site} must lie in {interval}"
+
+
+@pytest.mark.parametrize("value", [True, "0.5", float("nan"), 10 ** 400, decimal.Decimal("0.5"),
+                                   np.array([0.5, 0.5])],
+                         ids=["bool", "str", "nan", "huge-int", "decimal", "array"])
+@pytest.mark.parametrize("site", sorted(INTERVAL_SITES))
+def test_library_reals_must_lie_in_their_interval(site, value):
+    _refused(site, value)
+
+
+@pytest.mark.parametrize("site", sorted(INTERVAL_SITES))
+def test_interval_ends_are_taken_in_by_a_bracket_and_left_out_by_a_parenthesis(site):
+    interval, call = INTERVAL_SITES[site]
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    call((low + high) / 2.0 if high < math.inf else low + 1.0)
+    for end, closed in ((low, interval[0] == "["), (high, interval[-1] == "]")):
+        if closed:
+            call(end)
+        else:
+            _refused(site, end)
 
 
 # each library entry point that takes a point of the problem's dimension

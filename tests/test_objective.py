@@ -171,6 +171,16 @@ def test_power_gradient_at_origin_is_zero():
     np.testing.assert_array_equal(obj.gradient(np.zeros(2)), np.zeros(2))
 
 
+@pytest.mark.parametrize("size", [1e-170, 1e-160, 1e-100, 1.0, 1e100])
+def test_power_at_p_2_equals_the_quadratic_at_every_scale(size):
+    # |x| comes from the exact norm, so a point below 1.5e-154 is not the origin
+    x = np.array([0.6 * size, -0.8 * size])
+    np.testing.assert_array_equal(make_power(2.0, 2, 1.0).gradient(x),
+                                  make_quadratic([1.0, 1.0]).gradient(x))
+    # |x|^2 / 2 and x * x / 2 round alike in one dimension, subnormal or not
+    assert make_power(2.0, 1, 1.0).value([size]) == make_quadratic([1.0]).value([size])
+
+
 def test_power_rejects_small_exponent():
     with pytest.raises(InvalidSpecError):
         make_power(1.5, 1, 1.0)
@@ -468,11 +478,13 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 @example([1e-170, -1e-170, 1e-170])
 @example([5e-324, 5e-324])
 @example([1.7e308, 1.7e308])
+# the true norm of the least squares point lies just past the largest float
+@example([1.8941775056029057e+300, 1.7976931348623157e+308])
 @given(st.lists(_finite, min_size=1, max_size=40))
 def test_distance_oracles_equal_linalg_norm(xs):
-    # sqrt(v.v), bitwise, where v.v lies in [1e-290, 1e290]; elsewhere the
-    # rescaled norm, neither overflowing nor underflowing, within 1e-14 of hypot
-    # and a few units of the smallest subnormal where the norm is subnormal
+    # sqrt(v.v), bitwise, where v.v lies in [1e-290, 1e290]; elsewhere a norm
+    # that neither overflows nor underflows, within 1e-14 of hypot and a few
+    # units of the smallest subnormal where the norm is subnormal
     x = np.array(xs)
     ls = make_least_squares(x.size, x.size, [1.0] * x.size, seed=0)
     power = make_power(2.0, x.size, 1.0)

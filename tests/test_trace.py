@@ -12,6 +12,7 @@ from ahbopt import (
     SolverConfig,
     Trace,
     TraceParseError,
+    fit_rate_from_trace,
     make_quadratic,
     read_csv,
     run_solver,
@@ -126,6 +127,24 @@ def test_summarize_beta_extremes():
     records = [record(k, beta=0.0) for k in range(5)]
     summary = summarize(Trace(records=records))
     assert summary["min_beta"] == summary["max_beta"] == 0.0
+    records = [record(k, beta=beta) for k, beta in enumerate((0.5, 0.2, 0.9, 0.4))]
+    summary = summarize(Trace(records=records))
+    assert (summary["min_beta"], summary["max_beta"]) == (0.2, 0.9)
+
+
+def test_fit_window_takes_in_both_ends():
+    # k = 1 .. 8 are exactly the 8 records a fit needs
+    trace = Trace(records=[record(k, dist=2.0 * 0.9 ** k) for k in range(10)])
+    rho, _ = fit_rate_from_trace(trace, "linear", k_min=1, k_max=8)
+    assert rho == pytest.approx(0.9, abs=1e-12)
+
+
+def test_fit_skips_infinite_distances():
+    records = [record(k, dist=2.0 * 0.9 ** k) for k in range(10)]
+    finite = Trace(records=records[:-1])
+    infinite = Trace(records=records[:-1] + [record(9, dist=math.inf)])
+    for model in ("linear", "power"):
+        assert fit_rate_from_trace(infinite, model) == fit_rate_from_trace(finite, model)
 
 
 def test_summarize_quadratic_run():
