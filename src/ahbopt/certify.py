@@ -154,7 +154,7 @@ def _accepted(xbar, r, num_samples, seed, take):
     after 100 trials per requested sample, and draws no chunk it does not
     consume. Returns the kept values of each chunk and the trial count."""
     r = as_positive("r", r)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int("seed", seed, low=0))
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_FLOATS // (xbar.size + 2)))
     chunks, count, trials, cap = [], 0, 0, _REJECTION_FACTOR * num_samples
     while trials < cap and count < num_samples:

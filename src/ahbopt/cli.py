@@ -17,8 +17,7 @@ import numpy as np
 
 from . import certify, trace
 from ._io import atomic_write, json_text, json_value
-from .errors import (InvalidInputError, InvalidSpecError, NumericalFailureError, ToolkitError,
-                     as_int, as_real)
+from .errors import InvalidSpecError, NumericalFailureError, ToolkitError, as_int, as_real
 from .objective import PROBLEM_KINDS, ProblemSpec
 from .solvers import METHODS, SolverConfig, run_solver
 
@@ -66,14 +65,11 @@ def _json_flag(text):
         raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from exc
 
 
-def _seed_flag(text):
+def _float_list_flag(text):
     try:
-        seed = int(text)
+        return [float(t) for t in text.split(",") if t]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
-    return seed
+        raise argparse.ArgumentTypeError(f"invalid float list value: {text!r}") from None
 
 
 def _add_problem_flags(parser):
@@ -99,7 +95,7 @@ def _add_gauge_flags(parser):
 
 def _add_sample_flags(parser, samples):
     parser.add_argument("--samples", type=int, default=samples)
-    parser.add_argument("--seed", type=_seed_flag, default=0, help="seed for the sampled points")
+    parser.add_argument("--seed", type=int, default=0, help="seed for the sampled points")
 
 
 def _add_slice_flags(parser):
@@ -169,6 +165,8 @@ def _resolve_x0(x0_spec, dim):
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)
     direction *= norm / np.linalg.norm(direction)
+    if not np.isfinite(direction).all():
+        raise NumericalFailureError(0)
     return direction, seed
 
 
@@ -234,16 +232,9 @@ def cmd_compare(args) -> int:
 
 
 def _parse_point(text, dim):
-    if text in (None, "zeros"):
-        return np.zeros(dim)
-    value = json_value(text)
-    numbers = value if isinstance(value, list) else [value]
-    if not all(type(v) in (int, float) for v in numbers):
-        raise InvalidInputError(f"point must be a JSON number or list of numbers, got {text}")
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"point must be finite, got {text}")
-    return arr
+    # a JSON number stands for a one-entry list; the library checks the point
+    value = np.zeros(dim) if text == "zeros" else json_value(text)
+    return [value] if isinstance(value, (int, float)) else value
 
 
 def _certify_report(args):
@@ -258,9 +249,8 @@ def _certify_report(args):
                                              args.r, num_samples=args.samples, seed=args.seed)
     phi = certify.HolderFunction(c=args.phi_c, alpha=args.phi_alpha)
     if args.certify_cmd == "growth-ppa":
-        taus = [float(t) for t in args.tau_list.split(",") if t]
         return certify.certify_growth_via_ppa(obj, _parse_point(args.x, obj.dim),
-                                              phi, taus, num_steps=args.steps)
+                                              phi, args.tau_list, num_steps=args.steps)
     check = certify.check_kl if args.certify_cmd == "kl" else certify.certify_growth_direct
     return check(obj, _parse_point(args.xbar, obj.dim), args.r, args.eta, phi,
                  num_samples=args.samples, seed=args.seed)
@@ -303,7 +293,8 @@ def _cert_flags(add_own):
 def _add_ppa_flags(parser):
     parser.add_argument("--x", required=True, help="start point as JSON")
     _add_gauge_flags(parser)
-    parser.add_argument("--tau-list", dest="tau_list", default="1,0.1,0.01")
+    parser.add_argument("--tau-list", dest="tau_list", type=_float_list_flag,
+                        default="1,0.1,0.01")
     parser.add_argument("--steps", type=int, default=200)
 
 

@@ -55,11 +55,10 @@ class TraceParseError(ToolkitError, ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def as_int(name, value, error=InvalidInputError, low=None) -> int:
-    """``value`` as an int: an integral float, or an integer type other
-    than bool (one with ``__index__``, such as a numpy integer). A bool, a
-    non-number, a fraction, NaN or +-inf raises ``error``, and so does an
-    integer below ``low`` when that bound is given."""
+def as_int(name, value, error=InvalidInputError, *, low) -> int:
+    """``value`` as an int at or above ``low``: an integral float, or an
+    integer type other than bool (one with ``__index__``, such as a numpy
+    integer). A bool, a non-number, a fraction, NaN or +-inf raises ``error``."""
     if isinstance(value, float):
         integral = value.is_integer()
     else:
@@ -67,7 +66,7 @@ def as_int(name, value, error=InvalidInputError, low=None) -> int:
     if not integral:
         raise error(f"{name} must be an integer, got {value!r}")
     value = int(value)
-    if low is not None and value < low:
+    if value < low:
         bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
         raise error(f"{name} must be {bound}, got {value}")
     return value

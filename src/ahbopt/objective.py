@@ -69,16 +69,24 @@ _row_norms.partners = (euclidean_norm,)
 
 
 def as_point(obj, name, x) -> Array:
-    """``x`` as a float array; a shape other than ``(obj.dim,)`` raises
-    InvalidInputError naming ``name``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (obj.dim,):
-        raise InvalidInputError(f"{name} must have shape ({obj.dim},), got {x.shape}")
-    return x
+    """``x`` as a float array of shape ``(obj.dim,)``. A ragged list, an entry
+    that is not a finite float or 64-bit integer (a bool, a string, None, NaN,
+    +-inf) or another shape raises InvalidInputError naming ``name``."""
+    try:
+        point = np.asarray(x)
+    except ValueError:  # a ragged list
+        point = np.asarray(None)
+    # numpy reads a bool among numbers as a number, so a list's entries are checked too
+    if (point.dtype.kind not in "fiu" or not np.isfinite(point).all()
+            or isinstance(x, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in x)):
+        raise InvalidInputError(f"{name} must hold finite floats or 64-bit integers only")
+    if point.shape != (obj.dim,):
+        raise InvalidInputError(f"{name} must have shape ({obj.dim},), got {point.shape}")
+    return point.astype(float, copy=False)
 
 
 def _as_int(name, value, low) -> int:
-    return as_int(name, value, InvalidSpecError, low)
+    return as_int(name, value, InvalidSpecError, low=low)
 
 
 @dataclass(frozen=True)
@@ -320,7 +328,7 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     if np.any(np.diff(sv) > 0):
         raise InvalidSpecError("singular values must be nonincreasing")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_int("seed", seed, 0))
     u = _orthonormal_columns(rng, rows, r)
     v = _orthonormal_columns(rng, cols, r)
     x_true = rng.standard_normal(cols)
@@ -555,5 +563,5 @@ def lipschitz_estimate(obj, iters=500, tol=1e-10, seed=0) -> float:
     """
     if obj.matrix is None:
         raise CapabilityError("matrix")
-    iters = as_int("iters", iters, low=1)
+    iters, seed = as_int("iters", iters, low=1), as_int("seed", seed, low=0)
     return _power_iteration(obj.matrix, iters, as_positive("tol", tol), seed)

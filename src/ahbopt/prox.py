@@ -1,5 +1,5 @@
 """Proximal machinery: prox evaluation through the objective's exact
-``prox_fn``, one proximal point runner whose inner map is ``prox_point``,
+``prox_fn``, one proximal point runner that steps through that prox,
 and Moreau envelope values and gradients."""
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ def prox_point(obj, tau, x) -> np.ndarray:
 
 
 def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
-    """Iterate the proximal point map ``prox_point`` num_steps times; an
-    objective without a ``prox_fn`` stops at the first step."""
+    """Iterate the objective's exact prox num_steps times from x0, checked
+    once; an objective without a ``prox_fn`` stops at the first step."""
     tau = as_positive("tau", tau)
     num_steps = as_int("num_steps", num_steps, low=0)
     points = [as_point(obj, "x0", x0).copy()]
     for _ in range(num_steps):
-        points.append(prox_point(obj, tau, points[-1]))
+        points.append(obj.prox(tau, points[-1]))
     values = [obj.value(p) for p in points]
     step_norms = [0.0] + [euclidean_norm(b - a) for a, b in zip(points[:-1], points[1:])]
     return PpaRun(tau=tau, points=points, values=values, step_norms=step_norms)

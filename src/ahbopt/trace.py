@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ._io import atomic_write, json_text, json_value
-from .errors import InvalidInputError, TraceParseError
+from .errors import InvalidInputError, TraceParseError, as_int
 
 CSV_HEADER = "k,fval,gap,gnorm,alpha,beta,step_norm,dist"
 
@@ -146,14 +146,15 @@ def fit_rate_from_trace(trace, model, k_min=None, k_max=None) -> tuple:
     contraction factor; ``model="power"`` regresses log dist on
     log(k + 1) and returns the exponent. Both return (value, residual)
     with the RMS log-domain misfit, and need at least 8 records with
-    positive finite distances inside [k_min, k_max].
+    positive finite distances inside [k_min, k_max], nonnegative integers.
     """
     if model not in ("linear", "power"):
         raise InvalidInputError("model must be 'linear' or 'power'")
+    k_min = 0 if k_min is None else as_int("k_min", k_min, low=0)
+    k_max = math.inf if k_max is None else as_int("k_max", k_max, low=0)
     rows = [(r.k, r.dist) for r in trace.records
             if r.dist is not None and math.isfinite(r.dist) and r.dist > 0
-            and (k_min is None or r.k >= k_min)
-            and (k_max is None or r.k <= k_max)]
+            and k_min <= r.k <= k_max]
     if len(rows) < 8:
         raise InvalidInputError("need at least 8 positive distance records to fit")
     ks = np.array([k for k, _ in rows], dtype=float)

@@ -115,7 +115,10 @@ def test_unknown_start_key_is_a_config_error(tmp_path, capsys):
       "--xbar", "[0.0]"], "xbar must have shape (3,), got (1,)"),
     (["certify", "moreau", "--problem", "quadratic", "--lam", "inf"],
      "lam must be positive and finite"),
-], ids=["seed-not-an-int", "x0-kind", "infinite-radius", "xbar-dimension", "infinite-lam"])
+    (["certify", "growth-ppa", "--problem", "quadratic", "--x", "[1.0]", "--tau-list", "1,abc"],
+     "argument --tau-list: invalid float list value: '1,abc'"),
+], ids=["seed-not-an-int", "x0-kind", "infinite-radius", "xbar-dimension", "infinite-lam",
+        "tau-list-not-floats"])
 def test_bad_input_is_a_config_error_that_names_it(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + (["--out", str(out)] if argv[0] == "solve" else [])) == 1
@@ -166,7 +169,7 @@ def test_config_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
     (["solve", "--problem", "quadratic", "--x0", '{"seed": -3}'],
      "x0 seed must be nonnegative, got -3"),
     (["certify", "kl", "--problem", "quadratic", "--seed", "-1"],
-     "argument --seed: must be nonnegative, got -1"),
+     "seed must be nonnegative, got -1"),
 ], ids=["problem-seed", "x0-seed", "sample-seed"])
 def test_negative_seed_is_a_config_error_that_names_it(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -607,7 +610,7 @@ def test_certify_non_finite_point_is_a_config_error(argv, capsys):
     assert main(["certify"] + argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: point must be finite")
+    assert err == f"error: {argv[3][2:]} must hold finite floats or 64-bit integers only\n"
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
@@ -870,12 +873,14 @@ def test_params_that_are_not_an_object_are_a_config_error(argv, tmp_path, capsys
     ["growth", "--problem", "quadratic", "--xbar", '"0.5"'],
     ["moreau", "--problem", "abs_value", "--xbar", "true"],
     ["growth-ppa", "--problem", "quadratic", "--x", '{"a":1}'],
-], ids=["kl-object", "growth-string", "moreau-bool", "growth-ppa-object"])
+    # an integer beyond the float range, which numpy cannot convert
+    ["kl", "--problem", "quadratic", "--xbar", "[" + "9" * 400 + "]"],
+], ids=["kl-object", "growth-string", "moreau-bool", "growth-ppa-object", "kl-huge-int"])
 def test_certify_point_that_is_not_numbers_is_a_config_error(argv, capsys):
     assert main(["certify"] + argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: point must be a JSON number or list of numbers")
+    assert err == f"error: {argv[3][2:]} must hold finite floats or 64-bit integers only\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ahbopt
-from ahbopt import cli, errors
+from ahbopt import certify, cli, errors
 
 INSTANCES = [
     errors.ToolkitError("base"),
@@ -55,6 +55,9 @@ def test_toolkit_errors_survive_a_round_trip(err, roundtrip):
         assert hasattr(back, name) == hasattr(err, name)
 
 
+_TRACE = ahbopt.run_solver(ahbopt.make_quadratic([1.0, 2.0]), ahbopt.SolverConfig(max_iters=20),
+                           [1.0, 1.0])
+
 # each library count: its name, and a call with the value under test that is
 # otherwise valid
 COUNT_SITES = {
@@ -72,10 +75,15 @@ COUNT_SITES = {
                               lambda n: ahbopt.verify_recursive_rate(1.0, 0.1, 2.0, n)),
     "lipschitz_estimate": ("iters", lambda n: ahbopt.lipschitz_estimate(
         ahbopt.make_least_squares(3, 2, [2.0, 1.0], 0), iters=n)),
+    "fit_rate_from_trace k_min": ("k_min", lambda n: ahbopt.fit_rate_from_trace(
+        _TRACE, "linear", k_min=n)),
+    "fit_rate_from_trace k_max": ("k_max", lambda n: ahbopt.fit_rate_from_trace(
+        _TRACE, "linear", k_max=n)),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, True, float("nan")], ids=["fraction", "bool", "nan"])
+@pytest.mark.parametrize("value", [2.5, True, float("nan"), "3"],
+                         ids=["fraction", "bool", "nan", "str"])
 @pytest.mark.parametrize("site", sorted(COUNT_SITES))
 def test_library_counts_must_be_integers(site, value):
     name, call = COUNT_SITES[site]
@@ -101,6 +109,10 @@ BOUNDED_COUNT_SITES = {
                               "num_steps must be positive, got 0"),
     "lipschitz_estimate": (COUNT_SITES["lipschitz_estimate"][1], 0,
                            "iters must be positive, got 0"),
+    "fit_rate_from_trace k_min": (COUNT_SITES["fit_rate_from_trace k_min"][1], -1,
+                                  "k_min must be nonnegative, got -1"),
+    "fit_rate_from_trace k_max": (COUNT_SITES["fit_rate_from_trace k_max"][1], -1,
+                                  "k_max must be nonnegative, got -1"),
     "max_iters": (lambda n: ahbopt.SolverConfig(max_iters=n), -1,
                   "max_iters must be nonnegative, got -1"),
     "record_every": (lambda n: ahbopt.SolverConfig(record_every=n), 0,
@@ -229,6 +241,7 @@ def test_interval_ends_are_taken_in_by_a_bracket_and_left_out_by_a_parenthesis(s
 
 # each library entry point that takes a point of the problem's dimension
 _POWER3 = ahbopt.make_power(4.0, 3, 4.0)
+_QUAD3 = ahbopt.make_quadratic([1.0, 2.0, 4.0])
 POINT_SITES = {
     "check_kl": ("xbar", _POWER3, lambda obj, x: ahbopt.check_kl(
         obj, x, 1.0, 1.0, ahbopt.HolderFunction(2 ** 0.5, 0.25), num_samples=10)),
@@ -241,19 +254,67 @@ POINT_SITES = {
                                      obj, ahbopt.SolverConfig(max_iters=3), x)),
     "certify_growth_via_ppa": ("x", _POWER3, lambda obj, x: ahbopt.certify_growth_via_ppa(
         obj, x, ahbopt.HolderFunction(2 ** 0.5, 0.25), [1.0], num_steps=3)),
-    "check_moreau_exponent": ("xbar", ahbopt.make_quadratic([1.0, 2.0, 4.0]),
-                              lambda obj, x: ahbopt.check_moreau_exponent(
-                                  obj, 1.0, x, 0.5, num_samples=10)),
-    "ppa_run": ("x0", ahbopt.make_quadratic([1.0, 2.0, 4.0]),
-                lambda obj, x: ahbopt.ppa_run(obj, 1.0, x, 3)),
+    "check_moreau_exponent": ("xbar", _QUAD3, lambda obj, x: ahbopt.check_moreau_exponent(
+        obj, 1.0, x, 0.5, num_samples=10)),
+    "ppa_run": ("x0", _QUAD3, lambda obj, x: ahbopt.ppa_run(obj, 1.0, x, 3)),
+    "prox_point": ("x", _QUAD3, lambda obj, x: ahbopt.prox_point(obj, 1.0, x)),
+    "moreau_value": ("x", _QUAD3, lambda obj, x: ahbopt.moreau_value(obj, 1.0, x)),
+    "moreau_gradient": ("x", _QUAD3, lambda obj, x: ahbopt.moreau_gradient(obj, 1.0, x)),
 }
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew points for a refused input")
+
+    monkeypatch.setattr(certify, "_ball_points", refuse)
 
 
 @pytest.mark.parametrize("point, shape", [([0.0], "(1,)"), ([[0.0, 0.0, 0.0]], "(1, 3)"),
                                           (0.0, "()")], ids=["1-d", "row", "scalar"])
 @pytest.mark.parametrize("site", sorted(POINT_SITES))
-def test_points_must_have_the_problem_dimension(site, point, shape):
+def test_points_must_have_the_problem_dimension(site, point, shape, no_draws):
     name, obj, call = POINT_SITES[site]
     with pytest.raises(errors.InvalidInputError) as excinfo:
         call(obj, point)
     assert str(excinfo.value) == f"{name} must have shape (3,), got {shape}"
+
+
+@pytest.mark.parametrize("entry", [True, "1", None, float("nan"), float("inf"), 10 ** 400,
+                                   [0.0]],
+                         ids=["bool", "str", "none", "nan", "inf", "huge-int", "ragged"])
+@pytest.mark.parametrize("site", sorted(POINT_SITES))
+def test_points_must_hold_finite_real_numbers(site, entry, no_draws):
+    name, obj, call = POINT_SITES[site]
+    with pytest.raises(errors.InvalidInputError) as excinfo:
+        call(obj, [entry, 0.0, 0.0])
+    assert str(excinfo.value) == f"{name} must hold finite floats or 64-bit integers only"
+
+
+# each library seed: a call with the value under test that is otherwise valid,
+# and the error it raises
+SEED_SITES = {
+    "check_kl": (errors.InvalidInputError, lambda s: ahbopt.check_kl(
+        _QUAD, [0.0], 1.0, 0.5, ahbopt.HolderFunction(1.0, 0.5), num_samples=10, seed=s)),
+    "certify_growth_direct": (errors.InvalidInputError, lambda s: ahbopt.certify_growth_direct(
+        _QUAD, [0.0], 1.0, 0.5, ahbopt.HolderFunction(2 ** 0.5, 0.5), num_samples=10, seed=s)),
+    "check_moreau_exponent": (errors.InvalidInputError, lambda s: ahbopt.check_moreau_exponent(
+        _QUAD, 1.0, [0.0], 1.0, num_samples=10, seed=s)),
+    "make_least_squares": (errors.InvalidSpecError,
+                           lambda s: ahbopt.make_least_squares(3, 3, [1.0, 1.0, 1.0], s)),
+    "lipschitz_estimate": (errors.InvalidInputError,
+                           lambda s: ahbopt.lipschitz_estimate(_LSQ, seed=s)),
+}
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be nonnegative, got -1"), (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"), ("1", "seed must be an integer, got '1'"),
+], ids=["negative", "fraction", "bool", "str"])
+@pytest.mark.parametrize("site", sorted(SEED_SITES))
+def test_library_seeds_must_be_nonnegative_integers(site, seed, message, no_draws):
+    error, call = SEED_SITES[site]
+    with pytest.raises(error) as excinfo:
+        call(seed)
+    assert str(excinfo.value) == message
