@@ -190,15 +190,15 @@ def _slice_rows(values, points, fbar, eta):
 def _slice_check(obj, xbar, r, eta, num_samples, seed, judge, ratios, power, limit):
     """Sample B_r(xbar) for points whose gap f(x) - f(xbar) lies in
     [tiny, eta) and judge each: ``judge(x, gap)`` returns the
-    left/right ratio and whether the inequality broke, as a ratio above
-    ``limit`` does. ``ratios(xs, gaps)``, or None, is the batched judge, with
-    ratios proportional to gap^power (see the module docstring). The
-    witness is the first point of the worst ratio."""
+    left/right ratio, and a ratio above ``limit`` breaks the inequality.
+    ``ratios(xs, gaps)``, or None, is the batched judge, with ratios
+    proportional to gap^power (see the module docstring). The witness is
+    the first point of the worst ratio."""
     eta = as_positive("eta", eta)
     num_samples = as_int("num_samples", num_samples, low=1)
     xbar = as_point(obj, "xbar", xbar)
-    fbar = obj.value(xbar)
     value_fn, values = obj.value_fn, obj.shortcut("values_fn")
+    fbar = float(value_fn(xbar))
 
     def take(points, drawn, need):
         gap, slack, inside, undecided = _slice_rows(values, points, fbar, eta)
@@ -234,8 +234,8 @@ def _slice_check(obj, xbar, r, eta, num_samples, seed, judge, ratios, power, lim
     worst, witness = -math.inf, xs[0]
     for i in np.flatnonzero(judged).tolist():
         gap = float(gaps[i]) if slacks[i] == 0.0 else float(value_fn(xs[i])) - fbar
-        ratio_i, violated = judge(xs[i], gap)
-        violations += bool(violated)
+        ratio_i = judge(xs[i], gap)
+        violations += ratio_i > limit
         if ratio_i > worst:
             worst, witness = ratio_i, xs[i]
     return CertReport(checked=len(kept), violations=violations,
@@ -260,7 +260,7 @@ def check_kl(obj, xbar, r, eta, phi, num_samples=200, seed=0) -> CertReport:
 
     def judge(x, gap):
         product = phi.derivative(gap) * slope_at(x)
-        return math.inf if product == 0.0 else 1.0 / product, product < 1.0 - REL_TOL
+        return math.inf if product == 0.0 else 1.0 / product
 
     def ratios(xs, gaps):
         return 1.0 / (phi.c * phi.alpha * gaps ** (phi.alpha - 1.0) * obj.slopes_fn(xs))
@@ -276,10 +276,9 @@ def certify_growth_direct(obj, xbar, r, eta, phi, num_samples=200, seed=0) -> Ce
         raise CapabilityError("solution_oracle")
 
     def judge(x, gap):
-        dist = obj.distance(x)
+        dist = float(obj.solution_oracle(x))
         bound = phi(gap)
-        ratio = dist / bound if bound > 0 else (math.inf if dist > 0 else 0.0)
-        return ratio, ratio > 1.0 + REL_TOL
+        return dist / bound if bound > 0 else (math.inf if dist > 0 else 0.0)
 
     def ratios(xs, gaps):
         return obj.distances_fn(xs) / (phi.c * gaps ** phi.alpha)
@@ -308,10 +307,10 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
     if obj.min_value is None:
         raise CapabilityError("min_value")
     x0 = as_point(obj, "x", x)
-    gap0 = max(obj.value(x0) - obj.min_value, 0.0)
+    gap0 = max(float(obj.value_fn(x0)) - obj.min_value, 0.0)
     if not math.isfinite(gap0):
         raise NumericalFailureError(0, f"non-finite gap {gap0} at the start point")
-    dist0 = obj.distance(x0) if obj.solution_oracle is not None else None
+    dist0 = None if obj.solution_oracle is None else float(obj.solution_oracle(x0))
 
     per_tau, violations = [], 0
     worst, worst_tau = 0.0, taus[0]
@@ -377,7 +376,7 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
         kept = []
         for i in np.flatnonzero(drawn).tolist():
             gap = moreau_value(obj, lam, points[i]) - env_min
-            dist = obj.distance(points[i])
+            dist = float(obj.solution_oracle(points[i]))
             # an infinite gap or distance has no logarithm to fit
             if 0.0 < gap < math.inf and 0.0 < dist < math.inf:
                 kept.append((gap, dist))

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import certify, trace
 from ._io import atomic_write, json_text, json_value
-from .errors import InvalidSpecError, NumericalFailureError, ToolkitError, as_int, as_real
+from .errors import (InvalidSpecError, NumericalFailureError, ToolkitError, as_int, as_object,
+                     as_real)
 from .objective import PROBLEM_KINDS, ProblemSpec
 from .solvers import METHODS, SolverConfig, run_solver
 
@@ -108,12 +109,8 @@ def _add_slice_flags(parser):
 
 def _load_config_file(path):
     with open(path, encoding="utf-8") as handle:
-        data = json_value(handle.read())
-    if not isinstance(data, dict):
-        raise InvalidSpecError("experiment config must be a JSON object")
-    extra = set(data) - {"problem", "runs", "x0", "out_dir"}
-    if extra:
-        raise InvalidSpecError(f"unknown experiment config keys: {sorted(extra)}")
+        data = as_object("experiment config", json_value(handle.read()),
+                         ("problem", "runs", "x0", "out_dir"), InvalidSpecError)
     out_dir = data.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise InvalidSpecError(f"out_dir must be a string, got {out_dir!r}")
@@ -122,10 +119,8 @@ def _load_config_file(path):
 
 def _problem_from(args, file_data):
     spec_data = file_data.get("problem")
-    spec_data = {} if spec_data is None else spec_data
-    if not isinstance(spec_data, dict):
-        raise InvalidSpecError("problem spec must be an object")
-    spec_data = dict(spec_data)
+    spec_data = {} if spec_data is None else dict(
+        as_object("problem spec", spec_data, ProblemSpec.__dataclass_fields__, InvalidSpecError))
     if args.problem is not None:
         spec_data["kind"] = args.problem
     if "kind" not in spec_data:
@@ -152,11 +147,7 @@ def _resolve_x0(x0_spec, dim):
         return np.zeros(dim), None
     if isinstance(x0_spec, str):
         x0_spec = json_value(x0_spec)
-    if not isinstance(x0_spec, dict):
-        raise InvalidSpecError('x0 must be "zeros" or an object with seed and norm')
-    extra = set(x0_spec) - {"kind", "seed", "norm"}
-    if extra:
-        raise InvalidSpecError(f"unknown x0 keys: {sorted(extra)}")
+    as_object("x0", x0_spec, ("kind", "seed", "norm"), InvalidSpecError)
     kind = x0_spec.get("kind", "seeded_random")
     if kind != "seeded_random":
         raise InvalidSpecError(f"unknown x0 kind '{kind}'")
@@ -266,8 +257,8 @@ def cmd_fit_rate(args) -> int:
     fitted_trace = trace.read_csv(args.trace)
     value, residual = trace.fit_rate_from_trace(fitted_trace, args.model,
                                                 k_min=args.k_min, k_max=args.k_max)
-    key = "rho" if args.model == "linear" else "exponent"
-    sys.stdout.write(json_text({"model": args.model, key: value, "residual": residual}))
+    sys.stdout.write(json_text({"model": args.model, trace.RATE_MODELS[args.model]: value,
+                                "residual": residual}))
     return EXIT_OK
 
 
@@ -329,7 +320,7 @@ def _add_certify_commands(parser):
 
 def _add_fit_rate_flags(parser):
     parser.add_argument("--trace", required=True)
-    parser.add_argument("--model", choices=("linear", "power"), required=True)
+    parser.add_argument("--model", choices=trace.RATE_MODELS, required=True)
     parser.add_argument("--k-min", dest="k_min", type=int, default=None)
     parser.add_argument("--k-max", dest="k_max", type=int, default=None)
     parser.set_defaults(func=cmd_fit_rate)

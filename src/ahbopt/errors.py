@@ -1,6 +1,6 @@
-"""Exception types shared across the toolkit, and the three numeric input
-checks that raise them: integers at or above a bound, positive finite
-reals, and reals in an interval."""
+"""Exception types shared across the toolkit, and the input checks that
+raise them: integers at or above a bound, positive finite reals, reals in
+an interval, and objects with known keys."""
 
 import copyreg
 
@@ -108,3 +108,15 @@ def as_real(name, value, interval, error=InvalidInputError) -> float:
     if not (above and below):
         raise error(f"{name} must lie in {interval}")
     return number
+
+
+def as_object(name, value, keys, error=InvalidInputError) -> dict:
+    """``value``, a dict whose keys all lie in ``keys``. Anything else raises
+    ``error``: "<name> must be an object" for a non-dict, "unknown <name>
+    keys: [...]" for a dict with other keys."""
+    if not isinstance(value, dict):
+        raise error(f"{name} must be an object")
+    extra = set(value) - set(keys)
+    if extra:
+        raise error(f"unknown {name} keys: {sorted(extra, key=str)}")
+    return value

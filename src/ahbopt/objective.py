@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (CapabilityError, DeskScaleLimitError, InvalidInputError, InvalidSpecError,
-                     as_int, as_positive, as_real)
+                     as_int, as_object, as_positive, as_real)
 
 Array = np.ndarray
 
@@ -156,24 +156,26 @@ class Objective:
         partners = tuple(getattr(self, field) for field in _SHORTCUT_PARTNERS[name])
         return fn if getattr(fn, "partners", None) == partners else None
 
+    # the checked doors to the oracles: x goes through as_point, lam through
+    # as_positive; loops over iterates or sampled rows call the fields
     def value(self, x) -> float:
-        return float(self.value_fn(np.asarray(x, dtype=float)))
+        return float(self.value_fn(as_point(self, "x", x)))
 
     def gradient(self, x) -> Array:
         if self.gradient_fn is None:
             raise CapabilityError("gradient_fn")
-        return np.asarray(self.gradient_fn(np.asarray(x, dtype=float)), dtype=float)
+        return np.asarray(self.gradient_fn(as_point(self, "x", x)), dtype=float)
 
     def prox(self, lam, x) -> Array:
         if self.prox_fn is None:
             raise CapabilityError("prox_fn")
-        return np.asarray(self.prox_fn(as_positive("lam", lam), np.asarray(x, dtype=float)),
+        return np.asarray(self.prox_fn(as_positive("lam", lam), as_point(self, "x", x)),
                           dtype=float)
 
     def distance(self, x) -> float:
         if self.solution_oracle is None:
             raise CapabilityError("solution_oracle")
-        return float(self.solution_oracle(np.asarray(x, dtype=float)))
+        return float(self.solution_oracle(as_point(self, "x", x)))
 
 
 @dataclass(frozen=True)
@@ -219,11 +221,7 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, data) -> "ProblemSpec":
-        if not isinstance(data, dict):
-            raise InvalidSpecError("problem spec must be an object")
-        extra = set(data) - {"kind", "params", "seed"}
-        if extra:
-            raise InvalidSpecError(f"unknown problem spec keys: {sorted(extra)}")
+        as_object("problem spec", data, cls.__dataclass_fields__, InvalidSpecError)
         if "kind" not in data:
             raise InvalidSpecError("problem spec needs a 'kind'")
         return cls(kind=data["kind"], params=data.get("params", {}), seed=data.get("seed", 0))

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError, as_int, as_positive
+from .errors import (CapabilityError, InvalidInputError, NumericalFailureError, as_int,
+                     as_positive)
 from .objective import as_point, euclidean_norm
 
 
@@ -41,18 +42,21 @@ class PpaRun:
 def prox_point(obj, tau, x) -> np.ndarray:
     """Minimizer of f(z) + |z - x|^2 / (2 tau), from the objective's exact
     prox; an objective without one raises CapabilityError("prox_fn")."""
-    return obj.prox(as_positive("tau", tau), as_point(obj, "x", x))
+    return obj.prox(as_positive("tau", tau), x)
 
 
 def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
-    """Iterate the objective's exact prox num_steps times from x0, checked
-    once; an objective without a ``prox_fn`` stops at the first step."""
+    """Iterate the objective's exact prox num_steps times from x0. τ and x0
+    are checked once, and an objective without a ``prox_fn`` raises
+    CapabilityError("prox_fn") before the first step."""
     tau = as_positive("tau", tau)
     num_steps = as_int("num_steps", num_steps, low=0)
     points = [as_point(obj, "x0", x0).copy()]
+    if num_steps and obj.prox_fn is None:
+        raise CapabilityError("prox_fn")
     for _ in range(num_steps):
-        points.append(obj.prox(tau, points[-1]))
-    values = [obj.value(p) for p in points]
+        points.append(np.asarray(obj.prox_fn(tau, points[-1]), dtype=float))
+    values = [float(obj.value_fn(p)) for p in points]
     step_norms = [0.0] + [euclidean_norm(b - a) for a, b in zip(points[:-1], points[1:])]
     return PpaRun(tau=tau, points=points, values=values, step_norms=step_norms)
 
@@ -60,13 +64,11 @@ def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
 def moreau_value(obj, lam, x) -> float:
     """Moreau envelope value: f at the prox point plus the quadratic
     penalty that produced it."""
-    lam, x = as_positive("lam", lam), as_point(obj, "x", x)
-    p = obj.prox(lam, x)
+    p = obj.prox(lam, x)  # checks lam and x; float(lam) is then the float it checked
     d = p - x
-    return obj.value(p) + float(d.dot(d)) / (2.0 * lam)
+    return float(obj.value_fn(p)) + float(d.dot(d)) / (2.0 * float(lam))
 
 
 def moreau_gradient(obj, lam, x) -> np.ndarray:
     """Envelope gradient (x - prox(lam, x)) / lam; 1/lam-Lipschitz."""
-    lam, x = as_positive("lam", lam), as_point(obj, "x", x)
-    return (x - obj.prox(lam, x)) / lam
+    return (x - obj.prox(lam, x)) / float(lam)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CapabilityError, InvalidInputError, NumericalFailureError, as_int,
-                     as_positive, as_real)
+                     as_object, as_positive, as_real)
 from .objective import as_point
 from .trace import IterationRecord, Trace
 
@@ -77,13 +77,7 @@ class SolverConfig:
 
     @classmethod
     def from_json_dict(cls, data) -> "SolverConfig":
-        if not isinstance(data, dict):
-            raise InvalidInputError("solver config must be an object")
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        extra = set(data) - set(cls.__dataclass_fields__)
-        if extra:
-            raise InvalidInputError(f"unknown solver config keys: {sorted(extra)}")
-        return cls(**known)
+        return cls(**as_object("solver config", data, cls.__dataclass_fields__))
 
 
 @dataclass(slots=True)
@@ -175,10 +169,11 @@ def _plan(method, obj):
 
 
 def _measure(plan, state, m, m_sq, obj, cfg):
-    # f, gap, y, g(y), |g|^2, alpha and beta at x, given m = x - x_prev and |m|^2
+    # f, gap, y, g(y), |g|^2, alpha and beta at x, given m = x - x_prev and |m|^2,
+    # from the oracle fields that _plan found present
     rule, at_y, fused = plan
     x = state.x
-    fval, g = (obj.value(x), None) if fused is None else fused(x)
+    fval, g = (obj.value_fn(x), None) if fused is None else fused(x)
     fval = float(fval)
     if not math.isfinite(fval):
         raise NumericalFailureError(state.k)
@@ -187,7 +182,7 @@ def _measure(plan, state, m, m_sq, obj, cfg):
     if at_y:
         alpha, beta = rule(state, cfg, obj.lipschitz, gap, None, None, m, m_sq)
         y = x + beta * m
-    g = obj.gradient(y) if fused is None else np.asarray(g, dtype=float)
+    g = np.asarray(obj.gradient_fn(y) if fused is None else g, dtype=float)
     g_sq = float(g.dot(g))
     # a finite sum of squares has only finite terms
     if not math.isfinite(g_sq) and not np.all(np.isfinite(g)):

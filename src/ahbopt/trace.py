@@ -18,6 +18,9 @@ from .errors import InvalidInputError, TraceParseError, as_int
 
 CSV_HEADER = "k,fval,gap,gnorm,alpha,beta,step_norm,dist"
 
+# each rate model and the name of the value it fits
+RATE_MODELS = {"linear": "rho", "power": "exponent"}
+
 # one row each; 17 significant digits round-trip any double
 _ROW = "%d" + ",%.17g" * 7
 _ROW_NO_DIST = "%d" + ",%.17g" * 6 + ","
@@ -117,16 +120,13 @@ def summarize(trace) -> dict:
         "final_dist": last.dist,
         "min_beta": min(betas),
         "max_beta": max(betas),
-        "linear_rate": None,
-        "power_rate": None,
     }
-    for model, key, name in (("linear", "linear_rate", "rho"),
-                             ("power", "power_rate", "exponent")):
+    for model, name in RATE_MODELS.items():
         try:
             value, residual = fit_rate_from_trace(trace, model)
+            summary[f"{model}_rate"] = {name: value, "residual": residual}
         except InvalidInputError:
-            continue
-        summary[key] = {name: value, "residual": residual}
+            summary[f"{model}_rate"] = None
     return summary
 
 
@@ -148,8 +148,8 @@ def fit_rate_from_trace(trace, model, k_min=None, k_max=None) -> tuple:
     with the RMS log-domain misfit, and need at least 8 records with
     positive finite distances inside [k_min, k_max], nonnegative integers.
     """
-    if model not in ("linear", "power"):
-        raise InvalidInputError("model must be 'linear' or 'power'")
+    if model not in tuple(RATE_MODELS):
+        raise InvalidInputError(f"model must be {' or '.join(map(repr, RATE_MODELS))}")
     k_min = 0 if k_min is None else as_int("k_min", k_min, low=0)
     k_max = math.inf if k_max is None else as_int("k_max", k_max, low=0)
     rows = [(r.k, r.dist) for r in trace.records

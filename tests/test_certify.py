@@ -257,6 +257,18 @@ def test_growth_direct_quadratic_is_tight():
     assert report.worst_ratio == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("check", [check_kl, certify_growth_direct])
+def test_level_slice_ratios_break_the_inequality_only_beyond_the_tolerance(check):
+    # phi(t) = c * sqrt(t) makes every ratio of the scalar quadratic sqrt(2) / c
+    # up to rounding: above 1 for c below sqrt(2), yet within REL_TOL of 1 at a
+    # shortfall of REL_TOL / 2, and beyond it at 2 * REL_TOL
+    for shortfall, broken in ((0.5e-9, 0), (2e-9, 50)):
+        phi = HolderFunction(SQRT2 * (1.0 - shortfall), 0.5)
+        report = check(make_quadratic([1.0]), [0.0], 1.0, 0.5, phi, num_samples=50)
+        assert report.worst_ratio > 1.0
+        assert report.violations == broken
+
+
 def test_growth_direct_witness_reproduces_worst_ratio():
     obj = make_quadratic([1.0, 10.0])
     phi = HolderFunction(SQRT2, 0.5)
@@ -856,7 +868,7 @@ def test_rows_within_their_error_bound_of_the_limit_take_the_exact_judge():
 
     def judge(x, gap):
         judged.append(x)
-        return (2.0 if x[0] > 0.9 else near), True
+        return 2.0 if x[0] > 0.9 else near
 
     def ratios(xs, gaps):
         return np.where(xs[:, 0] > 0.9, 2.0, near)
@@ -865,6 +877,15 @@ def test_rows_within_their_error_bound_of_the_limit_take_the_exact_judge():
                                   judge, ratios, -0.5, limit)
     assert report.worst_ratio == 2.0 and near < 2.0
     assert report.violations == report.checked == len(judged) == 200
+
+
+def test_a_ratio_breaks_the_limit_only_above_it():
+    # without a batched judge every row takes the exact one
+    limit = 1.0 + 1e-9
+    for ratio, broken in ((limit, 0), (math.nextafter(limit, 2.0), 50)):
+        report = certify._slice_check(make_quadratic([1.0, 10.0]), [0.0, 0.0], 1.0, 0.5, 50, 5,
+                                      lambda x, gap: ratio, None, -0.5, limit)
+        assert (report.checked, report.violations, report.worst_ratio) == (50, broken, ratio)
 
 
 def test_slice_check_evaluates_no_undecided_row_past_its_last_sample(monkeypatch):

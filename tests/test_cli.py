@@ -160,7 +160,7 @@ def test_an_integer_beyond_the_float_range_is_a_config_error(argv, config, messa
 def test_config_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
     (tmp_path / "exp.json").write_text("[1]")
     assert main(["solve", "--config", str(tmp_path / "exp.json")]) == 1
-    assert capsys.readouterr() == ("", "error: experiment config must be a JSON object\n")
+    assert capsys.readouterr() == ("", "error: experiment config must be an object\n")
 
 
 @pytest.mark.parametrize("argv, message", [

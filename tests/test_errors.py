@@ -1,7 +1,9 @@
+import argparse
 import copy
 import dataclasses
 import decimal
 import fractions
+import json
 import math
 import pickle
 
@@ -260,6 +262,10 @@ POINT_SITES = {
     "prox_point": ("x", _QUAD3, lambda obj, x: ahbopt.prox_point(obj, 1.0, x)),
     "moreau_value": ("x", _QUAD3, lambda obj, x: ahbopt.moreau_value(obj, 1.0, x)),
     "moreau_gradient": ("x", _QUAD3, lambda obj, x: ahbopt.moreau_gradient(obj, 1.0, x)),
+    "Objective.value": ("x", _QUAD3, lambda obj, x: obj.value(x)),
+    "Objective.gradient": ("x", _QUAD3, lambda obj, x: obj.gradient(x)),
+    "Objective.prox": ("x", _QUAD3, lambda obj, x: obj.prox(1.0, x)),
+    "Objective.distance": ("x", _QUAD3, lambda obj, x: obj.distance(x)),
 }
 
 
@@ -318,3 +324,58 @@ def test_library_seeds_must_be_nonnegative_integers(site, seed, message, no_draw
     with pytest.raises(error) as excinfo:
         call(seed)
     assert str(excinfo.value) == message
+
+
+def _config_file(tmp_path, value):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(value))
+    return cli._load_config_file(path)
+
+
+def _cli_problem(tmp_path, value):
+    args = argparse.Namespace(problem="quadratic", params=None, problem_seed=None)
+    return cli._problem_from(args, {"problem": value})
+
+
+# each JSON object input: its error, the name its errors give it, and a call
+# with the value under test, as the CLI decodes it where it comes in as JSON
+OBJECT_SITES = {
+    "SolverConfig.from_json_dict": (errors.InvalidInputError, "solver config",
+                                    lambda tmp, v: ahbopt.SolverConfig.from_json_dict(v)),
+    "ProblemSpec.from_dict": (errors.InvalidSpecError, "problem spec",
+                              lambda tmp, v: ahbopt.ProblemSpec.from_dict(v)),
+    "config file": (errors.InvalidSpecError, "experiment config", _config_file),
+    "config problem": (errors.InvalidSpecError, "problem spec", _cli_problem),
+    "x0": (errors.InvalidSpecError, "x0", lambda tmp, v: cli._resolve_x0(json.dumps(v), 2)),
+}
+_NON_OBJECTS = {"list": [1], "str": "a", "null": None, "int": 5}
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{label}")
+    for site in sorted(OBJECT_SITES) for label, value in _NON_OBJECTS.items()
+    # a null config entry is one not given, so a null problem is no problem spec
+    if not (site == "config problem" and value is None)])
+def test_object_inputs_must_be_objects(site, value, tmp_path):
+    error, name, call = OBJECT_SITES[site]
+    with pytest.raises(error) as excinfo:
+        call(tmp_path, value)
+    assert str(excinfo.value) == f"{name} must be an object"
+
+
+@pytest.mark.parametrize("site", sorted(OBJECT_SITES))
+def test_object_inputs_must_hold_known_keys_only(site, tmp_path):
+    error, name, call = OBJECT_SITES[site]
+    with pytest.raises(error) as excinfo:
+        call(tmp_path, {"bogus": 1, "extra": 2})
+    assert str(excinfo.value) == f"unknown {name} keys: ['bogus', 'extra']"
+
+
+def test_unknown_keys_of_any_type_are_named():
+    with pytest.raises(errors.InvalidInputError) as excinfo:
+        errors.as_object("solver config", {2: 0, "a": 0, "method": "gd"}, ("method",))
+    assert str(excinfo.value) == "unknown solver config keys: [2, 'a']"
+
+
+def test_a_null_config_problem_is_one_not_given(tmp_path):
+    assert _cli_problem(tmp_path, None) == _cli_problem(tmp_path, {})

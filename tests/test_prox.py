@@ -24,6 +24,7 @@ from ahbopt import (
     ppa_run,
     prox_point,
 )
+from ahbopt import errors, objective, prox
 from conftest import central_difference_gradient
 
 
@@ -316,6 +317,25 @@ def test_ppa_run_sends_a_nonconvex_objective_to_its_prox_fn():
     with pytest.raises(CapabilityError) as excinfo:
         ppa_run(bare, 1.0, [0.5], num_steps=1)
     assert excinfo.value.missing == "prox_fn"
+
+
+def test_ppa_run_without_a_prox_runs_zero_steps():
+    run = ppa_run(Objective(dim=1, value_fn=lambda x: float(x[0]) ** 2), 1.0, [0.5], 0)
+    assert (run.points[0].tolist(), run.values, run.step_norms) == ([0.5], [0.25], [0.0])
+
+
+def test_ppa_run_checks_tau_once(monkeypatch):
+    obj, checked = make_quadratic([1.0, 2.0]), []
+
+    def counted(name, value, *args):
+        checked.append(name)
+        return errors.as_positive(name, value, *args)
+
+    for module in (objective, prox):
+        monkeypatch.setattr(module, "as_positive", counted)
+    run = ppa_run(obj, 0.1, [1.0, -1.0], 50)
+    assert len(run.points) == 51
+    assert checked == ["tau"]
 
 
 def test_growth_via_ppa_runs_a_nonconvex_objective_through_its_prox_fn():
