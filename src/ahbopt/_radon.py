@@ -102,8 +102,9 @@ def system_matrix(n, num_angles, rays_per_angle):
 def phantom_image(kind, n):
     """Deterministic piecewise-constant n-by-n test images.
 
-    "blocks" overlays two axis-aligned rectangles, "disks" two circles;
-    pixel values sample the underlying function at pixel centers.
+    ``kind`` is a name from ``objective.PHANTOMS``: "blocks" overlays two
+    axis-aligned rectangles, "disks" two circles; pixel values sample the
+    underlying function at pixel centers.
     """
     centers = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
     xs, ys = np.meshgrid(centers, centers)
@@ -111,9 +112,7 @@ def phantom_image(kind, n):
     if kind == "blocks":
         img[(xs >= -0.6) & (xs <= -0.1) & (ys >= -0.5) & (ys <= 0.3)] += 1.0
         img[(xs >= 0.15) & (xs <= 0.65) & (ys >= -0.25) & (ys <= 0.35)] += 0.5
-    elif kind == "disks":
+    else:
         img[(xs + 0.3) ** 2 + (ys - 0.2) ** 2 <= 0.35 ** 2] += 1.0
         img[(xs - 0.35) ** 2 + (ys + 0.25) ** 2 <= 0.25 ** 2] += 0.7
-    else:
-        raise ValueError(f"unknown phantom kind '{kind}'")
     return img

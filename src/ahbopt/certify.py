@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CapabilityError, EmptyRegionError, InvalidInputError,
-                     NumericalFailureError, as_int, as_positive, as_real)
+                     NumericalFailureError, as_int, as_real)
 from .objective import as_point, euclidean_norm
 from .prox import moreau_value, ppa_run
 from .trace import fit_line
@@ -72,7 +72,7 @@ class HolderFunction:
     alpha: float
 
     def __post_init__(self):
-        as_positive("c", self.c)
+        as_real("c", self.c, "(0, inf)")
         as_real("alpha", self.alpha, "(0, 1]")
 
     def __call__(self, t) -> float:
@@ -153,7 +153,7 @@ def _accepted(xbar, r, num_samples, seed, take):
     them unless it kept ``need``. Stops at ``num_samples`` kept values or
     after 100 trials per requested sample, and draws no chunk it does not
     consume. Returns the kept values of each chunk and the trial count."""
-    r = as_positive("r", r)
+    r = as_real("r", r, "(0, inf)")
     rng = np.random.default_rng(as_int("seed", seed, low=0))
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_FLOATS // (xbar.size + 2)))
     chunks, count, trials, cap = [], 0, 0, _REJECTION_FACTOR * num_samples
@@ -194,7 +194,7 @@ def _slice_check(obj, xbar, r, eta, num_samples, seed, judge, ratios, power, lim
     ``ratios(xs, gaps)``, or None, is the batched judge, with ratios
     proportional to gap^power (see the module docstring). The witness is
     the first point of the worst ratio."""
-    eta = as_positive("eta", eta)
+    eta = as_real("eta", eta, "(0, inf)")
     num_samples = as_int("num_samples", num_samples, low=1)
     xbar = as_point(obj, "xbar", xbar)
     value_fn, values = obj.value_fn, obj.shortcut("values_fn")
@@ -298,7 +298,7 @@ def certify_growth_via_ppa(obj, x, phi, tau_list, num_steps=200) -> CertReport:
     no distance oracle. A start gap, path length, bound or slack that is
     not finite raises NumericalFailureError.
     """
-    taus = [as_positive("tau", t) for t in tau_list]
+    taus = [as_real("tau", t, "(0, inf)") for t in tau_list]
     if not taus:
         raise InvalidInputError("tau_list must not be empty")
     if len(set(taus)) < len(taus):
@@ -346,7 +346,8 @@ def fit_growth_exponent(samples) -> tuple:
     misfit and C is inflated by the largest positive residual so the
     fitted law sits above the samples (to first order).
     """
-    pairs = [(as_positive("gap", g), as_positive("dist", d)) for g, d in samples]
+    pairs = [(as_real("gap", g, "(0, inf)"), as_real("dist", d, "(0, inf)"))
+             for g, d in samples]
     if len(pairs) < 8:
         raise InvalidInputError("need at least 8 (gap, dist) samples")
     log_gap, log_dist = np.log(pairs).T
@@ -363,7 +364,7 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
     their exponent, sharp ones are rounded off by the quadratic
     infimal convolution.
     """
-    lam = as_positive("lam", lam)
+    lam = as_real("lam", lam, "(0, inf)")
     if obj.growth_exponent is None:
         raise CapabilityError("growth_exponent")
     if obj.solution_oracle is None:
@@ -371,11 +372,15 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
     num_samples = as_int("num_samples", num_samples, low=8)
     xbar = as_point(obj, "xbar", xbar)
     env_min = moreau_value(obj, lam, xbar)
+    prox_fn, value_fn = obj.prox_fn, obj.value_fn
 
     def take(points, drawn, need):
         kept = []
         for i in np.flatnonzero(drawn).tolist():
-            gap = moreau_value(obj, lam, points[i]) - env_min
+            # the envelope as moreau_value forms it, on a row the sampler drew
+            p = np.asarray(prox_fn(lam, points[i]), dtype=float)
+            d = p - points[i]
+            gap = float(value_fn(p)) + float(d.dot(d)) / (2.0 * lam) - env_min
             dist = float(obj.solution_oracle(points[i]))
             # an infinite gap or distance has no logarithm to fit
             if 0.0 < gap < math.inf and 0.0 < dist < math.inf:
@@ -441,7 +446,7 @@ def verify_recursive_rate(delta0, c, theta, num_steps) -> CertReport:
     term that overflows or leaves [0, inf) raises NumericalFailureError.
     """
     num_steps = as_int("num_steps", num_steps, low=1)
-    delta0, c = as_real("delta0", delta0, "[0, inf)"), as_positive("c", c)
+    delta0, c = as_real("delta0", delta0, "[0, inf)"), as_real("c", c, "(0, inf)")
     theta = as_real("theta", theta, "(1, inf)")
     try:
         contracting = c * delta0 ** (theta - 1.0) < 1.0

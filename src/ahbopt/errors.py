@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit, and the input checks that
-raise them: integers at or above a bound, positive finite reals, reals in
-an interval, and objects with known keys."""
+raise them: integers at or above a bound, reals in an interval, and
+objects with known keys."""
 
 import copyreg
+import math
 
 
 class ToolkitError(Exception):
@@ -72,37 +73,18 @@ def as_int(name, value, error=InvalidInputError, *, low) -> int:
     return value
 
 
-def _real(value) -> float:
-    """``value`` as a float; NaN, which lies in no interval, for a bool, an
-    integer beyond the float range, or a non-number: anything whose product
-    with a float is not a real number, such as a string, a Decimal or an
-    array of several numbers."""
-    if isinstance(value, bool):
-        return float("nan")
-    try:
-        return float(value * 1.0)
-    except (OverflowError, TypeError):
-        return float("nan")
-
-
-def as_positive(name, value, error=InvalidInputError) -> float:
-    """``value`` as a float in (0, inf). A bool, a non-number, NaN, zero, a
-    negative or +-inf raises ``error``, and so does an integer beyond the
-    float range."""
-    number = _real(value)
-    if not 0.0 < number < float("inf"):
-        raise error(f"{name} must be positive and finite")
-    return number
-
-
 def as_real(name, value, interval, error=InvalidInputError) -> float:
     """``value`` as a float in ``interval``, written as the docs write it:
     "[0, 1)", "(0, inf]". A bracket takes its end in, a parenthesis leaves
-    it out. Anything else, a bool, a non-number, NaN or an integer beyond
-    the float range among it, raises ``error`` with the message
-    "<name> must lie in <interval>"."""
+    it out. Anything else raises ``error`` with the message "<name> must
+    lie in <interval>": NaN, a bool, and anything whose product with a float
+    is not a real number, such as a string, a Decimal, an array of several
+    numbers or an integer beyond the float range."""
     low, high = (float(end) for end in interval[1:-1].split(","))
-    number = _real(value)
+    try:
+        number = math.nan if isinstance(value, bool) else float(value * 1.0)
+    except (OverflowError, TypeError):
+        number = math.nan
     above = number >= low if interval[0] == "[" else number > low
     below = number <= high if interval[-1] == "]" else number < high
     if not (above and below):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (CapabilityError, DeskScaleLimitError, InvalidInputError, InvalidSpecError,
-                     as_int, as_object, as_positive, as_real)
+                     as_int, as_object, as_real)
 
 Array = np.ndarray
 
@@ -157,7 +157,7 @@ class Objective:
         return fn if getattr(fn, "partners", None) == partners else None
 
     # the checked doors to the oracles: x goes through as_point, lam through
-    # as_positive; loops over iterates or sampled rows call the fields
+    # as_real; loops over iterates or sampled rows call the fields
     def value(self, x) -> float:
         return float(self.value_fn(as_point(self, "x", x)))
 
@@ -169,8 +169,8 @@ class Objective:
     def prox(self, lam, x) -> Array:
         if self.prox_fn is None:
             raise CapabilityError("prox_fn")
-        return np.asarray(self.prox_fn(as_positive("lam", lam), as_point(self, "x", x)),
-                          dtype=float)
+        lam = as_real("lam", lam, "(0, inf)")
+        return np.asarray(self.prox_fn(lam, as_point(self, "x", x)), dtype=float)
 
     def distance(self, x) -> float:
         if self.solution_oracle is None:
@@ -236,7 +236,8 @@ def make_quadratic(spectrum) -> Objective:
     lam = np.asarray(spectrum, dtype=object)
     if lam.ndim != 1 or lam.size == 0:
         raise InvalidSpecError("spectrum must be a nonempty 1-d sequence")
-    lam = np.array([as_positive("spectrum entries", v, InvalidSpecError) for v in lam])
+    lam = np.array([as_real("spectrum entries", v, "(0, inf)", InvalidSpecError)
+                    for v in lam])
     dim = int(lam.size)
 
     def value(x):
@@ -322,7 +323,7 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     if sv.ndim != 1 or sv.size != r:
         raise InvalidSpecError(
             f"singular_values must have length min(rows, cols) = {r}, got {sv.size}")
-    sv = np.array([as_positive("singular values", v, InvalidSpecError) for v in sv])
+    sv = np.array([as_real("singular values", v, "(0, inf)", InvalidSpecError) for v in sv])
     if np.any(np.diff(sv) > 0):
         raise InvalidSpecError("singular values must be nonincreasing")
 
@@ -375,7 +376,7 @@ def make_power(p, dim, ball_radius) -> Objective:
     """
     p = as_real("p", p, "[2, inf)", InvalidSpecError)
     dim = _as_int("dim", dim, 1)
-    radius = as_positive("ball_radius", ball_radius, InvalidSpecError)
+    radius = as_real("ball_radius", ball_radius, "(0, inf)", InvalidSpecError)
     try:
         lipschitz = (p - 1.0) * radius ** (p - 2.0)
     except OverflowError:
@@ -562,4 +563,4 @@ def lipschitz_estimate(obj, iters=500, tol=1e-10, seed=0) -> float:
     if obj.matrix is None:
         raise CapabilityError("matrix")
     iters, seed = as_int("iters", iters, low=1), as_int("seed", seed, low=0)
-    return _power_iteration(obj.matrix, iters, as_positive("tol", tol), seed)
+    return _power_iteration(obj.matrix, iters, as_real("tol", tol, "(0, inf)"), seed)

@@ -1,6 +1,6 @@
-"""Proximal machinery: prox evaluation through the objective's exact
-``prox_fn``, one proximal point runner that steps through that prox,
-and Moreau envelope values and gradients."""
+"""Proximal machinery: one proximal point runner that steps through the
+objective's exact ``prox_fn``, and Moreau envelope values and gradients
+through ``Objective.prox``."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapabilityError, InvalidInputError, NumericalFailureError, as_int,
-                     as_positive)
+from .errors import CapabilityError, InvalidInputError, NumericalFailureError, as_int, as_real
 from .objective import as_point, euclidean_norm
 
 
@@ -39,17 +38,11 @@ class PpaRun:
                     k, f"objective increased at proximal step {k}")
 
 
-def prox_point(obj, tau, x) -> np.ndarray:
-    """Minimizer of f(z) + |z - x|^2 / (2 tau), from the objective's exact
-    prox; an objective without one raises CapabilityError("prox_fn")."""
-    return obj.prox(as_positive("tau", tau), x)
-
-
 def ppa_run(obj, tau, x0, num_steps) -> PpaRun:
     """Iterate the objective's exact prox num_steps times from x0. τ and x0
     are checked once, and an objective without a ``prox_fn`` raises
     CapabilityError("prox_fn") before the first step."""
-    tau = as_positive("tau", tau)
+    tau = as_real("tau", tau, "(0, inf)")
     num_steps = as_int("num_steps", num_steps, low=0)
     points = [as_point(obj, "x0", x0).copy()]
     if num_steps and obj.prox_fn is None:

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CapabilityError, InvalidInputError, NumericalFailureError, as_int,
-                     as_object, as_positive, as_real)
+                     as_object, as_real)
 from .objective import as_point
 from .trace import IterationRecord, Trace
 
@@ -164,7 +164,7 @@ def _plan(method, obj):
     for name in needs:
         if getattr(obj, name) is None:
             raise CapabilityError(name)
-    as_positive("lipschitz", obj.lipschitz)
+    as_real("lipschitz", obj.lipschitz, "(0, inf)")
     return rule, at_y, None if at_y else obj.shortcut("value_and_gradient_fn")
 
 

@@ -212,7 +212,7 @@ def test_sampler_rejects_a_radius_that_is_not_positive_and_finite(r, monkeypatch
     for check in (lambda: check_kl(make_quadratic([1.0]), [0.0], r, 0.5, phi),
                   lambda: certify_growth_direct(make_quadratic([1.0]), [0.0], r, 0.5, phi),
                   lambda: check_moreau_exponent(make_abs_value(), 1.0, [0.0], r)):
-        with pytest.raises(InvalidInputError, match="r must be positive and finite"):
+        with pytest.raises(InvalidInputError, match=r"r must lie in \(0, inf\)"):
             check()
 
 
@@ -475,8 +475,8 @@ def test_moreau_exponent_capability_and_validation():
 @pytest.mark.parametrize("delta0, c, theta, message", [
     (math.nan, 0.1, 2.0, "delta0 must lie in [0, inf)"),
     (1.0, 0.1, math.inf, "theta must lie in (1, inf)"),
-    (0.0, math.inf, 2.0, "c must be positive and finite"),
-    (1.0, math.nan, 2.0, "c must be positive and finite"),
+    (0.0, math.inf, 2.0, "c must lie in (0, inf)"),
+    (1.0, math.nan, 2.0, "c must lie in (0, inf)"),
 ], ids=["nan-0.1-2.0", "1.0-0.1-inf", "0.0-inf-2.0", "1.0-nan-2.0"])
 def test_recursive_rate_rejects_non_finite_inputs(delta0, c, theta, message):
     with pytest.raises(InvalidInputError) as excinfo:
@@ -493,7 +493,7 @@ def test_recursive_rate_rejects_non_finite_inputs(delta0, c, theta, message):
                                    [math.nan]),
 ], ids=["phi-c", "lam", "tau-inf", "tau-nan"])
 def test_non_finite_constants_are_rejected(check):
-    with pytest.raises(InvalidInputError, match="finite"):
+    with pytest.raises(InvalidInputError, match=r"must lie in \(0, inf\)"):
         check()
 
 

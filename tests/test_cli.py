@@ -110,11 +110,11 @@ def test_unknown_start_key_is_a_config_error(tmp_path, capsys):
     (["solve", "--problem", "quadratic", "--x0", '{"kind": "grid"}'], "unknown x0 kind 'grid'"),
     # JSON Infinity would reach the sidecar, which must stay strict JSON
     (["solve", "--problem", "power", "--params",
-      '{"p": 2, "dim": 1, "ball_radius": Infinity}'], "ball_radius must be positive and finite"),
+      '{"p": 2, "dim": 1, "ball_radius": Infinity}'], "ball_radius must lie in (0, inf)"),
     (["certify", "kl", "--problem", "quadratic", "--params", '{"spectrum": [1, 2, 4]}',
       "--xbar", "[0.0]"], "xbar must have shape (3,), got (1,)"),
     (["certify", "moreau", "--problem", "quadratic", "--lam", "inf"],
-     "lam must be positive and finite"),
+     "lam must lie in (0, inf)"),
     (["certify", "growth-ppa", "--problem", "quadratic", "--x", "[1.0]", "--tau-list", "1,abc"],
      "argument --tau-list: invalid float list value: '1,abc'"),
 ], ids=["seed-not-an-int", "x0-kind", "infinite-radius", "xbar-dimension", "infinite-lam",
@@ -134,10 +134,10 @@ _BEYOND_FLOATS = "1" + "0" * 400  # a JSON integer that no float holds
       f'{{"p": {_BEYOND_FLOATS}, "dim": 1, "ball_radius": 1}}'], None,
      "p must lie in [2, inf)"),
     (["solve", "--problem", "quadratic", "--params", f'{{"spectrum": [{_BEYOND_FLOATS}]}}'],
-     None, "spectrum entries must be positive and finite"),
+     None, "spectrum entries must lie in (0, inf)"),
     (["solve", "--problem", "least_squares", "--params",
       f'{{"rows": 1, "cols": 1, "singular_values": [{_BEYOND_FLOATS}]}}'], None,
-     "singular values must be positive and finite"),
+     "singular values must lie in (0, inf)"),
     (["solve", "--problem", "quadratic", "--x0", f'{{"seed": 1, "norm": {_BEYOND_FLOATS}}}'],
      None, "x0 norm must lie in [0, inf)"),
     (["compare", "--problem", "quadratic"],
@@ -426,7 +426,7 @@ def test_certify_infinite_eta_is_a_config_error(capsys):
                   "--samples", "50"]):
         code = main(["certify", *argv, "--eta", "inf"])
         assert code == 1
-        assert capsys.readouterr() == ("", "error: eta must be positive and finite\n")
+        assert capsys.readouterr() == ("", "error: eta must lie in (0, inf)\n")
 
 
 @pytest.mark.parametrize("command", ["kl", "growth"])
@@ -434,7 +434,7 @@ def test_certify_negative_infinite_eta_is_a_config_error(command, capsys):
     code = main(["certify", command, "--problem", "quadratic",
                  "--params", '{"spectrum": [1, 10]}', "--eta=-inf", "--samples", "50"])
     assert code == 1
-    assert capsys.readouterr() == ("", "error: eta must be positive and finite\n")
+    assert capsys.readouterr() == ("", "error: eta must lie in (0, inf)\n")
 
 
 # 2**55 float64 values take 256 PiB, beyond any 64-bit address space, so
@@ -886,14 +886,14 @@ def test_certify_point_that_is_not_numbers_is_a_config_error(argv, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["rate", "--delta0", "nan", "--c", "0.1", "--theta", "2"], "delta0 must lie in [0, inf)"),
     (["rate", "--delta0", "1", "--c", "0.1", "--theta", "inf"], "theta must lie in (1, inf)"),
-    (["kl", "--problem", "quadratic", "--r", "inf"], "r must be positive and finite"),
-    (["growth", "--problem", "quadratic", "--r", "inf"], "r must be positive and finite"),
-    (["moreau", "--problem", "abs_value", "--r", "inf"], "r must be positive and finite"),
-    (["moreau", "--problem", "abs_value", "--lam", "inf"], "lam must be positive and finite"),
+    (["kl", "--problem", "quadratic", "--r", "inf"], "r must lie in (0, inf)"),
+    (["growth", "--problem", "quadratic", "--r", "inf"], "r must lie in (0, inf)"),
+    (["moreau", "--problem", "abs_value", "--r", "inf"], "r must lie in (0, inf)"),
+    (["moreau", "--problem", "abs_value", "--lam", "inf"], "lam must lie in (0, inf)"),
     (["growth-ppa", "--problem", "quadratic", "--x", "[1.0]", "--tau-list", "1,inf"],
-     "tau must be positive and finite"),
-    (["kl", "--problem", "quadratic", "--phi-c", "inf"], "c must be positive and finite"),
-    (["growth", "--problem", "quadratic", "--phi-c", "inf"], "c must be positive and finite"),
+     "tau must lie in (0, inf)"),
+    (["kl", "--problem", "quadratic", "--phi-c", "inf"], "c must lie in (0, inf)"),
+    (["growth", "--problem", "quadratic", "--phi-c", "inf"], "c must lie in (0, inf)"),
 ], ids=["rate-delta0", "rate-theta", "kl-r", "growth-r", "moreau-r", "moreau-lam",
         "growth-ppa-tau", "kl-phi-c", "growth-phi-c"])
 def test_certify_non_finite_input_is_a_config_error_before_sampling(argv, message, monkeypatch,
@@ -962,7 +962,7 @@ _INFINITE_BOUND = "the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) mu
     ({"p": 1e10, "dim": 1, "ball_radius": 4.0}, _INFINITE_BOUND),
     # an infinite radius or p is refused as an input, before the bound is formed
     ({"p": 4.0, "dim": 1, "ball_radius": float("inf")},
-     "ball_radius must be positive and finite"),
+     "ball_radius must lie in (0, inf)"),
     ({"p": float("inf"), "dim": 1, "ball_radius": 1.0}, "p must lie in [2, inf)"),
 ], ids=["huge-radius", "huge-p", "inf-radius", "inf-p"])
 def test_power_with_an_infinite_lipschitz_bound_is_a_config_error(params, message, tmp_path,
@@ -1051,6 +1051,14 @@ def test_certify_moreau_with_infinite_envelope_gaps_is_a_config_error(capfd):
     out, err = capfd.readouterr()
     assert out == ""
     assert err == "error: only 0 usable envelope samples in 10000 trials\n"
+
+
+def test_certify_moreau_skips_ball_points_beyond_the_float_range(capfd):
+    # some points of a ball of radius 1e308 are not finite: they are samples
+    # with no usable gap, not a bad point the user gave
+    code = main(["certify", "moreau", "--problem", "quadratic", "--r", "1e308"])
+    assert code == 1
+    assert capfd.readouterr() == ("", "error: only 0 usable envelope samples in 10000 trials\n")
 
 
 # one valid command line per command; "{tmp}" stands for a fresh directory

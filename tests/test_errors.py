@@ -146,79 +146,74 @@ def test_library_counts_below_their_bound_are_refused(site):
         assert str(excinfo.value) == message
 
 
-# each positive finite real: a call with the value under test that is
-# otherwise valid, and the name the error gives it
-POSITIVE_SITES = {
-    "HolderFunction": ("c", lambda v: ahbopt.HolderFunction(v, 0.5)),
-    "check_kl r": ("r", lambda v: ahbopt.check_kl(
+# each real with an interval, keyed by its site: the name its error gives it,
+# the interval as the docs write it, and a call with the value under test that
+# is otherwise valid
+INTERVAL_SITES = {
+    "mu0": ("mu0", "[0, 1)", lambda v: ahbopt.SolverConfig(mu0=v)),
+    "beta_cap": ("beta_cap", "(0, inf]", lambda v: ahbopt.SolverConfig(beta_cap=v)),
+    "gd_mu": ("gd_mu", "(0, 2)", lambda v: ahbopt.SolverConfig(gd_mu=v)),
+    "nesterov_nu": ("nesterov_nu", "[2, inf]", lambda v: ahbopt.SolverConfig(nesterov_nu=v)),
+    "alrhb_beta": ("alrhb_beta", "(0, 1)", lambda v: ahbopt.SolverConfig(alrhb_beta=v)),
+    "gap_tol": ("gap_tol", "[0, inf]", lambda v: ahbopt.SolverConfig(gap_tol=v)),
+    "alpha": ("alpha", "(0, 1]", lambda v: ahbopt.HolderFunction(1.0, v)),
+    "p": ("p", "[2, inf)", lambda v: ahbopt.make_power(v, 1, 1.0)),
+    "delta0": ("delta0", "[0, inf)", lambda v: ahbopt.verify_recursive_rate(v, 0.1, 2.0, 10)),
+    "theta": ("theta", "(1, inf)", lambda v: ahbopt.verify_recursive_rate(0.5, 0.1, v, 10)),
+    "x0 norm": ("x0 norm", "[0, inf)", lambda v: cli._resolve_x0({"seed": 1, "norm": v}, 2)),
+    "HolderFunction": ("c", "(0, inf)", lambda v: ahbopt.HolderFunction(v, 0.5)),
+    "check_kl r": ("r", "(0, inf)", lambda v: ahbopt.check_kl(
         _QUAD, [0.0], v, 0.5, ahbopt.HolderFunction(1.0, 0.5), num_samples=10)),
-    "check_kl eta": ("eta", lambda v: ahbopt.check_kl(
+    "check_kl eta": ("eta", "(0, inf)", lambda v: ahbopt.check_kl(
         _QUAD, [0.0], 1.0, v, ahbopt.HolderFunction(1.0, 0.5), num_samples=10)),
-    "check_moreau_exponent lam": ("lam", lambda v: ahbopt.check_moreau_exponent(
+    "check_moreau_exponent lam": ("lam", "(0, inf)", lambda v: ahbopt.check_moreau_exponent(
         _QUAD, v, [0.0], 1.0, num_samples=10)),
-    "check_moreau_exponent r": ("r", lambda v: ahbopt.check_moreau_exponent(
+    "check_moreau_exponent r": ("r", "(0, inf)", lambda v: ahbopt.check_moreau_exponent(
         _QUAD, 1.0, [0.0], v, num_samples=10)),
-    "prox_point": ("tau", lambda v: ahbopt.prox_point(_QUAD, v, [1.0])),
-    "ppa_run": ("tau", lambda v: ahbopt.ppa_run(_QUAD, v, [1.0], 2)),
-    "make_power": ("ball_radius", lambda v: ahbopt.make_power(4.0, 1, v)),
-    "lipschitz_estimate": ("tol", lambda v: ahbopt.lipschitz_estimate(_LSQ, tol=v)),
-    "run_solver": ("lipschitz", lambda v: ahbopt.run_solver(
+    "ppa_run": ("tau", "(0, inf)", lambda v: ahbopt.ppa_run(_QUAD, v, [1.0], 2)),
+    "make_power": ("ball_radius", "(0, inf)", lambda v: ahbopt.make_power(4.0, 1, v)),
+    "lipschitz_estimate": ("tol", "(0, inf)", lambda v: ahbopt.lipschitz_estimate(_LSQ, tol=v)),
+    "run_solver": ("lipschitz", "(0, inf)", lambda v: ahbopt.run_solver(
         dataclasses.replace(_QUAD, lipschitz=v), ahbopt.SolverConfig(max_iters=3), [1.0])),
-    "certify_growth_via_ppa": ("tau", lambda v: ahbopt.certify_growth_via_ppa(
-        _QUAD, [1.0], ahbopt.HolderFunction(1.0, 0.5), [1.0, v], num_steps=2)),
-    "verify_recursive_rate": ("c", lambda v: ahbopt.verify_recursive_rate(0.5, v, 2.0, 10)),
-    "fit_growth_exponent": ("dist", lambda v: ahbopt.fit_growth_exponent(
-        [(1.0, 1.0)] * 8 + [(1.0, v)])),
-    "Objective.prox": ("lam", lambda v: _QUAD.prox(v, [1.0])),
-    "make_quadratic": ("spectrum entries", lambda v: ahbopt.make_quadratic([1.0, v])),
-    "make_least_squares": ("singular values",
-                           lambda v: ahbopt.make_least_squares(2, 2, [v, v], 0)),
+    "certify_growth_via_ppa": ("tau", "(0, inf)", lambda v: ahbopt.certify_growth_via_ppa(
+        _QUAD, [1.0], ahbopt.HolderFunction(1.0, 0.5), [2.0, v], num_steps=2)),
+    "verify_recursive_rate": ("c", "(0, inf)",
+                              lambda v: ahbopt.verify_recursive_rate(0.5, v, 2.0, 10)),
+    "fit_growth_exponent": ("dist", "(0, inf)", lambda v: ahbopt.fit_growth_exponent(
+        [(2.0 ** k, 1.0) for k in range(8)] + [(1.0, v)])),
+    "Objective.prox": ("lam", "(0, inf)", lambda v: _QUAD.prox(v, [1.0])),
+    "make_quadratic": ("spectrum entries", "(0, inf)",
+                       lambda v: ahbopt.make_quadratic([1.0, v])),
+    "make_least_squares": ("singular values", "(0, inf)",
+                           lambda v: ahbopt.make_least_squares(2, 2, [2.0, v], 0)),
 }
-_SPEC_REALS = {"make_power", "make_quadratic", "make_least_squares"}
+_SPEC_INTERVALS = {"p", "x0 norm", "make_power", "make_quadratic", "make_least_squares"}
 
 
+def _refused(site, value):
+    name, interval, call = INTERVAL_SITES[site]
+    error = errors.InvalidSpecError if site in _SPEC_INTERVALS else errors.InvalidInputError
+    with pytest.raises(error) as excinfo:
+        call(value)
+    assert str(excinfo.value) == f"{name} must lie in {interval}"
+
+
+# the toolkit's constants lie in (0, inf): values beyond both of its ends,
+# and values that are no real number
 @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf"), -float("inf"), True, "1",
                                    10 ** 400],
                          ids=["zero", "negative", "nan", "inf", "-inf", "bool", "str", "huge-int"])
-@pytest.mark.parametrize("site", sorted(POSITIVE_SITES))
+@pytest.mark.parametrize("site", sorted(site for site, (_, interval, _) in INTERVAL_SITES.items()
+                                        if interval == "(0, inf)"))
 def test_library_reals_must_be_positive_and_finite(site, value):
-    name, call = POSITIVE_SITES[site]
-    error = errors.InvalidSpecError if site in _SPEC_REALS else errors.InvalidInputError
-    with pytest.raises(error) as excinfo:
-        call(value)
-    assert str(excinfo.value) == f"{name} must be positive and finite"
+    _refused(site, value)
 
 
 def test_positive_reals_come_back_as_floats():
     for value in (2, 2.0, np.float32(2.0), np.int64(2), fractions.Fraction(2)):
-        for number in (errors.as_positive("x", value), errors.as_real("x", value, "[2, 2]")):
+        for interval in ("(0, inf)", "[2, 2]"):
+            number = errors.as_real("x", value, interval)
             assert type(number) is float and number == 2.0
-
-
-# each real with an interval, named as its error names it: the interval as the
-# docs write it, and a call with the value under test that is otherwise valid
-INTERVAL_SITES = {
-    "mu0": ("[0, 1)", lambda v: ahbopt.SolverConfig(mu0=v)),
-    "beta_cap": ("(0, inf]", lambda v: ahbopt.SolverConfig(beta_cap=v)),
-    "gd_mu": ("(0, 2)", lambda v: ahbopt.SolverConfig(gd_mu=v)),
-    "nesterov_nu": ("[2, inf]", lambda v: ahbopt.SolverConfig(nesterov_nu=v)),
-    "alrhb_beta": ("(0, 1)", lambda v: ahbopt.SolverConfig(alrhb_beta=v)),
-    "gap_tol": ("[0, inf]", lambda v: ahbopt.SolverConfig(gap_tol=v)),
-    "alpha": ("(0, 1]", lambda v: ahbopt.HolderFunction(1.0, v)),
-    "p": ("[2, inf)", lambda v: ahbopt.make_power(v, 1, 1.0)),
-    "delta0": ("[0, inf)", lambda v: ahbopt.verify_recursive_rate(v, 0.1, 2.0, 10)),
-    "theta": ("(1, inf)", lambda v: ahbopt.verify_recursive_rate(0.5, 0.1, v, 10)),
-    "x0 norm": ("[0, inf)", lambda v: cli._resolve_x0({"seed": 1, "norm": v}, 2)),
-}
-_SPEC_INTERVALS = {"p", "x0 norm"}
-
-
-def _refused(site, value):
-    interval, call = INTERVAL_SITES[site]
-    error = errors.InvalidSpecError if site in _SPEC_INTERVALS else errors.InvalidInputError
-    with pytest.raises(error) as excinfo:
-        call(value)
-    assert str(excinfo.value) == f"{site} must lie in {interval}"
 
 
 @pytest.mark.parametrize("value", [True, "0.5", float("nan"), 10 ** 400, decimal.Decimal("0.5"),
@@ -231,7 +226,7 @@ def test_library_reals_must_lie_in_their_interval(site, value):
 
 @pytest.mark.parametrize("site", sorted(INTERVAL_SITES))
 def test_interval_ends_are_taken_in_by_a_bracket_and_left_out_by_a_parenthesis(site):
-    interval, call = INTERVAL_SITES[site]
+    _, interval, call = INTERVAL_SITES[site]
     low, high = (float(end) for end in interval[1:-1].split(","))
     call((low + high) / 2.0 if high < math.inf else low + 1.0)
     for end, closed in ((low, interval[0] == "["), (high, interval[-1] == "]")):
@@ -259,7 +254,6 @@ POINT_SITES = {
     "check_moreau_exponent": ("xbar", _QUAD3, lambda obj, x: ahbopt.check_moreau_exponent(
         obj, 1.0, x, 0.5, num_samples=10)),
     "ppa_run": ("x0", _QUAD3, lambda obj, x: ahbopt.ppa_run(obj, 1.0, x, 3)),
-    "prox_point": ("x", _QUAD3, lambda obj, x: ahbopt.prox_point(obj, 1.0, x)),
     "moreau_value": ("x", _QUAD3, lambda obj, x: ahbopt.moreau_value(obj, 1.0, x)),
     "moreau_gradient": ("x", _QUAD3, lambda obj, x: ahbopt.moreau_gradient(obj, 1.0, x)),
     "Objective.value": ("x", _QUAD3, lambda obj, x: obj.value(x)),

@@ -22,32 +22,31 @@ from ahbopt import (
     moreau_gradient,
     moreau_value,
     ppa_run,
-    prox_point,
 )
 from ahbopt import errors, objective, prox
 from conftest import central_difference_gradient
 
 
-def test_prox_point_quadratic_literals():
+def test_prox_quadratic_literals():
     obj = make_quadratic([1.0])
-    np.testing.assert_allclose(prox_point(obj, 1.0, [2.0]), [1.0])
+    np.testing.assert_allclose(obj.prox(1.0, [2.0]), [1.0])
     obj = make_quadratic([1.0, 10.0])
-    np.testing.assert_allclose(prox_point(obj, 0.1, [1.0, 1.0]),
+    np.testing.assert_allclose(obj.prox(0.1, [1.0, 1.0]),
                                [1.0 / 1.1, 0.5])
 
 
-def test_prox_point_abs_soft_threshold():
+def test_prox_abs_soft_threshold():
     obj = make_abs_value()
-    assert prox_point(obj, 0.5, [0.2]) == pytest.approx([0.0])
-    assert prox_point(obj, 1.0, [2.5]) == pytest.approx([1.5])
-    assert prox_point(obj, 1.0, [-2.5]) == pytest.approx([-1.5])
+    assert obj.prox(0.5, [0.2]) == pytest.approx([0.0])
+    assert obj.prox(1.0, [2.5]) == pytest.approx([1.5])
+    assert obj.prox(1.0, [-2.5]) == pytest.approx([-1.5])
 
 
-def test_prox_point_rejects_nonpositive_tau():
+def test_prox_rejects_nonpositive_tau():
     obj = make_quadratic([1.0])
     for tau in (0.0, -1.0):
         with pytest.raises(InvalidInputError):
-            prox_point(obj, tau, [1.0])
+            obj.prox(tau, [1.0])
 
 
 def _diag_quadratic_without_prox(diag):
@@ -60,7 +59,7 @@ def _diag_quadratic_without_prox(diag):
     )
 
 
-def test_prox_point_capability_error_without_fallback():
+def test_prox_capability_error_without_fallback():
     # without a prox_fn there is no prox, whether f is nonsmooth, nonconvex
     # or a smooth convex quadratic with a Lipschitz bound
     nonsmooth = Objective(dim=1, value_fn=lambda x: abs(float(x[0])))
@@ -68,7 +67,7 @@ def test_prox_point_capability_error_without_fallback():
                           gradient_fn=lambda x: 2.0 * x, lipschitz=2.0)
     for obj in (nonsmooth, nonconvex, _diag_quadratic_without_prox([1.0])):
         with pytest.raises(CapabilityError) as excinfo:
-            prox_point(obj, 1.0, [1.0])
+            obj.prox(1.0, [1.0])
         assert excinfo.value.missing == "prox_fn"
 
 
@@ -98,18 +97,27 @@ def test_power_prox_scales_x_to_the_bisected_radius():
         norm = 10 ** rng.uniform(-300 if k % 2 else -2, math.log10(1e3 * radius))
         x = norm * direction / math.hypot(*direction)
         r = math.hypot(*x)
-        got = prox_point(make_power(p, dim, radius), tau, x)
+        got = make_power(p, dim, radius).prox(tau, x)
         np.testing.assert_allclose(got, _bisected_radius(p, tau, r) / r * x, rtol=1e-14)
 
 
 def test_power_prox_solves_its_radius_equation_at_the_float_extremes():
     # |x| / tau overflows, so the root finder starts at |x|, where tau s^(p-1)
     # overflows too, and bisects down; s + 1e-300 s^3 = 1e300 at s = 1e200 (1 - 1e-100 / 3)
-    np.testing.assert_allclose(prox_point(make_power(4.0, 1, 1.0), 1e-300, [1e300]),
+    np.testing.assert_allclose(make_power(4.0, 1, 1.0).prox(1e-300, [1e300]),
                                [1e200], rtol=1e-13)
-    np.testing.assert_array_equal(prox_point(make_power(2.0, 1, 1.0), 1e300, [1e300]), [1.0])
-    np.testing.assert_array_equal(prox_point(make_power(3.0, 2, 1.0), 1.0, [0.0, 0.0]),
+    np.testing.assert_array_equal(make_power(2.0, 1, 1.0).prox(1e300, [1e300]), [1.0])
+    np.testing.assert_array_equal(make_power(3.0, 2, 1.0).prox(1.0, [0.0, 0.0]),
                                   [0.0, 0.0])
+
+
+def test_power_prox_bisects_where_its_power_term_overflows():
+    # (c s)^(p-2) overflows near the start, so the guard takes the slope as
+    # infinite and bisection finds the root of s + 1e300 s^19 = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (s,) = make_power(20.0, 1, 1.0).prox(1e300, [1.7e308])
+    assert math.log(1e300) + 19.0 * math.log(s) == math.log(1.7e308 - s)
 
 
 def test_power_prox_far_outside_the_lipschitz_ball_is_exact_and_quiet():
@@ -117,13 +125,13 @@ def test_power_prox_far_outside_the_lipschitz_ball_is_exact_and_quiet():
     x = np.array([3.0, 4.0]) * (5.22 / 5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = prox_point(make_power(4.0, 2, 2.0), 7.56, x)
+        z = make_power(4.0, 2, 2.0).prox(7.56, x)
     s = math.hypot(*z)
     assert s + 7.56 * s ** 3 == pytest.approx(5.22, rel=1e-15)
     np.testing.assert_allclose(z / s, x / 5.22, rtol=1e-15)
 
 
-@pytest.mark.parametrize("call", [prox_point, moreau_value, moreau_gradient])
+@pytest.mark.parametrize("call", [Objective.prox, moreau_value, moreau_gradient])
 @pytest.mark.parametrize("obj, x", [(make_quadratic([1.0, 10.0]), [1.0]),
                                     (make_abs_value(), [[2.0]])],
                          ids=["short", "two-dimensional"])
@@ -252,7 +260,7 @@ def test_nonconvex_run_matches_exact_ppa_on_convex_problem():
 
 def test_nonconvex_run_input_validation():
     obj = _with_grid_prox(_double_well(), 3)
-    with pytest.raises(InvalidInputError, match="tau must be positive"):
+    with pytest.raises(InvalidInputError, match=r"tau must lie in \(0, inf\)"):
         ppa_run(obj, 0.0, [0.0], 1)
     with pytest.raises(InvalidInputError, match="num_steps"):
         ppa_run(obj, 1.0, [0.0], -1)
@@ -301,7 +309,7 @@ def test_grid_runs_are_bitwise_golden(name):
 
 @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
 def test_ppa_run_rejects_tau_before_any_step(tau):
-    with pytest.raises(InvalidInputError, match="tau must be positive"):
+    with pytest.raises(InvalidInputError, match=r"tau must lie in \(0, inf\)"):
         ppa_run(make_quadratic([1.0]), tau, [1.0], 0)
 
 
@@ -329,10 +337,10 @@ def test_ppa_run_checks_tau_once(monkeypatch):
 
     def counted(name, value, *args):
         checked.append(name)
-        return errors.as_positive(name, value, *args)
+        return errors.as_real(name, value, *args)
 
     for module in (objective, prox):
-        monkeypatch.setattr(module, "as_positive", counted)
+        monkeypatch.setattr(module, "as_real", counted)
     run = ppa_run(obj, 0.1, [1.0, -1.0], 50)
     assert len(run.points) == 51
     assert checked == ["tau"]
@@ -359,7 +367,7 @@ def test_moreau_quadratic_literals():
 @pytest.mark.parametrize("envelope", [moreau_value, moreau_gradient])
 @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
 def test_moreau_envelope_names_a_bad_lam(envelope, lam):
-    with pytest.raises(InvalidInputError, match="lam must be positive and finite"):
+    with pytest.raises(InvalidInputError, match=r"lam must lie in \(0, inf\)"):
         envelope(make_quadratic([1.0]), lam, [1.0])
 
 

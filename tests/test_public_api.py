@@ -37,7 +37,6 @@ PUBLIC_NAMES = {
     "moreau_gradient",
     "moreau_value",
     "ppa_run",
-    "prox_point",
     "read_csv",
     "run_solver",
     "step",

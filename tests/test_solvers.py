@@ -429,9 +429,9 @@ def test_non_positive_lipschitz_is_rejected_before_any_oracle_call(method, lipsc
     obj = Objective(dim=1, value_fn=value, gradient_fn=gradient, lipschitz=lipschitz,
                     min_value=0.0, solution_oracle=dist, domain_radius=10.0)
     cfg = SolverConfig(method=method, max_iters=5)
-    with pytest.raises(InvalidInputError, match="lipschitz must be positive"):
+    with pytest.raises(InvalidInputError, match=r"lipschitz must lie in \(0, inf\)"):
         run_solver(obj, cfg, np.array([2.0]))
-    with pytest.raises(InvalidInputError, match="lipschitz must be positive"):
+    with pytest.raises(InvalidInputError, match=r"lipschitz must lie in \(0, inf\)"):
         step(initial_state(np.array([2.0])), obj, cfg)
     assert calls == []
 
