@@ -12,8 +12,10 @@ on the sphere S^(d+1) are uniform in the d-ball (Voelker, Gosmann &
 Stewart, 2017). One sampler, ``_accepted``, serves every sampling
 check: it draws candidates in chunks, keeps those the check's filter
 accepts, and stops at the requested count or after 100 trials per
-requested sample. The generator fills a chunk row by row, so a report
-depends on the seed and not on the chunk size.
+requested sample. The first chunk holds the requested count and each
+later one the most rows a chunk may hold, 4096 or 2^16 floats, and
+never past the trial cap. The generator fills a chunk row by row, so a
+report depends on the seed and not on the chunk size.
 
 The two level-slice checks, ``check_kl`` and ``certify_growth_direct``,
 keep only points with tiny <= f(x) - f(xbar) < eta, tiny the smallest
@@ -56,9 +58,9 @@ REL_TOL = 1e-9
 
 _REJECTION_FACTOR = 100
 
-# ball candidates drawn per generator call, and the cap on the floats one
-# chunk holds, so that high-dimensional objectives draw small chunks
-_CHUNK_ROWS = 1024
+# the most ball candidates one generator call draws, and the cap on the floats
+# one chunk holds, so that high-dimensional objectives draw small chunks
+_CHUNK_ROWS = 4096
 _CHUNK_FLOATS = 1 << 16
 
 _TINY = float(np.finfo(float).tiny)
@@ -140,7 +142,8 @@ def _ball_points(rng, center, radius, count):
     """
     d = center.size
     g = rng.standard_normal((count, d + 2))
-    norms = np.linalg.norm(g, axis=1)
+    # np.linalg.norm's own expression, without its conj copy and dispatch
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
     drawn = norms > 0.0
     scale = radius / np.where(drawn, norms, 1.0)
     return center + scale[:, None] * g[:, :d], drawn
@@ -155,10 +158,12 @@ def _accepted(xbar, r, num_samples, seed, take):
     consume. Returns the kept values of each chunk and the trial count."""
     r = as_real("r", r, "(0, inf)")
     rng = np.random.default_rng(as_int("seed", seed, low=0))
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_FLOATS // (xbar.size + 2)))
+    most = max(1, min(_CHUNK_ROWS, _CHUNK_FLOATS // (xbar.size + 2)))
     chunks, count, trials, cap = [], 0, 0, _REJECTION_FACTOR * num_samples
     while trials < cap and count < num_samples:
-        points, drawn = _ball_points(rng, xbar, r, min(rows, cap - trials))
+        # the first chunk holds the requested count, each later one the most
+        rows = min(most, cap - trials if trials else num_samples)
+        points, drawn = _ball_points(rng, xbar, r, rows)
         kept, used = take(points, drawn, num_samples - count)
         chunks.append(kept)
         count += len(kept)

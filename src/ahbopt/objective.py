@@ -89,6 +89,14 @@ def _as_int(name, value, low) -> int:
     return as_int(name, value, InvalidSpecError, low=low)
 
 
+def _as_sequence(name, value):
+    """``value`` as a 1-d object array; refuses any other shape or no entries."""
+    seq = np.asarray(value, dtype=object)
+    if seq.ndim != 1 or seq.size == 0:
+        raise InvalidSpecError(f"{name} must be a nonempty 1-d sequence")
+    return seq
+
+
 @dataclass(frozen=True)
 class Objective:
     """A finite-dimensional objective with optional exact side information.
@@ -233,11 +241,8 @@ def make_quadratic(spectrum) -> Objective:
     The prox is componentwise x_i / (1 + lam * lam_i) and the gradient
     Lipschitz constant is max(lam).
     """
-    lam = np.asarray(spectrum, dtype=object)
-    if lam.ndim != 1 or lam.size == 0:
-        raise InvalidSpecError("spectrum must be a nonempty 1-d sequence")
     lam = np.array([as_real("spectrum entries", v, "(0, inf)", InvalidSpecError)
-                    for v in lam])
+                    for v in _as_sequence("spectrum", spectrum)])
     dim = int(lam.size)
 
     def value(x):
@@ -318,9 +323,9 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
         min(rows, cols), whose first entry squared is finite and nonzero.
     """
     rows, cols = _as_int("rows", rows, 1), _as_int("cols", cols, 1)
-    sv = np.asarray(singular_values, dtype=object)
+    sv = _as_sequence("singular_values", singular_values)
     r = min(rows, cols)
-    if sv.ndim != 1 or sv.size != r:
+    if sv.size != r:
         raise InvalidSpecError(
             f"singular_values must have length min(rows, cols) = {r}, got {sv.size}")
     sv = np.array([as_real("singular values", v, "(0, inf)", InvalidSpecError) for v in sv])

@@ -177,6 +177,10 @@ def _sampling_reports():
     ]
 
 
+def test_sampling_reports_keep_their_trial_counts():
+    assert [r.trials for r in _sampling_reports()] == [2466, 2000, 288, 223, 100]
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 def test_sampling_reports_do_not_depend_on_the_chunk_size(rows, monkeypatch):
     default = _sampling_reports()
@@ -185,21 +189,44 @@ def test_sampling_reports_do_not_depend_on_the_chunk_size(rows, monkeypatch):
     assert _sampling_reports() == default
 
 
-@pytest.mark.parametrize("rows", [1024, 7])
-def test_sampler_draws_only_the_chunks_it_consumes(rows, monkeypatch):
-    draws = []
-    ball_points = certify._ball_points
+def _counted_draws(monkeypatch):
+    """Record the row count of each ``_ball_points`` call."""
+    draws, ball_points = [], certify._ball_points
 
     def counted(rng, center, radius, count):
         draws.append(count)
         return ball_points(rng, center, radius, count)
 
-    monkeypatch.setattr(certify, "_CHUNK_ROWS", rows)
     monkeypatch.setattr(certify, "_ball_points", counted)
+    return draws
+
+
+@pytest.mark.parametrize("rows", [1024, 7])
+def test_sampler_draws_only_the_chunks_it_consumes(rows, monkeypatch):
+    draws = _counted_draws(monkeypatch)
+    monkeypatch.setattr(certify, "_CHUNK_ROWS", rows)
     report = check_kl(make_quadratic([1.0]), [0.0], 1.0, 0.5, HolderFunction(SQRT2, 0.5))
     assert report.checked == 200
     assert len(draws) == math.ceil(report.trials / rows)
     assert sum(draws) - draws[-1] < report.trials <= sum(draws)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_sampler_draws_few_chunks_on_the_suite_kl_check(seed, monkeypatch, capsys):
+    # the first chunk holds the 2000 requested rows, each later one _CHUNK_ROWS
+    draws = _counted_draws(monkeypatch)
+    assert main(["certify", *_certify_suite_argvs(seed)[0]]) == 0
+    trials = json.loads(capsys.readouterr().out)["trials"]
+    assert draws[0] == 2000 and max(draws) == certify._CHUNK_ROWS
+    assert len(draws) <= math.ceil(trials / certify._CHUNK_ROWS) + 2
+    assert sum(draws) - draws[-1] < trials <= sum(draws)
+
+
+def test_sampler_sizes_its_first_chunk_by_the_requested_count(monkeypatch):
+    draws = _counted_draws(monkeypatch)
+    report = check_moreau_exponent(make_abs_value(), 1.0, [0.0], 0.5, seed=7)
+    assert report.checked == 100
+    assert draws[0] == 100 and sum(draws) < 2 * report.checked
 
 
 @pytest.mark.parametrize("r", [math.inf, math.nan, 0.0])
@@ -241,6 +268,42 @@ def test_ball_points_drawn_together_equal_drawn_one_by_one(d):
     single = [certify._ball_points(rng, center, 2.0, 1) for _ in range(50)]
     assert np.array_equal(together, np.vstack([p for p, _ in single]))
     assert np.array_equal(drawn, np.concatenate([m for _, m in single]))
+
+
+class _Rows:
+    """A generator stub whose ``standard_normal`` returns the given rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def standard_normal(self, shape):
+        assert shape == self.rows.shape
+        return self.rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 6, 30, 4096])
+def test_ball_points_are_bitwise_the_one_line_expression(d):
+    m = d + 2
+    crafted = np.vstack([
+        np.zeros(m),                     # no point: the norm is 0
+        np.full(m, -0.0),
+        np.full(m, 1e-310),              # subnormals whose squares underflow to 0
+        np.full(m, 5e-324),
+        np.full(m, 1e-160),              # subnormal squares
+        np.full(m, 1e154),               # squares near the float range, sum beyond it
+        np.linspace(-1.3e154, 0.9e154, m),
+        np.r_[1e154, np.full(m - 1, 1e-3)],
+    ])
+    rows = np.vstack([crafted, np.random.default_rng(d).standard_normal((60, m)) * 3.0])
+    center, radius = np.linspace(-2.0, 3.0, d), 1.5
+    with np.errstate(over="ignore"):
+        points, drawn = certify._ball_points(_Rows(rows), center, radius, len(rows))
+        norms = np.linalg.norm(rows, axis=1)
+        expected = center + (radius / np.where(norms > 0.0, norms, 1.0))[:, None] * rows[:, :d]
+    assert points.shape == (len(rows), d)
+    assert points.tobytes() == expected.tobytes()
+    assert drawn.tobytes() == (norms > 0.0).tobytes()
+    assert not drawn[:4].any() and drawn[4:].all()
 
 
 def test_growth_direct_abs_value_with_slop_factor():

@@ -771,6 +771,16 @@ def test_overflowing_start_point_reports_only_the_numerical_failure(command, tmp
     assert err == "numerical failure: non-finite value at iteration 0\n"
 
 
+def test_least_squares_nested_singular_values_are_a_config_error(tmp_path, capsys):
+    params = {"rows": 2, "cols": 2, "singular_values": [[1, 1], [1, 1]]}
+    code = main(["solve", "--problem", "least_squares", "--params", json.dumps(params),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: singular_values must be a nonempty 1-d sequence\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("top", [1e308, 1.3e154, 1e-200])
 def test_least_squares_with_a_non_finite_or_zero_bound_is_a_config_error(top, tmp_path,
                                                                          capsys):

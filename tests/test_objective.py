@@ -111,6 +111,21 @@ def test_least_squares_validation():
         make_least_squares(2, 2, [1.0, -1.0], seed=0)
 
 
+@pytest.mark.parametrize("sv", [[[1.0, 1.0], [1.0, 1.0]], [[1.0], [1.0]], 1.0, []],
+                         ids=["2x2", "2x1", "scalar", "empty"])
+def test_least_squares_singular_values_must_be_a_nonempty_1d_sequence(sv):
+    # refused by shape before the length rule, which would count the entries
+    with pytest.raises(InvalidSpecError) as info:
+        make_least_squares(2, 2, sv, seed=0)
+    assert str(info.value) == "singular_values must be a nonempty 1-d sequence"
+
+
+def test_least_squares_singular_values_must_have_length_min_rows_cols():
+    with pytest.raises(InvalidSpecError) as info:
+        make_least_squares(2, 3, [1.0], seed=0)
+    assert str(info.value) == "singular_values must have length min(rows, cols) = 2, got 1"
+
+
 @pytest.mark.parametrize("top", [1e308, 1.3e154, 1e-200],
                          ids=["bound-overflows", "aty-overflows", "bound-underflows"])
 def test_least_squares_with_a_non_finite_or_zero_bound_is_a_spec_error(top):
