@@ -118,7 +118,8 @@ class CertReport:
         out = {
             "checked": self.checked,
             "violations": self.violations,
-            "worst_ratio": self.worst_ratio,
+            # JSON has no inf: a ratio whose bound underflowed to 0 is written null
+            "worst_ratio": self.worst_ratio if math.isfinite(self.worst_ratio) else None,
             "witness": [float(w) for w in self.witness],
             "fitted": None if self.fitted is None else {
                 "C": self.fitted[0], "alpha": self.fitted[1], "residual": self.fitted[2],

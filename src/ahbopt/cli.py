@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -40,20 +41,6 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that adds its flags, through ``add_flags``, only
-    when it first parses: a command line names one subcommand, so the
-    flags of the others are never built."""
-
-    def __init__(self, *args, add_flags=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_flags = add_flags
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_flags is not None:
-            add_flags, self._add_flags = self._add_flags, None
-            add_flags(self)
-        return super().parse_known_args(args, namespace)
-
     # argparse exits with status 2 on bad flags; config errors must be 1
     def error(self, message):
         raise _UsageError(message)
@@ -262,23 +249,13 @@ def cmd_fit_rate(args) -> int:
     return EXIT_OK
 
 
-def _run_flags(func, solver_fields):
-    def add(parser):
-        parser.add_argument("--config", help="JSON experiment config file")
-        parser.add_argument("--out", help="output directory (default: out_dir from "
-                                          "the config, else the working directory)")
-        _add_problem_flags(parser)
-        _add_solver_flags(parser, solver_fields)
-        parser.set_defaults(func=func)
-    return add
-
-
-def _cert_flags(add_own):
-    def add(parser):
-        _add_problem_flags(parser)
-        parser.set_defaults(func=cmd_certify)
-        add_own(parser)
-    return add
+def _add_run_flags(parser, func, solver_fields):
+    parser.add_argument("--config", help="JSON experiment config file")
+    parser.add_argument("--out", help="output directory (default: out_dir from "
+                                      "the config, else the working directory)")
+    _add_problem_flags(parser)
+    _add_solver_flags(parser, solver_fields)
+    parser.set_defaults(func=func)
 
 
 def _add_ppa_flags(parser):
@@ -297,25 +274,10 @@ def _add_moreau_flags(parser):
 
 
 def _add_rate_flags(parser):
-    parser.set_defaults(func=cmd_certify)
     parser.add_argument("--delta0", type=float, required=True)
     parser.add_argument("--c", type=float, required=True)
     parser.add_argument("--theta", type=float, required=True)
     parser.add_argument("--steps", type=int, default=10000)
-
-
-def _add_certify_commands(parser):
-    sub = parser.add_subparsers(dest="certify_cmd", required=True)
-    sub.add_parser("kl", help="sharpness of the gauge derivative",
-                   add_flags=_cert_flags(_add_slice_flags))
-    sub.add_parser("growth", help="distance bounded by the gauged gap",
-                   add_flags=_cert_flags(_add_slice_flags))
-    sub.add_parser("growth-ppa", help="growth via proximal path lengths",
-                   add_flags=_cert_flags(_add_ppa_flags))
-    sub.add_parser("moreau", help="envelope growth exponent",
-                   add_flags=_cert_flags(_add_moreau_flags))
-    sub.add_parser("rate", help="sublinear envelope of a damped recursion",
-                   add_flags=_add_rate_flags)
 
 
 def _add_fit_rate_flags(parser):
@@ -326,19 +288,32 @@ def _add_fit_rate_flags(parser):
     parser.set_defaults(func=cmd_fit_rate)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The whole argparse tree, built on the first call and shared by every
+    later ``main`` call in the process. Each ``func`` default is bound then,
+    so a ``cmd_*`` function replaced afterwards is never called."""
     parser = _Parser(prog="ahbopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     solver_fields = dataclasses.fields(SolverConfig)
-    sub.add_parser("solve", help="run one solver and write its trace",
-                   add_flags=_run_flags(cmd_solve, solver_fields))
+    _add_run_flags(sub.add_parser("solve", help="run one solver and write its trace"),
+                   cmd_solve, solver_fields)
     # every field after method: compare runs the config's methods, or all four
-    sub.add_parser("compare", help="run several methods on one problem",
-                   add_flags=_run_flags(cmd_compare, solver_fields[1:]))
-    sub.add_parser("certify", help="sample-based condition checks",
-                   add_flags=_add_certify_commands)
-    sub.add_parser("fit-rate", help="fit convergence rates from a trace CSV",
-                   add_flags=_add_fit_rate_flags)
+    _add_run_flags(sub.add_parser("compare", help="run several methods on one problem"),
+                   cmd_compare, solver_fields[1:])
+    certify_parser = sub.add_parser("certify", help="sample-based condition checks")
+    certify_parser.set_defaults(func=cmd_certify)
+    checks = certify_parser.add_subparsers(dest="certify_cmd", required=True)
+    for name, text, add_own in (
+            ("kl", "sharpness of the gauge derivative", _add_slice_flags),
+            ("growth", "distance bounded by the gauged gap", _add_slice_flags),
+            ("growth-ppa", "growth via proximal path lengths", _add_ppa_flags),
+            ("moreau", "envelope growth exponent", _add_moreau_flags)):
+        check = checks.add_parser(name, help=text)
+        _add_problem_flags(check)
+        add_own(check)
+    _add_rate_flags(checks.add_parser("rate", help="sublinear envelope of a damped recursion"))
+    _add_fit_rate_flags(sub.add_parser("fit-rate", help="fit convergence rates from a trace CSV"))
     return parser
 
 

@@ -347,8 +347,8 @@ def test_solver_command_help_is_pinned(command, monkeypatch, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[command]
 
 
-# The help of every other command at 80 columns. A subcommand adds its flags
-# only when it parses, so its help must still list all of them, in order.
+# The help of every other command at 80 columns, each printed from the one
+# parser tree that every call in the process shares.
 OTHER_HELP_DIGESTS = {
     "": "0ac7cad0d12421eebcac60a32c3bc295927d696d97165f80223e0aeb01f60773",
     "certify": "74bcb9416fb750cf2c9b87d9d9521cbedeb527f140ad17dbef5cf9984a21a9c4",
@@ -1053,6 +1053,16 @@ def test_certify_rate_certifies_contracting_sequences_across_the_float_range(cap
         assert _strict_json(out)["violations"] == 0, argv
 
 
+def test_certify_growth_whose_gauge_underflows_reports_a_null_worst_ratio(capsys):
+    # phi(gap) = 1e-300 * gap underflows to 0 while the distance is still positive
+    code = main(["certify", "growth", "--problem", "quadratic", "--phi-c", "1e-300",
+                 "--phi-alpha", "1", "--r", "1e-15", "--eta", "1", "--samples", "5"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    report = _strict_json(out)
+    assert (report["checked"], report["violations"], report["worst_ratio"]) == (5, 5, None)
+
+
 def test_certify_moreau_with_infinite_envelope_gaps_is_a_config_error(capfd):
     # LAPACK writes its complaints to file descriptor 1, past sys.stdout
     code = main(["certify", "moreau", "--problem", "quadratic",
@@ -1158,6 +1168,26 @@ def test_help_wraps_at_the_width_of_each_call_in_one_process(monkeypatch, capsys
         assert texts.setdefault(columns, text) == text
     assert hashlib.sha256(texts["80"].encode()).hexdigest() == HELP_DIGESTS["compare"]
     assert texts["80"] != texts["120"]
+
+
+def test_main_builds_the_parser_tree_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    rate = ["certify", "rate", "--delta0", "1", "--c", "0.1", "--theta", "2", "--steps", "50"]
+    counts = []
+    for argv in (rate, ["solve", "--bogus"], rate):
+        before = len(built)
+        main(argv)
+        counts.append(len(built) - before)
+    capsys.readouterr()
+    assert counts[1:] == [0, 0], built
+    assert build_parser() is build_parser()
 
 
 def _record_bits(record):

@@ -174,7 +174,7 @@ def test_generated_certify_argv_ends_in_an_exit_code_and_a_json_report(argv, cap
     assert "Traceback" not in err
     if out:
         assert code in (0, 3)
-        assert isinstance(json.loads(out), dict)
+        assert isinstance(_strict_json(out), dict)
     else:
         assert code in (1, 2)
 
