@@ -16,7 +16,6 @@ from .errors import (
     DeskScaleLimitError,
     EmptyRegionError,
     InvalidInputError,
-    InvalidSpecError,
     NumericalFailureError,
     ToolkitError,
     TraceParseError,
@@ -52,7 +51,6 @@ __all__ = [
     "EmptyRegionError",
     "HolderFunction",
     "InvalidInputError",
-    "InvalidSpecError",
     "IterationRecord",
     "NumericalFailureError",
     "Objective",

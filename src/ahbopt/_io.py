@@ -5,11 +5,21 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 
 def json_text(payload) -> str:
-    """The one JSON layout every written or printed document uses."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The one JSON layout every written or printed document uses. JSON has
+    no infinity, so +-inf is written 1e999 / -1e999: strict JSON numbers
+    that decoders read back as +-inf."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if "Infinity" not in text:
+        return text
+    # the indent puts each value on a line of its own, after its key if it
+    # has one, and a string's newlines are escaped, so a line that ends in a
+    # bare Infinity is a number
+    return re.sub(r'^( *(?:"(?:[^"\\]|\\.)*": )?-?)Infinity(,?)$', r"\g<1>1e999\2", text,
+                  flags=re.MULTILINE)
 
 
 def json_value(text):

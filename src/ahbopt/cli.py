@@ -18,7 +18,7 @@ import numpy as np
 
 from . import certify, trace
 from ._io import atomic_write, json_text, json_value
-from .errors import (InvalidSpecError, NumericalFailureError, ToolkitError, as_int, as_object,
+from .errors import (InvalidInputError, NumericalFailureError, ToolkitError, as_int, as_object,
                      as_real)
 from .objective import PROBLEM_KINDS, ProblemSpec
 from .solvers import METHODS, SolverConfig, run_solver
@@ -97,22 +97,22 @@ def _add_slice_flags(parser):
 def _load_config_file(path):
     with open(path, encoding="utf-8") as handle:
         data = as_object("experiment config", json_value(handle.read()),
-                         ("problem", "runs", "x0", "out_dir"), InvalidSpecError)
+                         ("problem", "runs", "x0", "out_dir"))
     out_dir = data.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
-        raise InvalidSpecError(f"out_dir must be a string, got {out_dir!r}")
+        raise InvalidInputError(f"out_dir must be a string, got {out_dir!r}")
     return data
 
 
 def _problem_from(args, file_data):
     spec_data = file_data.get("problem")
     spec_data = {} if spec_data is None else dict(
-        as_object("problem spec", spec_data, ProblemSpec.__dataclass_fields__, InvalidSpecError))
+        as_object("problem spec", spec_data, ProblemSpec.__dataclass_fields__))
     if args.problem is not None:
         spec_data["kind"] = args.problem
     if "kind" not in spec_data:
-        raise InvalidSpecError("no problem kind given; pass --problem or give the "
-                               "problem spec a 'kind'")
+        raise InvalidInputError("no problem kind given; pass --problem or give the "
+                                "problem spec a 'kind'")
     if args.params is not None:
         spec_data["params"] = args.params
     # an unknown kind gets no defaults; ProblemSpec rejects it by name
@@ -134,12 +134,12 @@ def _resolve_x0(x0_spec, dim):
         return np.zeros(dim), None
     if isinstance(x0_spec, str):
         x0_spec = json_value(x0_spec)
-    as_object("x0", x0_spec, ("kind", "seed", "norm"), InvalidSpecError)
+    as_object("x0", x0_spec, ("kind", "seed", "norm"))
     kind = x0_spec.get("kind", "seeded_random")
     if kind != "seeded_random":
-        raise InvalidSpecError(f"unknown x0 kind '{kind}'")
-    seed = as_int("x0 seed", x0_spec.get("seed", 0), InvalidSpecError, low=0)
-    norm = as_real("x0 norm", x0_spec.get("norm", 1.0), "[0, inf)", InvalidSpecError)
+        raise InvalidInputError(f"unknown x0 kind '{kind}'")
+    seed = as_int("x0 seed", x0_spec.get("seed", 0), low=0)
+    norm = as_real("x0 norm", x0_spec.get("norm", 1.0), "[0, inf)")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)
     direction *= norm / np.linalg.norm(direction)
@@ -151,7 +151,7 @@ def _resolve_x0(x0_spec, dim):
 def _run_entries(file_data, default):
     runs = default if file_data.get("runs") is None else file_data["runs"]
     if not isinstance(runs, list) or not runs or not all(isinstance(r, dict) for r in runs):
-        raise InvalidSpecError("runs must be a non-empty list of objects")
+        raise InvalidInputError("runs must be a non-empty list of objects")
     return runs
 
 
@@ -179,8 +179,8 @@ def _run_methods(args, default_runs) -> int:
     run_datas = _run_entries(file_data, default_runs)
     overrides = _solver_overrides(args)
     if args.command == "solve" and len(run_datas) > 1:
-        raise InvalidSpecError(f"solve takes one run, the config has {len(run_datas)}; "
-                               "use compare")
+        raise InvalidInputError(f"solve takes one run, the config has {len(run_datas)}; "
+                                "use compare")
     configs = [SolverConfig.from_json_dict({**run_data, **overrides})
                for run_data in run_datas]
     obj = spec.build()

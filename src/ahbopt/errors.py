@@ -1,6 +1,8 @@
 """Exception types shared across the toolkit, and the input checks that
 raise them: integers at or above a bound, reals in an interval, and
-objects with known keys."""
+objects with known keys. Any input outside its domain, whether a
+parameter, a problem spec, a config file or a point, raises the one class
+``InvalidInputError``."""
 
 import copyreg
 import math
@@ -16,12 +18,9 @@ class ToolkitError(Exception):
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
-class InvalidSpecError(ToolkitError, ValueError):
-    """A problem specification is malformed or out of range."""
-
-
 class InvalidInputError(ToolkitError, ValueError):
-    """An operation received parameters outside its documented domain."""
+    """An input lies outside its documented domain: a parameter, a problem
+    spec, a config file or a point."""
 
 
 class CapabilityError(ToolkitError):
@@ -56,30 +55,31 @@ class TraceParseError(ToolkitError, ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def as_int(name, value, error=InvalidInputError, *, low) -> int:
+def as_int(name, value, *, low) -> int:
     """``value`` as an int at or above ``low``: an integral float, or an
     integer type other than bool (one with ``__index__``, such as a numpy
-    integer). A bool, a non-number, a fraction, NaN or +-inf raises ``error``."""
+    integer). A bool, a non-number, a fraction, NaN or +-inf raises
+    ``InvalidInputError``."""
     if isinstance(value, float):
         integral = value.is_integer()
     else:
         integral = not isinstance(value, bool) and hasattr(type(value), "__index__")
     if not integral:
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < low:
         bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
-        raise error(f"{name} must be {bound}, got {value}")
+        raise InvalidInputError(f"{name} must be {bound}, got {value}")
     return value
 
 
-def as_real(name, value, interval, error=InvalidInputError) -> float:
+def as_real(name, value, interval) -> float:
     """``value`` as a float in ``interval``, written as the docs write it:
     "[0, 1)", "(0, inf]". A bracket takes its end in, a parenthesis leaves
-    it out. Anything else raises ``error`` with the message "<name> must
-    lie in <interval>": NaN, a bool, and anything whose product with a float
-    is not a real number, such as a string, a Decimal, an array of several
-    numbers or an integer beyond the float range."""
+    it out. Anything else raises ``InvalidInputError`` with the message
+    "<name> must lie in <interval>": NaN, a bool, and anything whose product
+    with a float is not a real number, such as a string, a Decimal, an array
+    of several numbers or an integer beyond the float range."""
     low, high = (float(end) for end in interval[1:-1].split(","))
     try:
         number = math.nan if isinstance(value, bool) else float(value * 1.0)
@@ -88,17 +88,17 @@ def as_real(name, value, interval, error=InvalidInputError) -> float:
     above = number >= low if interval[0] == "[" else number > low
     below = number <= high if interval[-1] == "]" else number < high
     if not (above and below):
-        raise error(f"{name} must lie in {interval}")
+        raise InvalidInputError(f"{name} must lie in {interval}")
     return number
 
 
-def as_object(name, value, keys, error=InvalidInputError) -> dict:
+def as_object(name, value, keys) -> dict:
     """``value``, a dict whose keys all lie in ``keys``. Anything else raises
-    ``error``: "<name> must be an object" for a non-dict, "unknown <name>
-    keys: [...]" for a dict with other keys."""
+    ``InvalidInputError``: "<name> must be an object" for a non-dict,
+    "unknown <name> keys: [...]" for a dict with other keys."""
     if not isinstance(value, dict):
-        raise error(f"{name} must be an object")
+        raise InvalidInputError(f"{name} must be an object")
     extra = set(value) - set(keys)
     if extra:
-        raise error(f"unknown {name} keys: {sorted(extra, key=str)}")
+        raise InvalidInputError(f"unknown {name} keys: {sorted(extra, key=str)}")
     return value

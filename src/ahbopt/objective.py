@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (CapabilityError, DeskScaleLimitError, InvalidInputError, InvalidSpecError,
-                     as_int, as_object, as_real)
+from .errors import (CapabilityError, DeskScaleLimitError, InvalidInputError, as_int, as_object,
+                     as_real)
 
 Array = np.ndarray
 
@@ -85,15 +85,11 @@ def as_point(obj, name, x) -> Array:
     return point.astype(float, copy=False)
 
 
-def _as_int(name, value, low) -> int:
-    return as_int(name, value, InvalidSpecError, low=low)
-
-
 def _as_sequence(name, value):
     """``value`` as a 1-d object array; refuses any other shape or no entries."""
     seq = np.asarray(value, dtype=object)
     if seq.ndim != 1 or seq.size == 0:
-        raise InvalidSpecError(f"{name} must be a nonempty 1-d sequence")
+        raise InvalidInputError(f"{name} must be a nonempty 1-d sequence")
     return seq
 
 
@@ -201,11 +197,11 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
-            raise InvalidSpecError(
+            raise InvalidInputError(
                 f"unknown problem kind '{self.kind}'; expected one of {PROBLEM_KINDS}")
         if not isinstance(self.params, dict):
-            raise InvalidSpecError("params must be a mapping")
-        seed = _as_int("problem seed", self.seed, 0)
+            raise InvalidInputError("params must be a mapping")
+        seed = as_int("problem seed", self.seed, low=0)
         # frozen: the copy and the int go in through object.__setattr__
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "seed", seed)
@@ -222,16 +218,16 @@ class ProblemSpec:
                 return make_abs_value(**self.params)
             return make_radon(**self.params)
         except TypeError as exc:
-            raise InvalidSpecError(f"bad parameters for '{self.kind}': {exc}") from exc
+            raise InvalidInputError(f"bad parameters for '{self.kind}': {exc}") from exc
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
 
     @classmethod
     def from_dict(cls, data) -> "ProblemSpec":
-        as_object("problem spec", data, cls.__dataclass_fields__, InvalidSpecError)
+        as_object("problem spec", data, cls.__dataclass_fields__)
         if "kind" not in data:
-            raise InvalidSpecError("problem spec needs a 'kind'")
+            raise InvalidInputError("problem spec needs a 'kind'")
         return cls(kind=data["kind"], params=data.get("params", {}), seed=data.get("seed", 0))
 
 
@@ -241,7 +237,7 @@ def make_quadratic(spectrum) -> Objective:
     The prox is componentwise x_i / (1 + lam * lam_i) and the gradient
     Lipschitz constant is max(lam).
     """
-    lam = np.array([as_real("spectrum entries", v, "(0, inf)", InvalidSpecError)
+    lam = np.array([as_real("spectrum entries", v, "(0, inf)")
                     for v in _as_sequence("spectrum", spectrum)])
     dim = int(lam.size)
 
@@ -322,17 +318,17 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
     singular_values : nonincreasing positive sequence of length
         min(rows, cols), whose first entry squared is finite and nonzero.
     """
-    rows, cols = _as_int("rows", rows, 1), _as_int("cols", cols, 1)
+    rows, cols = as_int("rows", rows, low=1), as_int("cols", cols, low=1)
     sv = _as_sequence("singular_values", singular_values)
     r = min(rows, cols)
     if sv.size != r:
-        raise InvalidSpecError(
+        raise InvalidInputError(
             f"singular_values must have length min(rows, cols) = {r}, got {sv.size}")
-    sv = np.array([as_real("singular values", v, "(0, inf)", InvalidSpecError) for v in sv])
+    sv = np.array([as_real("singular values", v, "(0, inf)") for v in sv])
     if np.any(np.diff(sv) > 0):
-        raise InvalidSpecError("singular values must be nonincreasing")
+        raise InvalidInputError("singular values must be nonincreasing")
 
-    rng = np.random.default_rng(_as_int("seed", seed, 0))
+    rng = np.random.default_rng(as_int("seed", seed, low=0))
     u = _orthonormal_columns(rng, rows, r)
     v = _orthonormal_columns(rng, cols, r)
     x_true = rng.standard_normal(cols)
@@ -346,9 +342,9 @@ def make_least_squares(rows, cols, singular_values, seed) -> Objective:
         lipschitz = float(sv[0] ** 2)
     if not (math.isfinite(lipschitz) and lipschitz > 0
             and np.all(np.isfinite(y)) and np.all(np.isfinite(aty))):
-        raise InvalidSpecError("the gradient Lipschitz bound singular_values[0]^2 must be "
-                               "finite and positive and A x_true and A^T y finite, got "
-                               f"singular_values[0] = {sv[0]:g}")
+        raise InvalidInputError("the gradient Lipschitz bound singular_values[0]^2 must be "
+                                "finite and positive and A x_true and A^T y finite, got "
+                                f"singular_values[0] = {sv[0]:g}")
     ssq = sv * sv
 
     def prox(t, x):
@@ -379,18 +375,18 @@ def make_power(p, dim, ball_radius) -> Objective:
     with constant (p-1) * ball_radius^(p-2). The growth exponent is 1/p.
     The prox scales x by s / |x|, where s solves s + lam * s^(p-1) = |x|.
     """
-    p = as_real("p", p, "[2, inf)", InvalidSpecError)
-    dim = _as_int("dim", dim, 1)
-    radius = as_real("ball_radius", ball_radius, "(0, inf)", InvalidSpecError)
+    p = as_real("p", p, "[2, inf)")
+    dim = as_int("dim", dim, low=1)
+    radius = as_real("ball_radius", ball_radius, "(0, inf)")
     try:
         lipschitz = (p - 1.0) * radius ** (p - 2.0)
     except OverflowError:
         lipschitz = math.inf
     # a bound that underflows to 0 would divide the gd and nesterov step by zero
     if not (math.isfinite(lipschitz) and lipschitz > 0):
-        raise InvalidSpecError("the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) "
-                               f"must be finite and positive, got p = {p:g}, "
-                               f"ball_radius = {radius:g}")
+        raise InvalidInputError("the gradient Lipschitz bound (p - 1) * ball_radius^(p - 2) "
+                                f"must be finite and positive, got p = {p:g}, "
+                                f"ball_radius = {radius:g}")
 
     # |x| as a numpy float, whose power beyond the float range is inf, not OverflowError
     def value(x):
@@ -507,9 +503,9 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
     The Lipschitz bound comes from power iteration on A^T A with a 1.01
     upper bias.
     """
-    grid_n = _as_int("grid_n", grid_n, 1)
-    num_angles = _as_int("num_angles", num_angles, 1)
-    rays_per_angle = _as_int("rays_per_angle", rays_per_angle, 1)
+    grid_n = as_int("grid_n", grid_n, low=1)
+    num_angles = as_int("num_angles", num_angles, low=1)
+    rays_per_angle = as_int("rays_per_angle", rays_per_angle, low=1)
     if grid_n > MAX_RADON_GRID:
         raise DeskScaleLimitError(
             f"grid_n = {grid_n} exceeds the desk-scale cap of {MAX_RADON_GRID}")
@@ -518,7 +514,7 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
             f"num_angles * rays_per_angle = {num_angles * rays_per_angle} exceeds the "
             f"desk-scale cap of {MAX_RADON_RAYS} rays")
     if phantom not in PHANTOMS:
-        raise InvalidSpecError(f"unknown phantom '{phantom}'; expected one of {PHANTOMS}")
+        raise InvalidInputError(f"unknown phantom '{phantom}'; expected one of {PHANTOMS}")
 
     from . import _radon  # scipy loads only for radon problems
 

@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ahbopt import IterationRecord, ProblemSpec, Trace, certify, read_csv, write_csv
+from ahbopt import (IterationRecord, ProblemSpec, SolverConfig, Trace, certify, read_csv,
+                    write_csv)
 from ahbopt.cli import build_parser, main
 
 
@@ -38,6 +39,21 @@ def test_solve_writes_trace_summary_and_meta(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "ahb.csv.meta.json").read_text())
     assert sidecar["problem"]["kind"] == "quadratic"
     assert sidecar["x0_seed"] == 3
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is no strict JSON")
+
+
+@pytest.mark.parametrize("field", ["beta_cap", "gap_tol", "nesterov_nu"])
+def test_an_infinite_config_field_leaves_the_sidecar_strict_json(field, tmp_path, capsys):
+    assert main(["solve", "--problem", "quadratic", "--" + field.replace("_", "-"), "inf",
+                 "--max-iters", "3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "ahb.csv.meta.json").read_text(), parse_constant=_no_constant)
+    assert meta == read_csv(tmp_path / "ahb.csv").meta
+    config = SolverConfig.from_json_dict(meta["config"])
+    assert config == SolverConfig(max_iters=3, **{field: math.inf})
 
 
 def test_solve_seeded_start_is_reproducible(tmp_path):

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import decimal
 import fractions
+import inspect
 import json
 import math
 import pickle
@@ -15,7 +16,6 @@ from ahbopt import certify, cli, errors
 
 INSTANCES = [
     errors.ToolkitError("base"),
-    errors.InvalidSpecError("bad spec"),
     errors.InvalidInputError("bad input"),
     errors.CapabilityError("gradient_fn"),
     errors.CapabilityError("prox_fn", "no prox here"),
@@ -133,15 +133,13 @@ BOUNDED_COUNT_SITES = {
     "rays_per_angle": (lambda n: ahbopt.make_radon(**{**_RADON, "rays_per_angle": n}), 0,
                        "rays_per_angle must be positive, got 0"),
 }
-_SPEC_COUNTS = {"problem seed", "rows", "cols", "dim", "grid_n", "num_angles", "rays_per_angle"}
 
 
 @pytest.mark.parametrize("site", sorted(BOUNDED_COUNT_SITES))
 def test_library_counts_below_their_bound_are_refused(site):
     call, value, message = BOUNDED_COUNT_SITES[site]
-    error = errors.InvalidSpecError if site in _SPEC_COUNTS else errors.InvalidInputError
     for below in (value, float(value)):
-        with pytest.raises(error) as excinfo:
+        with pytest.raises(errors.InvalidInputError) as excinfo:
             call(below)
         assert str(excinfo.value) == message
 
@@ -187,13 +185,11 @@ INTERVAL_SITES = {
     "make_least_squares": ("singular values", "(0, inf)",
                            lambda v: ahbopt.make_least_squares(2, 2, [2.0, v], 0)),
 }
-_SPEC_INTERVALS = {"p", "x0 norm", "make_power", "make_quadratic", "make_least_squares"}
 
 
 def _refused(site, value):
     name, interval, call = INTERVAL_SITES[site]
-    error = errors.InvalidSpecError if site in _SPEC_INTERVALS else errors.InvalidInputError
-    with pytest.raises(error) as excinfo:
+    with pytest.raises(errors.InvalidInputError) as excinfo:
         call(value)
     assert str(excinfo.value) == f"{name} must lie in {interval}"
 
@@ -292,19 +288,16 @@ def test_points_must_hold_finite_real_numbers(site, entry, no_draws):
     assert str(excinfo.value) == f"{name} must hold finite floats or 64-bit integers only"
 
 
-# each library seed: a call with the value under test that is otherwise valid,
-# and the error it raises
+# each library seed: a call with the value under test that is otherwise valid
 SEED_SITES = {
-    "check_kl": (errors.InvalidInputError, lambda s: ahbopt.check_kl(
-        _QUAD, [0.0], 1.0, 0.5, ahbopt.HolderFunction(1.0, 0.5), num_samples=10, seed=s)),
-    "certify_growth_direct": (errors.InvalidInputError, lambda s: ahbopt.certify_growth_direct(
-        _QUAD, [0.0], 1.0, 0.5, ahbopt.HolderFunction(2 ** 0.5, 0.5), num_samples=10, seed=s)),
-    "check_moreau_exponent": (errors.InvalidInputError, lambda s: ahbopt.check_moreau_exponent(
-        _QUAD, 1.0, [0.0], 1.0, num_samples=10, seed=s)),
-    "make_least_squares": (errors.InvalidSpecError,
-                           lambda s: ahbopt.make_least_squares(3, 3, [1.0, 1.0, 1.0], s)),
-    "lipschitz_estimate": (errors.InvalidInputError,
-                           lambda s: ahbopt.lipschitz_estimate(_LSQ, seed=s)),
+    "check_kl": lambda s: ahbopt.check_kl(
+        _QUAD, [0.0], 1.0, 0.5, ahbopt.HolderFunction(1.0, 0.5), num_samples=10, seed=s),
+    "certify_growth_direct": lambda s: ahbopt.certify_growth_direct(
+        _QUAD, [0.0], 1.0, 0.5, ahbopt.HolderFunction(2 ** 0.5, 0.5), num_samples=10, seed=s),
+    "check_moreau_exponent": lambda s: ahbopt.check_moreau_exponent(
+        _QUAD, 1.0, [0.0], 1.0, num_samples=10, seed=s),
+    "make_least_squares": lambda s: ahbopt.make_least_squares(3, 3, [1.0, 1.0, 1.0], s),
+    "lipschitz_estimate": lambda s: ahbopt.lipschitz_estimate(_LSQ, seed=s),
 }
 
 
@@ -314,10 +307,43 @@ SEED_SITES = {
 ], ids=["negative", "fraction", "bool", "str"])
 @pytest.mark.parametrize("site", sorted(SEED_SITES))
 def test_library_seeds_must_be_nonnegative_integers(site, seed, message, no_draws):
-    error, call = SEED_SITES[site]
-    with pytest.raises(error) as excinfo:
-        call(seed)
+    with pytest.raises(errors.InvalidInputError) as excinfo:
+        SEED_SITES[site](seed)
     assert str(excinfo.value) == message
+
+
+# a seed of -1 and an unknown key, at each door they come in by: the one
+# class, and the message the rule gives
+ONE_CLASS_SITES = {
+    "make_least_squares seed": ("seed must be nonnegative, got -1",
+                                lambda: SEED_SITES["make_least_squares"](-1)),
+    "check_kl seed": ("seed must be nonnegative, got -1", lambda: SEED_SITES["check_kl"](-1)),
+    "lipschitz_estimate seed": ("seed must be nonnegative, got -1",
+                                lambda: SEED_SITES["lipschitz_estimate"](-1)),
+    "x0 seed": ("x0 seed must be nonnegative, got -1",
+                lambda: cli._resolve_x0('{"seed": -1}', 2)),
+    "ProblemSpec seed": ("problem seed must be nonnegative, got -1",
+                         lambda: ahbopt.ProblemSpec("least_squares", seed=-1)),
+    "ProblemSpec.from_dict keys": ("unknown problem spec keys: ['bogus']",
+                                   lambda: ahbopt.ProblemSpec.from_dict({"bogus": 1})),
+    "SolverConfig.from_json_dict keys": (
+        "unknown solver config keys: ['bogus']",
+        lambda: ahbopt.SolverConfig.from_json_dict({"bogus": 1})),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ONE_CLASS_SITES))
+def test_every_bad_input_raises_the_one_class(site):
+    message, call = ONE_CLASS_SITES[site]
+    with pytest.raises(errors.InvalidInputError) as excinfo:
+        call()
+    assert type(excinfo.value) is errors.InvalidInputError
+    assert str(excinfo.value) == message
+
+
+def test_the_input_rules_take_no_error_class():
+    for rule in (errors.as_int, errors.as_real, errors.as_object):
+        assert "error" not in inspect.signature(rule).parameters
 
 
 def _config_file(tmp_path, value):
@@ -331,16 +357,15 @@ def _cli_problem(tmp_path, value):
     return cli._problem_from(args, {"problem": value})
 
 
-# each JSON object input: its error, the name its errors give it, and a call
-# with the value under test, as the CLI decodes it where it comes in as JSON
+# each JSON object input: the name its errors give it, and a call with the
+# value under test, as the CLI decodes it where it comes in as JSON
 OBJECT_SITES = {
-    "SolverConfig.from_json_dict": (errors.InvalidInputError, "solver config",
+    "SolverConfig.from_json_dict": ("solver config",
                                     lambda tmp, v: ahbopt.SolverConfig.from_json_dict(v)),
-    "ProblemSpec.from_dict": (errors.InvalidSpecError, "problem spec",
-                              lambda tmp, v: ahbopt.ProblemSpec.from_dict(v)),
-    "config file": (errors.InvalidSpecError, "experiment config", _config_file),
-    "config problem": (errors.InvalidSpecError, "problem spec", _cli_problem),
-    "x0": (errors.InvalidSpecError, "x0", lambda tmp, v: cli._resolve_x0(json.dumps(v), 2)),
+    "ProblemSpec.from_dict": ("problem spec", lambda tmp, v: ahbopt.ProblemSpec.from_dict(v)),
+    "config file": ("experiment config", _config_file),
+    "config problem": ("problem spec", _cli_problem),
+    "x0": ("x0", lambda tmp, v: cli._resolve_x0(json.dumps(v), 2)),
 }
 _NON_OBJECTS = {"list": [1], "str": "a", "null": None, "int": 5}
 
@@ -351,16 +376,16 @@ _NON_OBJECTS = {"list": [1], "str": "a", "null": None, "int": 5}
     # a null config entry is one not given, so a null problem is no problem spec
     if not (site == "config problem" and value is None)])
 def test_object_inputs_must_be_objects(site, value, tmp_path):
-    error, name, call = OBJECT_SITES[site]
-    with pytest.raises(error) as excinfo:
+    name, call = OBJECT_SITES[site]
+    with pytest.raises(errors.InvalidInputError) as excinfo:
         call(tmp_path, value)
     assert str(excinfo.value) == f"{name} must be an object"
 
 
 @pytest.mark.parametrize("site", sorted(OBJECT_SITES))
 def test_object_inputs_must_hold_known_keys_only(site, tmp_path):
-    error, name, call = OBJECT_SITES[site]
-    with pytest.raises(error) as excinfo:
+    name, call = OBJECT_SITES[site]
+    with pytest.raises(errors.InvalidInputError) as excinfo:
         call(tmp_path, {"bogus": 1, "extra": 2})
     assert str(excinfo.value) == f"unknown {name} keys: ['bogus', 'extra']"
 

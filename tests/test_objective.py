@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ahbopt import (
     CapabilityError,
     DeskScaleLimitError,
-    InvalidSpecError,
+    InvalidInputError,
     ToolkitError,
     Objective,
     PowerIterationWarning,
@@ -47,11 +47,11 @@ def test_quadratic_prox_closed_form():
 
 
 def test_quadratic_rejects_bad_spectrum():
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidInputError):
         make_quadratic([])
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidInputError):
         make_quadratic([1.0, 0.0])
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidInputError):
         make_quadratic([-1.0])
 
 
@@ -103,11 +103,11 @@ def test_least_squares_singular_direction_value():
 
 
 def test_least_squares_validation():
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidInputError):
         make_least_squares(3, 2, [1.0], seed=0)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidInputError):
         make_least_squares(2, 2, [1.0, 2.0], seed=0)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidInputError):
         make_least_squares(2, 2, [1.0, -1.0], seed=0)
 
 
@@ -115,13 +115,13 @@ def test_least_squares_validation():
                          ids=["2x2", "2x1", "scalar", "empty"])
 def test_least_squares_singular_values_must_be_a_nonempty_1d_sequence(sv):
     # refused by shape before the length rule, which would count the entries
-    with pytest.raises(InvalidSpecError) as info:
+    with pytest.raises(InvalidInputError) as info:
         make_least_squares(2, 2, sv, seed=0)
     assert str(info.value) == "singular_values must be a nonempty 1-d sequence"
 
 
 def test_least_squares_singular_values_must_have_length_min_rows_cols():
-    with pytest.raises(InvalidSpecError) as info:
+    with pytest.raises(InvalidInputError) as info:
         make_least_squares(2, 3, [1.0], seed=0)
     assert str(info.value) == "singular_values must have length min(rows, cols) = 2, got 1"
 
@@ -130,13 +130,13 @@ def test_least_squares_singular_values_must_have_length_min_rows_cols():
                          ids=["bound-overflows", "aty-overflows", "bound-underflows"])
 def test_least_squares_with_a_non_finite_or_zero_bound_is_a_spec_error(top):
     # 1.3e154 ** 2 is finite, but A^T y, about 10 * top ** 2, is not
-    with pytest.raises(InvalidSpecError, match="must be finite and positive"):
+    with pytest.raises(InvalidInputError, match="must be finite and positive"):
         make_least_squares(2, 2, [top, top], seed=0)
 
 
 def test_power_whose_bound_underflows_is_a_spec_error():
     # 1076 * 0.5 ** 1075 rounds to 0
-    with pytest.raises(InvalidSpecError, match="must be finite and positive"):
+    with pytest.raises(InvalidInputError, match="must be finite and positive"):
         make_power(1077.0, 1, 0.5)
 
 
@@ -197,7 +197,7 @@ def test_power_at_p_2_equals_the_quadratic_at_every_scale(size):
 
 
 def test_power_rejects_small_exponent():
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidInputError):
         make_power(1.5, 1, 1.0)
 
 
@@ -338,20 +338,20 @@ def test_problem_spec_round_trip():
 
 
 def test_problem_spec_validation():
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidInputError):
         ProblemSpec(kind="mystery", params={}).build()
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidInputError):
         ProblemSpec.from_dict({"kind": "quadratic", "params": {}, "extra": 1})
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidInputError):
         ProblemSpec(kind="quadratic", params={"bogus": 3}).build()
-    with pytest.raises(InvalidSpecError, match="problem spec must be an object"):
+    with pytest.raises(InvalidInputError, match="problem spec must be an object"):
         ProblemSpec.from_dict([])
-    with pytest.raises(InvalidSpecError, match="problem spec needs a 'kind'"):
+    with pytest.raises(InvalidInputError, match="problem spec needs a 'kind'"):
         ProblemSpec.from_dict({})
 
 
 def test_unknown_phantom_is_a_spec_error():
-    with pytest.raises(InvalidSpecError, match="unknown phantom 'stars'"):
+    with pytest.raises(InvalidInputError, match="unknown phantom 'stars'"):
         make_radon(4, 3, 5, "stars")
 
 
@@ -359,11 +359,11 @@ def test_problem_spec_seed_must_be_an_integer():
     assert ProblemSpec("least_squares", seed=3.0) == ProblemSpec("least_squares", seed=3)
     assert ProblemSpec("least_squares", seed=np.int64(3)).seed == 3
     for seed in (None, "7", 2.5, True, math.inf, math.nan):
-        with pytest.raises(InvalidSpecError, match="problem seed must be an integer"):
+        with pytest.raises(InvalidInputError, match="problem seed must be an integer"):
             ProblemSpec("least_squares", seed=seed)
-        with pytest.raises(InvalidSpecError, match="problem seed must be an integer"):
+        with pytest.raises(InvalidInputError, match="problem seed must be an integer"):
             ProblemSpec.from_dict({"kind": "least_squares", "seed": seed})
-    with pytest.raises(InvalidSpecError, match="params must be a mapping"):
+    with pytest.raises(InvalidInputError, match="params must be a mapping"):
         ProblemSpec.from_dict({"kind": "quadratic", "params": [1]})
 
 
@@ -402,7 +402,7 @@ def test_every_package_error_shares_the_base_class():
         if (isinstance(member, type) and issubclass(member, Exception)
                 and not issubclass(member, Warning)):
             assert issubclass(member, ToolkitError), name
-    assert issubclass(InvalidSpecError, ValueError)
+    assert issubclass(InvalidInputError, ValueError)
 
 
 def _assert_fused_matches(obj, x):
@@ -441,7 +441,7 @@ def test_factory_integer_params_take_only_integers(kind, params, name):
     assert ProblemSpec(kind, {**params, name: float(value)}).build().dim == \
         ProblemSpec(kind, params).build().dim
     for bad in (str(value), True, value + 0.5, None, math.nan, math.inf):
-        with pytest.raises(InvalidSpecError, match=f"{name} must be an integer"):
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
             ProblemSpec(kind, {**params, name: bad}).build()
 
 

@@ -8,7 +8,6 @@ PUBLIC_NAMES = {
     "EmptyRegionError",
     "HolderFunction",
     "InvalidInputError",
-    "InvalidSpecError",
     "IterationRecord",
     "NumericalFailureError",
     "Objective",
