@@ -50,8 +50,7 @@ import numpy as np
 
 from .errors import (CapabilityError, EmptyRegionError, InvalidInputError,
                      NumericalFailureError, as_int, as_real)
-from .objective import as_point, euclidean_norm
-from .prox import moreau_value, ppa_run
+from .objective import as_point, euclidean_norm, moreau_value, ppa_run
 from .trace import fit_line
 
 REL_TOL = 1e-9

@@ -13,9 +13,9 @@ constant, gap: f(x) - min f, k: iteration number):
     nesterov  1 / L                               (k - 1) / (k + nu)   x + beta * m
     alrhb     1/(2L) + (gap + beta <g, m>)/|g|^2  alrhb_beta           x
 
-The centerpiece, ahb, takes the largest momentum weight up to the cap for
-which a computable surrogate certifies that the squared distance to the
-solution set still decreases. Nesterov's step is computed as y - alpha * g(y).
+The centerpiece, ahb, takes the momentum weight that minimizes a certified
+bound on the next squared distance to the solution set, clamped to [0, cap].
+Nesterov's step is computed as y - alpha * g(y).
 On matrix-backed problems a step costs 2 matvecs, since f(x) and g(x) share
 one residual, and 3 for Nesterov, which takes f at x but g at y.
 """
@@ -114,11 +114,11 @@ def _ahb_beta(alpha_k, g_k, m_k, m_sq, gamma_tilde_k, beta_cap):
 
 
 def ahb_beta(alpha_k, g_k, m_k, gamma_tilde_k, beta_cap) -> float:
-    """Largest safe momentum weight, clamped to [0, beta_cap].
-
-    The unclamped value (alpha_k * <g_k, m_k> - gamma_tilde_k) / |m_k|^2
-    is the point where the certified distance decrease would be lost;
-    a zero momentum direction returns 0.
+    """Momentum weight beta* = (alpha_k * <g_k, m_k> - gamma_tilde_k) / |m_k|^2
+    clamped to [0, beta_cap], 0 when m_k = 0. beta* minimizes the certified
+    bound on the next squared distance: each beta in [0, 2 beta*] keeps the
+    decrease d2_{k+1} <= d2_k - (2 (1 - mu0^2) / L) gap_k, and each beta in
+    [0, beta*] the sharper one that also subtracts beta^2 |m_k|^2.
     """
     return _ahb_beta(alpha_k, g_k, m_k, float(m_k.dot(m_k)), gamma_tilde_k, beta_cap)
 

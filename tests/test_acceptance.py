@@ -33,6 +33,7 @@ from ahbopt import (
     verify_recursive_rate,
     write_csv,
 )
+from ahbopt import solvers
 from conftest import central_difference_gradient
 
 SQRT2 = math.sqrt(2.0)
@@ -59,7 +60,8 @@ def _descent_instances():
 @functools.lru_cache(maxsize=None)
 def _descent_suite():
     """Nine 2000-step runs; per run, the worst margins of the two
-    per-step inequalities (positive margin beyond slack = violation)."""
+    per-step inequalities and of the sharper descent that subtracts
+    beta_k^2 |m_k|^2 too (positive margin beyond slack = violation)."""
     rows = []
     for name, obj, x0, xhat in _descent_instances():
         for mu0 in (0.0, 0.5, 0.96):
@@ -67,7 +69,7 @@ def _descent_suite():
             coef = 2.0 * (1.0 - mu0 * mu0) / obj.lipschitz
             slack = 1e-9 * (1.0 + float(np.sum((x0 - xhat) ** 2)))
             state = initial_state(x0)
-            worst_descent = -math.inf
+            worst_descent = worst_sharper = -math.inf
             worst_surrogate = -math.inf
             for _ in range(2000):
                 d_now = float(np.sum((state.x - xhat) ** 2))
@@ -77,12 +79,14 @@ def _descent_suite():
                                       gamma - state.gamma_tilde)
                 state = step(state, obj, cfg)
                 d_next = float(np.sum((state.x - xhat) ** 2))
-                worst_descent = max(worst_descent,
-                                    d_next - (d_now - coef * gap_now))
+                bound = d_now - coef * gap_now
+                worst_descent = max(worst_descent, d_next - bound)
+                momentum = state.record.beta * state.record.step_norm
+                worst_sharper = max(worst_sharper, d_next - bound + momentum * momentum)
             gamma = float((state.x - state.x_prev) @ (state.x - xhat))
             worst_surrogate = max(worst_surrogate, gamma - state.gamma_tilde)
             rows.append({"run": f"{name}/mu0={mu0}", "slack": slack,
-                         "descent": worst_descent,
+                         "descent": worst_descent, "sharper": worst_sharper,
                          "surrogate": worst_surrogate})
     return rows
 
@@ -97,6 +101,43 @@ def test_criterion_01_certified_distance_descent():
     if elapsed >= 10.0:
         failures.append(f"suite took {elapsed:.1f}s (budget 10s)")
     _report(1, "per-step distance descent", failures)
+
+
+def test_ahb_certifies_the_sharper_descent_with_its_momentum_term():
+    # beta_k in [0, beta*] gives d2_{k+1} <= d2_k - coef * gap_k - beta_k^2 |m_k|^2
+    failures = [f"{row['run']}: sharper margin {row['sharper']:.3e} "
+                f"exceeds slack {row['slack']:.3e}"
+                for row in _descent_suite() if row["sharper"] > row["slack"]]
+    assert not failures, "; ".join(failures)
+
+
+def _quadratic_descent_breaks():
+    # breaks of criterion 1's descent and of the sharper one in a 2000-step
+    # ahb run's records at mu0 = 0.96
+    obj, x0 = make_quadratic([1.0, 10.0, 100.0]), np.ones(3)
+    records = run_solver(obj, SolverConfig(method="ahb", mu0=0.96, max_iters=2000), x0).records
+    coef = 2.0 * (1.0 - 0.96 ** 2) / obj.lipschitz
+    slack = 1e-9 * (1.0 + float(x0 @ x0))
+    plain = sharper = 0
+    for now, nxt in zip(records, records[1:]):
+        bound = now.dist ** 2 - coef * now.gap
+        plain += nxt.dist ** 2 > bound + slack
+        sharper += nxt.dist ** 2 > bound - (now.beta * now.step_norm) ** 2 + slack
+    return plain, sharper
+
+
+def test_sharper_descent_refutes_a_beta_rule_twice_too_large(monkeypatch):
+    # any beta in [0, 2 beta*] keeps criterion 1's decrease, so only the
+    # sharper form sees a rule that overshoots the bound's minimizer beta*
+    assert _quadratic_descent_breaks() == (0, 0)
+    exact = solvers._ahb_beta
+
+    def overshoot(alpha_k, g_k, m_k, m_sq, gamma_tilde_k, beta_cap):
+        return min(1.999 * exact(alpha_k, g_k, m_k, m_sq, gamma_tilde_k, math.inf), beta_cap)
+
+    monkeypatch.setattr(solvers, "_ahb_beta", overshoot)
+    plain, sharper = _quadratic_descent_breaks()
+    assert plain == 0 and sharper > 0
 
 
 def test_criterion_02_surrogate_dominates_inner_product():

@@ -12,8 +12,8 @@ PACKAGE = "ahbopt"
 SOURCE = pathlib.Path(ahbopt.__file__).parent
 
 # the package's layers, lowest first; a module imports only earlier ones
-LAYERS = ("errors", "_io", "_radon", "objective", "prox", "trace", "solvers", "certify",
-          "cli", "__main__", "__init__")
+LAYERS = ("errors", "_io", "_radon", "objective", "trace", "solvers", "certify", "cli",
+          "__main__", "__init__")
 
 
 def _private(name):
