@@ -48,8 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (CapabilityError, EmptyRegionError, InvalidInputError,
-                     NumericalFailureError, as_int, as_real)
+from .errors import CapabilityError, InvalidInputError, NumericalFailureError, as_int, as_real
 from .objective import as_point, euclidean_norm, moreau_value, ppa_run
 from .trace import fit_line
 
@@ -224,8 +223,8 @@ def _slice_check(obj, xbar, r, eta, num_samples, seed, judge, ratios, power, lim
     chunks, trials = _accepted(xbar, r, num_samples, seed, take)
     kept = np.concatenate(chunks)
     if not len(kept):
-        raise EmptyRegionError(f"no sample of {trials} landed in the level slice "
-                               f"[{_TINY:g}, {eta:g}) within radius {r:g}")
+        raise InvalidInputError(f"no sample of {trials} landed in the level slice "
+                                f"[{_TINY:g}, {eta:g}) within radius {r:g}")
     xs, gaps, slacks = kept[:, :-2], kept[:, -2], kept[:, -1]
     with np.errstate(all="ignore"):
         rel = slacks / gaps
@@ -397,7 +396,7 @@ def check_moreau_exponent(obj, lam, xbar, r, num_samples=100, seed=0) -> CertRep
     chunks, trials = _accepted(xbar, r, num_samples, seed, take)
     samples = [sample for chunk in chunks for sample in chunk]
     if len(samples) < 8:
-        raise EmptyRegionError(
+        raise InvalidInputError(
             f"only {len(samples)} usable envelope samples in {trials} trials")
     c, alpha_hat, rms = fit_growth_exponent(samples)
     target = min(float(obj.growth_exponent), 0.5)

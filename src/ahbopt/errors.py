@@ -1,8 +1,12 @@
 """Exception types shared across the toolkit, and the input checks that
 raise them: integers at or above a bound, reals in an interval, and
-objects with known keys. Any input outside its domain, whether a
-parameter, a problem spec, a config file or a point, raises the one class
-``InvalidInputError``."""
+objects with known keys. Any input the toolkit refuses, whether a
+parameter, a problem spec, a config file, a point, a size beyond the
+desk-scale caps, a sampled region with no usable point or a malformed
+trace file, raises the one class ``InvalidInputError`` (CLI exit 1).
+``CapabilityError`` (exit 1) names the oracle an objective lacks, and
+``NumericalFailureError`` (exit 2) reports a value that came out
+non-finite."""
 
 import copyreg
 import math
@@ -20,7 +24,8 @@ class ToolkitError(Exception):
 
 class InvalidInputError(ToolkitError, ValueError):
     """An input lies outside its documented domain: a parameter, a problem
-    spec, a config file or a point."""
+    spec, a config file, a point, a size, a sampled region or a trace
+    file."""
 
 
 class CapabilityError(ToolkitError):
@@ -37,22 +42,6 @@ class NumericalFailureError(ToolkitError):
     def __init__(self, iteration, message=None):
         self.iteration = iteration
         super().__init__(message or f"non-finite value at iteration {iteration}")
-
-
-class DeskScaleLimitError(ToolkitError, ValueError):
-    """A requested size exceeds the built-in desk-scale limits."""
-
-
-class EmptyRegionError(ToolkitError):
-    """Rejection sampling found no points in the requested region."""
-
-
-class TraceParseError(ToolkitError, ValueError):
-    """A persisted trace file is malformed."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 def as_int(name, value, *, low) -> int:

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (CapabilityError, DeskScaleLimitError, InvalidInputError,
-                     NumericalFailureError, as_int, as_object, as_real)
+from .errors import (CapabilityError, InvalidInputError, NumericalFailureError, as_int,
+                     as_object, as_real)
 
 Array = np.ndarray
 
@@ -507,10 +507,10 @@ def make_radon(grid_n, num_angles, rays_per_angle, phantom) -> Objective:
     num_angles = as_int("num_angles", num_angles, low=1)
     rays_per_angle = as_int("rays_per_angle", rays_per_angle, low=1)
     if grid_n > MAX_RADON_GRID:
-        raise DeskScaleLimitError(
+        raise InvalidInputError(
             f"grid_n = {grid_n} exceeds the desk-scale cap of {MAX_RADON_GRID}")
     if num_angles * rays_per_angle > MAX_RADON_RAYS:
-        raise DeskScaleLimitError(
+        raise InvalidInputError(
             f"num_angles * rays_per_angle = {num_angles * rays_per_angle} exceeds the "
             f"desk-scale cap of {MAX_RADON_RAYS} rays")
     if phantom not in PHANTOMS:

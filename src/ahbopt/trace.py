@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ._io import atomic_write, json_text, json_value
-from .errors import InvalidInputError, TraceParseError, as_int
+from .errors import InvalidInputError, as_int
 
 CSV_HEADER = "k,fval,gap,gnorm,alpha,beta,step_norm,dist"
 
@@ -82,21 +82,21 @@ def read_csv(path) -> Trace:
     with open(path, "r", newline="") as handle:
         lines = handle.read().split("\n")
     if not lines or lines[0] != CSV_HEADER:
-        raise TraceParseError(f"bad header in {path!s}: expected '{CSV_HEADER}'", line=1)
+        raise InvalidInputError(f"line 1: bad header in {path!s}: expected '{CSV_HEADER}'")
     records = []
     for n, line in enumerate(lines[1:], start=2):
         if line == "":
             continue
         parts = line.split(",")
         if len(parts) != 8:
-            raise TraceParseError(f"expected 8 fields, got {len(parts)}", line=n)
+            raise InvalidInputError(f"line {n}: expected 8 fields, got {len(parts)}")
         try:
             records.append(IterationRecord(
                 int(parts[0]), *map(float, parts[1:7]),
                 dist=None if parts[7] == "" else float(parts[7]),
             ))
         except ValueError as exc:
-            raise TraceParseError(str(exc), line=n) from exc
+            raise InvalidInputError(f"line {n}: {exc}") from exc
     meta = {}
     meta_path = str(path) + ".meta.json"
     if os.path.exists(meta_path):
@@ -104,7 +104,7 @@ def read_csv(path) -> Trace:
             try:
                 meta = json_value(handle.read())
             except json.JSONDecodeError as exc:
-                raise TraceParseError(f"malformed meta sidecar {meta_path}: {exc}") from exc
+                raise InvalidInputError(f"malformed meta sidecar {meta_path}: {exc}") from exc
     return Trace(records=records, meta=meta)
 
 

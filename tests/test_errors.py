@@ -21,12 +21,8 @@ INSTANCES = [
     errors.CapabilityError("prox_fn", "no prox here"),
     errors.NumericalFailureError(5),
     errors.NumericalFailureError(7, "overflow at step 7"),
-    errors.DeskScaleLimitError("too big"),
-    errors.EmptyRegionError("empty"),
-    errors.TraceParseError("bad header"),
-    errors.TraceParseError("bad row", line=3),
 ]
-ATTRIBUTES = ("iteration", "missing", "line")
+ATTRIBUTES = ("iteration", "missing")
 
 
 def _all_subclasses(cls):
@@ -344,6 +340,94 @@ def test_every_bad_input_raises_the_one_class(site):
 def test_the_input_rules_take_no_error_class():
     for rule in (errors.as_int, errors.as_real, errors.as_object):
         assert "error" not in inspect.signature(rule).parameters
+
+
+def test_toolkit_error_has_exactly_three_subclasses():
+    assert set(_all_subclasses(errors.ToolkitError)) == {
+        errors.InvalidInputError, errors.CapabilityError, errors.NumericalFailureError}
+
+
+_HEADER = "k,fval,gap,gnorm,alpha,beta,step_norm,dist\n"
+_Q1 = ["--problem", "quadratic", "--params", '{"spectrum": [1.0]}']
+
+
+def _radon_solve(**params):
+    return ["solve", "--problem", "radon", "--params",
+            json.dumps({**params, "phantom": "blocks"}), "--out", "out"]
+
+
+def _trace(text, sidecar=None):
+    """The files of a trace t.csv in the working directory, its read, and
+    the fit-rate argv that reads it."""
+    files = {"t.csv": text} if sidecar is None else {"t.csv": text, "t.csv.meta.json": sidecar}
+    return (files, lambda: ahbopt.read_csv("t.csv"),
+            ["fit-rate", "--trace", "t.csv", "--model", "power"])
+
+
+# each refusal beyond the input rules: its message, the files it reads from
+# the working directory, a library call, and the argv of the same input at the
+# CLI door; the messages are pinned byte for byte
+REFUSALS = {
+    "radon grid cap": ("grid_n = 65 exceeds the desk-scale cap of 64", {},
+                       lambda: ahbopt.make_radon(65, 4, 4, "blocks"),
+                       _radon_solve(grid_n=65, num_angles=4, rays_per_angle=4)),
+    "radon ray cap": ("num_angles * rays_per_angle = 32776 exceeds the desk-scale cap of "
+                      "16384 rays", {},
+                      lambda: ahbopt.make_radon(4, 8, 4097, "blocks"),
+                      _radon_solve(grid_n=4, num_angles=8, rays_per_angle=4097)),
+    "empty level slice": ("no sample of 20000 landed in the level slice [2.22507e-308, 1) "
+                          "within radius 1e-200", {},
+                          lambda: ahbopt.check_kl(_QUAD, [0.0], 1e-200, 1.0,
+                                                  ahbopt.HolderFunction(1.0, 0.5)),
+                          ["certify", "kl", *_Q1, "--r", "1e-200"]),
+    "moreau no usable sample": ("only 0 usable envelope samples in 10000 trials", {},
+                                lambda: ahbopt.check_moreau_exponent(_QUAD, 1.0, [0.0], 1e-320),
+                                ["certify", "moreau", *_Q1, "--r", "1e-320"]),
+    "moreau degenerate fit": ("a line fit needs at least two distinct abscissae", {},
+                              lambda: ahbopt.check_moreau_exponent(
+                                  _QUAD, 1.0, [4503599627370496.0], 1.0),
+                              ["certify", "moreau", *_Q1, "--xbar", "4503599627370496",
+                               "--r", "1"]),
+    "trace header only": ("a trace needs at least one record", *_trace(_HEADER)),
+    "trace decreasing k": ("record iteration numbers must strictly increase",
+                           *_trace(_HEADER + "1,1,1,1,1,0,0,\n0,1,1,1,1,0,0,\n")),
+    "trace 7-field row": ("line 2: expected 8 fields, got 7",
+                          *_trace(_HEADER + "0,1,1,1,1,0,0\n")),
+    "trace non-float field": ("line 2: could not convert string to float: 'x'",
+                              *_trace(_HEADER + "0,x,1,1,1,0,0,\n")),
+    "trace bad header": ("line 1: bad header in t.csv: expected "
+                         "'k,fval,gap,gnorm,alpha,beta,step_norm,dist'",
+                         *_trace("k,fval\n0,1\n")),
+    "trace malformed sidecar": ("malformed meta sidecar t.csv.meta.json: Expecting property name "
+                                "enclosed in double quotes: line 1 column 2 (char 1)",
+                                *_trace(_HEADER + "0,1,1,1,1,0,0,\n", "{bad")),
+}
+
+
+def _write(tmp_path, monkeypatch, files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_every_refusal_raises_the_one_class_in_the_library(case, tmp_path, monkeypatch):
+    message, files, call, _ = REFUSALS[case]
+    _write(tmp_path, monkeypatch, files)
+    with pytest.raises(errors.InvalidInputError) as excinfo:
+        call()
+    assert type(excinfo.value) is errors.InvalidInputError
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_every_refusal_exits_1_with_its_one_error_line(case, tmp_path, monkeypatch, capsys):
+    message, files, _, argv = REFUSALS[case]
+    _write(tmp_path, monkeypatch, files)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # a refused solve creates no output directory
+    assert not (tmp_path / "out").exists()
 
 
 def _config_file(tmp_path, value):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from ahbopt import (
     CapabilityError,
-    DeskScaleLimitError,
     InvalidInputError,
     ToolkitError,
     Objective,
@@ -21,7 +21,7 @@ from ahbopt import (
     make_quadratic,
     make_radon,
 )
-from ahbopt.objective import MAX_RADON_RAYS
+from ahbopt.objective import MAX_RADON_GRID, MAX_RADON_RAYS
 from conftest import central_difference_gradient
 
 
@@ -239,7 +239,12 @@ def test_radon_scale_limit(monkeypatch):
     for grid_n, angles, rays in [(65, 4, 4), (4, MAX_RADON_RAYS + 1, 1),
                                  (4, 1, MAX_RADON_RAYS + 1), (4, 129, 128),
                                  (4, 10 ** 9, 10 ** 9)]:
-        with pytest.raises(DeskScaleLimitError):
+        if grid_n > MAX_RADON_GRID:
+            message = f"grid_n = {grid_n} exceeds the desk-scale cap of {MAX_RADON_GRID}"
+        else:
+            message = (f"num_angles * rays_per_angle = {angles * rays} exceeds the "
+                       f"desk-scale cap of {MAX_RADON_RAYS} rays")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             make_radon(grid_n, angles, rays, "blocks")
 
 

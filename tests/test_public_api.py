@@ -4,8 +4,6 @@ import ahbopt
 PUBLIC_NAMES = {
     "CapabilityError",
     "CertReport",
-    "DeskScaleLimitError",
-    "EmptyRegionError",
     "HolderFunction",
     "InvalidInputError",
     "IterationRecord",
@@ -18,7 +16,6 @@ PUBLIC_NAMES = {
     "SolverState",
     "ToolkitError",
     "Trace",
-    "TraceParseError",
     "ahb_beta",
     "certify_growth_direct",
     "certify_growth_via_ppa",

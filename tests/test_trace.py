@@ -11,7 +11,6 @@ from ahbopt import (
     IterationRecord,
     SolverConfig,
     Trace,
-    TraceParseError,
     fit_rate_from_trace,
     make_quadratic,
     read_csv,
@@ -89,30 +88,27 @@ def test_read_rejects_malformed_meta_sidecar(tmp_path):
     path = tmp_path / "run.csv"
     write_csv(Trace(records=[record(0)]), path)
     (tmp_path / "run.csv.meta.json").write_text("{bad")
-    with pytest.raises(TraceParseError, match="meta sidecar"):
+    with pytest.raises(InvalidInputError, match="meta sidecar"):
         read_csv(path)
 
 
 def test_read_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("k,fval\n0,1\n")
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(InvalidInputError, match=r"^line 1: "):
         read_csv(path)
-    assert exc.value.line == 1
 
 
 def test_read_rejects_malformed_rows(tmp_path):
     good = "k,fval,gap,gnorm,alpha,beta,step_norm,dist\n"
     path = tmp_path / "bad.csv"
     path.write_text(good + "0,1,1,1,1,0,0\n")
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(InvalidInputError, match=r"^line 2: "):
         read_csv(path)
-    assert exc.value.line == 2
 
     path.write_text(good + "0,1,1,1,1,0,0,\n1,x,1,1,1,0,0,\n")
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(InvalidInputError, match=r"^line 3: "):
         read_csv(path)
-    assert exc.value.line == 3
 
 
 def test_summarize_single_record():
