@@ -120,7 +120,7 @@ def _problem_from(args, file_data):
         spec_data["params"] = dict(_DEFAULT_PARAMS[spec_data["kind"]])
     if args.problem_seed is not None:
         spec_data["seed"] = args.problem_seed
-    return ProblemSpec.from_dict(spec_data)
+    return ProblemSpec(**spec_data)
 
 
 def _solver_overrides(args):

@@ -225,10 +225,9 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, data) -> "ProblemSpec":
-        as_object("problem spec", data, cls.__dataclass_fields__)
-        if "kind" not in data:
+        if "kind" not in as_object("problem spec", data, cls.__dataclass_fields__):
             raise InvalidInputError("problem spec needs a 'kind'")
-        return cls(kind=data["kind"], params=data.get("params", {}), seed=data.get("seed", 0))
+        return cls(**data)
 
 
 def make_quadratic(spectrum) -> Objective:

@@ -15,7 +15,8 @@ constant, gap: f(x) - min f, k: iteration number):
 
 The centerpiece, ahb, takes the momentum weight that minimizes a certified
 bound on the next squared distance to the solution set, clamped to [0, cap].
-Nesterov's step is computed as y - alpha * g(y).
+Nesterov's step is computed as y - alpha * g(y). ``step`` is one pass of the
+``run_solver`` loop: where the loop stops, it reports why and stays there.
 On matrix-backed problems a step costs 2 matvecs, since f(x) and g(x) share
 one residual, and 3 for Nesterov, which takes f at x but g at y.
 """
@@ -35,8 +36,6 @@ from .objective import as_point
 from .trace import IterationRecord, Trace
 
 Array = np.ndarray
-
-_STOP_GAP, _STOP_MAX, _STOP_CRITICAL = "gap_tol", "max_iters", "critical_point"
 
 # the interval of each real SolverConfig field; checked, never stored back, so
 # a config keeps the numbers it was given
@@ -86,8 +85,8 @@ class SolverState:
 
     ``gamma_tilde`` is the distance-decrease surrogate for the current
     iterate, 0 at k = 0. ``record``, when set, holds the measurements of
-    the iterate this state was advanced from: its step size, momentum
-    weight, optimality gap and gradient norm among them.
+    the iterate this state was advanced from, or of this iterate when
+    ``stop`` names the loop's stop: ``step`` stays at that iterate.
     """
 
     k: int
@@ -168,9 +167,10 @@ def _plan(method, obj):
     return rule, at_y, None if at_y else obj.shortcut("value_and_gradient_fn")
 
 
-def _measure(plan, state, m, m_sq, obj, cfg):
-    # f, gap, y, g(y), |g|^2, alpha and beta at x, given m = x - x_prev and |m|^2,
-    # from the oracle fields that _plan found present
+def _iterate(plan, state, m, m_sq, obj, cfg, keep):
+    # one pass of the loop at state.x, given m = x - x_prev and |m|^2: measure,
+    # set state.stop and, when kept or stopping, state.record (else None); unless
+    # stopping, advance state in place and return the next m and |m|^2
     rule, at_y, fused = plan
     x = state.x
     fval, g = (obj.value_fn(x), None) if fused is None else fused(x)
@@ -189,20 +189,18 @@ def _measure(plan, state, m, m_sq, obj, cfg):
         raise NumericalFailureError(state.k)
     if not at_y:
         alpha, beta = rule(state, cfg, obj.lipschitz, gap, g, g_sq, m, m_sq)
-    return fval, gap, y, g, g_sq, alpha, beta
-
-
-def _record(state, obj, fval, gap, g_sq, alpha, beta, m_sq):
-    # gnorm is the gradient actually computed, at y for Nesterov
-    dist = None if obj.solution_oracle is None else float(obj.solution_oracle(state.x))
-    return IterationRecord(k=state.k, fval=fval, gap=gap, gnorm=math.sqrt(g_sq),
-                           alpha=0.0 if alpha is None else alpha, beta=beta,
-                           step_norm=math.sqrt(m_sq), dist=dist)
-
-
-def _advance(state, lipschitz, gap, y, g, g_sq, m, alpha, beta):
-    # moves state to the next iterate in place; returns its m and |m|^2
-    x = state.x
+    state.stop = stop = ("critical_point" if alpha is None
+                         else "gap_tol" if obj.min_value is not None and gap <= cfg.gap_tol
+                         else "max_iters" if state.k >= cfg.max_iters else None)
+    state.record = None
+    if keep or stop is not None:
+        # gnorm is the gradient actually computed, at y for Nesterov
+        dist = None if obj.solution_oracle is None else float(obj.solution_oracle(x))
+        state.record = IterationRecord(k=state.k, fval=fval, gap=gap, gnorm=math.sqrt(g_sq),
+                                       alpha=0.0 if alpha is None else alpha, beta=beta,
+                                       step_norm=math.sqrt(m_sq), dist=dist)
+    if stop is not None:
+        return m, m_sq
     x_next = y - alpha * g
     if y is x:
         x_next += beta * m
@@ -211,27 +209,23 @@ def _advance(state, lipschitz, gap, y, g, g_sq, m, alpha, beta):
     state.k, state.x, state.x_prev = state.k + 1, x_next, x
     # the surrogate recursion, from the step size, momentum weight, gap and
     # |g|^2 of the iterate just left
-    state.gamma_tilde = (m_next_sq - alpha * (gap + g_sq / (2.0 * lipschitz))
+    state.gamma_tilde = (m_next_sq - alpha * (gap + g_sq / (2.0 * obj.lipschitz))
                          + beta * state.gamma_tilde)
     return m_next, m_next_sq
 
 
 def step(state, obj, cfg) -> SolverState:
-    """One step of the method ``cfg.method`` from ``state``.
+    """One step of the method ``cfg.method`` from ``state``: one pass of the
+    :func:`run_solver` loop.
 
     The returned state's ``record`` holds the measurements of the iterate
-    stepped from. When the adaptive learning rate method meets a critical
-    point, the returned state stays at that iterate with ``stop`` set.
-    ``state`` itself is never changed.
+    stepped from. Where the loop would stop, the returned state stays at
+    that iterate with ``stop`` set to the loop's stop reason. ``state``
+    itself is never changed.
     """
     m = state.x - state.x_prev
-    m_sq = float(m.dot(m))
-    fval, gap, y, g, g_sq, alpha, beta = _measure(_plan(cfg.method, obj), state, m, m_sq, obj, cfg)
-    rec = _record(state, obj, fval, gap, g_sq, alpha, beta, m_sq)
-    if alpha is None:
-        return replace(state, record=rec, stop=_STOP_CRITICAL)
-    nxt = replace(state, record=rec, stop=None)
-    _advance(nxt, obj.lipschitz, gap, y, g, g_sq, m, alpha, beta)
+    nxt = replace(state)
+    _iterate(_plan(cfg.method, obj), nxt, m, float(m.dot(m)), obj, cfg, True)
     return nxt
 
 
@@ -268,16 +262,10 @@ def run_solver(obj, cfg, x0, problem_spec=None, x0_seed=None) -> Trace:
     m, m_sq = np.zeros_like(state.x), 0.0
     started = time.perf_counter()
     records = []
-    while True:
-        fval, gap, y, g, g_sq, alpha, beta = _measure(plan, state, m, m_sq, obj, cfg)
-        reason = (_STOP_CRITICAL if alpha is None
-                  else _STOP_GAP if obj.min_value is not None and gap <= cfg.gap_tol
-                  else _STOP_MAX if state.k >= cfg.max_iters else None)
-        if reason is not None or state.k % cfg.record_every == 0:
-            records.append(_record(state, obj, fval, gap, g_sq, alpha, beta, m_sq))
-        if reason is not None:
-            break
-        m, m_sq = _advance(state, obj.lipschitz, gap, y, g, g_sq, m, alpha, beta)
-    meta["stop_reason"] = reason
+    while state.stop is None:
+        m, m_sq = _iterate(plan, state, m, m_sq, obj, cfg, state.k % cfg.record_every == 0)
+        if state.record is not None:
+            records.append(state.record)
+    meta["stop_reason"] = state.stop
     meta["wall_ms"] = (time.perf_counter() - started) * 1e3
     return Trace(records=records, meta=meta)

@@ -105,6 +105,8 @@ def read_csv(path) -> Trace:
                 meta = json_value(handle.read())
             except json.JSONDecodeError as exc:
                 raise InvalidInputError(f"malformed meta sidecar {meta_path}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise InvalidInputError(f"meta sidecar {meta_path} must be an object")
     return Trace(records=records, meta=meta)
 
 

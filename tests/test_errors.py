@@ -401,6 +401,8 @@ REFUSALS = {
     "trace malformed sidecar": ("malformed meta sidecar t.csv.meta.json: Expecting property name "
                                 "enclosed in double quotes: line 1 column 2 (char 1)",
                                 *_trace(_HEADER + "0,1,1,1,1,0,0,\n", "{bad")),
+    "trace non-object sidecar": ("meta sidecar t.csv.meta.json must be an object",
+                                 *_trace(_HEADER + "0,1,1,1,1,0,0,\n", "[1, 2]")),
 }
 
 

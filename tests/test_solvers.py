@@ -409,6 +409,43 @@ def test_standalone_steps_record_what_the_loop_records(method, problem):
             == np.array(looped, dtype=float).tobytes())
 
 
+def _record_bytes(record):
+    return np.array(dataclasses.astuple(record), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_step_stops_where_the_loop_stops_at_max_iters(method):
+    obj, x0 = _PROBLEMS["least_squares"]
+    cfg = SolverConfig(method=method, max_iters=5)
+    trace = run_solver(obj, cfg, x0)
+    assert trace.meta["stop_reason"] == "max_iters"
+    state = initial_state(x0)
+    for _ in range(5):
+        state = step(state, obj, cfg)
+        assert state.stop is None
+    last = step(state, obj, cfg)
+    assert last.stop == "max_iters" and last.k == 5
+    assert last.x.tobytes() == state.x.tobytes()
+    assert _record_bytes(last.record) == _record_bytes(trace.final)
+    # the stepped-from state keeps its own fields
+    assert state.stop is None and state.record.k == 4
+
+
+@pytest.mark.parametrize("x0, gap_tol", [([0.0, 0.0], 0.0), ([3.0, 1.0], 9.5)],
+                         ids=["minimizer", "within-gap-tol"])
+@pytest.mark.parametrize("method", METHODS)
+def test_step_stops_at_the_start_where_the_loop_does(method, x0, gap_tol):
+    # the chain runs critical point, then gap_tol, then max_iters, so alrhb's
+    # zero gradient at the minimizer stops it before its zero gap does
+    expected = "critical_point" if method == "alrhb" and gap_tol == 0.0 else "gap_tol"
+    obj, cfg = make_quadratic([1.0, 10.0]), SolverConfig(method=method, gap_tol=gap_tol)
+    trace = run_solver(obj, cfg, np.array(x0))
+    state = step(initial_state(np.array(x0)), obj, cfg)
+    assert trace.meta["stop_reason"] == state.stop == expected
+    assert state.k == 0 and state.x.tolist() == x0
+    assert _record_bytes(state.record) == _record_bytes(trace.final)
+
+
 @pytest.mark.parametrize("lipschitz", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("method", METHODS)
 def test_non_positive_lipschitz_is_rejected_before_any_oracle_call(method, lipschitz):
