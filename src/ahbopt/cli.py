@@ -10,18 +10,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import certify, trace
-from ._io import atomic_write, json_text, json_value
 from .errors import (InvalidInputError, NumericalFailureError, ToolkitError, as_int, as_object,
-                     as_real)
+                     as_real, json_value)
 from .objective import PROBLEM_KINDS, ProblemSpec
 from .solvers import METHODS, SolverConfig, run_solver
+from .trace import atomic_write, json_text
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_VIOLATIONS = 0, 1, 2, 3
 
@@ -46,13 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _json_flag(text):
-    try:
-        return json_value(text)
-    except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from exc
-
-
 def _float_list_flag(text):
     try:
         return [float(t) for t in text.split(",") if t]
@@ -63,7 +55,7 @@ def _float_list_flag(text):
 def _add_problem_flags(parser):
     parser.add_argument("--problem", choices=PROBLEM_KINDS, default=None,
                         help="built-in problem kind")
-    parser.add_argument("--params", type=_json_flag, default=None,
+    parser.add_argument("--params", default=None,
                         help="JSON object of factory parameters")
     parser.add_argument("--problem-seed", type=int, default=None)
 
@@ -96,8 +88,8 @@ def _add_slice_flags(parser):
 
 def _load_config_file(path):
     with open(path, encoding="utf-8") as handle:
-        data = as_object("experiment config", json_value(handle.read()),
-                         ("problem", "runs", "x0", "out_dir"))
+        data = json_value(f"experiment config {path}", handle.read())
+    as_object("experiment config", data, ("problem", "runs", "x0", "out_dir"))
     out_dir = data.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise InvalidInputError(f"out_dir must be a string, got {out_dir!r}")
@@ -105,6 +97,7 @@ def _load_config_file(path):
 
 
 def _problem_from(args, file_data):
+    params = None if args.params is None else json_value("params", args.params)
     spec_data = file_data.get("problem")
     spec_data = {} if spec_data is None else dict(
         as_object("problem spec", spec_data, ProblemSpec.__dataclass_fields__))
@@ -113,8 +106,8 @@ def _problem_from(args, file_data):
     if "kind" not in spec_data:
         raise InvalidInputError("no problem kind given; pass --problem or give the "
                                 "problem spec a 'kind'")
-    if args.params is not None:
-        spec_data["params"] = args.params
+    if params is not None:
+        spec_data["params"] = params
     # an unknown kind gets no defaults; ProblemSpec rejects it by name
     if "params" not in spec_data and spec_data["kind"] in PROBLEM_KINDS:
         spec_data["params"] = dict(_DEFAULT_PARAMS[spec_data["kind"]])
@@ -133,7 +126,7 @@ def _resolve_x0(x0_spec, dim):
     if x0_spec in (None, "zeros"):
         return np.zeros(dim), None
     if isinstance(x0_spec, str):
-        x0_spec = json_value(x0_spec)
+        x0_spec = json_value("x0", x0_spec)
     as_object("x0", x0_spec, ("kind", "seed", "norm"))
     kind = x0_spec.get("kind", "seeded_random")
     if kind != "seeded_random":
@@ -209,9 +202,9 @@ def cmd_compare(args) -> int:
     return _run_methods(args, [{"method": m} for m in METHODS])
 
 
-def _parse_point(text, dim):
+def _parse_point(name, text, dim):
     # a JSON number stands for a one-entry list; the library checks the point
-    value = np.zeros(dim) if text == "zeros" else json_value(text)
+    value = np.zeros(dim) if text == "zeros" else json_value(name, text)
     return [value] if isinstance(value, (int, float)) else value
 
 
@@ -223,14 +216,14 @@ def _certify_report(args):
     obj = spec.build()
     if args.certify_cmd == "moreau":
         return certify.check_moreau_exponent(obj, args.lam,
-                                             _parse_point(args.xbar, obj.dim),
+                                             _parse_point("xbar", args.xbar, obj.dim),
                                              args.r, num_samples=args.samples, seed=args.seed)
     phi = certify.HolderFunction(c=args.phi_c, alpha=args.phi_alpha)
     if args.certify_cmd == "growth-ppa":
-        return certify.certify_growth_via_ppa(obj, _parse_point(args.x, obj.dim),
+        return certify.certify_growth_via_ppa(obj, _parse_point("x", args.x, obj.dim),
                                               phi, args.tau_list, num_steps=args.steps)
     check = certify.check_kl if args.certify_cmd == "kl" else certify.certify_growth_direct
-    return check(obj, _parse_point(args.xbar, obj.dim), args.r, args.eta, phi,
+    return check(obj, _parse_point("xbar", args.xbar, obj.dim), args.r, args.eta, phi,
                  num_samples=args.samples, seed=args.seed)
 
 

@@ -1,14 +1,15 @@
 """Exception types shared across the toolkit, and the input checks that
-raise them: integers at or above a bound, reals in an interval, and
-objects with known keys. Any input the toolkit refuses, whether a
-parameter, a problem spec, a config file, a point, a size beyond the
-desk-scale caps, a sampled region with no usable point or a malformed
-trace file, raises the one class ``InvalidInputError`` (CLI exit 1).
-``CapabilityError`` (exit 1) names the oracle an objective lacks, and
-``NumericalFailureError`` (exit 2) reports a value that came out
-non-finite."""
+raise them: integers at or above a bound, reals in an interval, objects
+with known keys, and JSON text. Any input the toolkit refuses, whether a
+parameter, a problem spec, a config file, malformed JSON, a point, a size
+beyond the desk-scale caps, a sampled region with no usable point or a
+malformed trace file, raises the one class ``InvalidInputError`` (CLI
+exit 1). ``CapabilityError`` (exit 1) names the oracle an objective
+lacks, and ``NumericalFailureError`` (exit 2) reports a value that came
+out non-finite."""
 
 import copyreg
+import json
 import math
 
 
@@ -91,3 +92,15 @@ def as_object(name, value, keys) -> dict:
     if extra:
         raise InvalidInputError(f"unknown {name} keys: {sorted(extra, key=str)}")
     return value
+
+
+def json_value(name, text):
+    """The value JSON ``text`` decodes to. Malformed text and nesting too deep
+    to decode raise ``InvalidInputError("malformed <name>: <reason>")``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        reason = json.JSONDecodeError("nested too deeply", text, 0)
+    except json.JSONDecodeError as exc:
+        reason = exc
+    raise InvalidInputError(f"malformed {name}: {reason}") from None

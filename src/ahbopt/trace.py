@@ -1,20 +1,21 @@
 """Per-iteration records, trace persistence, run summaries, and the
 fits: ``fit_line``, the one least squares line fitter that every log-linear
 fit in the package shares, and ``fit_rate_from_trace``, the contraction
-factor or power-law exponent of a trace's dist column."""
+factor or power-law exponent of a trace's dist column. ``json_text`` is the
+one JSON layout of every output, and ``atomic_write`` its one file writer."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._io import atomic_write, json_text, json_value
-from .errors import InvalidInputError, as_int
+from .errors import InvalidInputError, as_int, json_value
 
 CSV_HEADER = "k,fval,gap,gnorm,alpha,beta,step_norm,dist"
 
@@ -62,6 +63,43 @@ class Trace:
         return self.records[-1]
 
 
+def json_text(payload) -> str:
+    """The one JSON layout every written or printed document uses. JSON has
+    no infinity, so +-inf is written 1e999 / -1e999: strict JSON numbers
+    that decoders read back as +-inf."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if "Infinity" not in text:
+        return text
+    # the indent puts each value on a line of its own, after its key if it
+    # has one, and a string's newlines are escaped, so a line that ends in a
+    # bare Infinity is a number
+    return re.sub(r'^( *(?:"(?:[^"\\]|\\.)*": )?-?)Infinity(,?)$', r"\g<1>1e999\2", text,
+                  flags=re.MULTILINE)
+
+
+def atomic_write(path, text) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and a rename, so a crash cannot leave a partial file there.
+
+    The temporary file is created with mode 0o666 and the process umask
+    applies, so the result has the mode a plain ``open`` would give it.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-write-{os.urandom(8).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_csv(trace, path) -> None:
     """Write a trace as CSV with LF endings plus a JSON meta sidecar.
 
@@ -101,10 +139,7 @@ def read_csv(path) -> Trace:
     meta_path = str(path) + ".meta.json"
     if os.path.exists(meta_path):
         with open(meta_path) as handle:
-            try:
-                meta = json_value(handle.read())
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"malformed meta sidecar {meta_path}: {exc}") from exc
+            meta = json_value(f"meta sidecar {meta_path}", handle.read())
         if not isinstance(meta, dict):
             raise InvalidInputError(f"meta sidecar {meta_path} must be an object")
     return Trace(records=records, meta=meta)

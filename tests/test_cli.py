@@ -480,24 +480,24 @@ def test_an_array_too_large_to_allocate_is_a_config_error(argv, tmp_path, monkey
 _DEEP_JSON = "[" * 5000 + "]" * 5000
 
 
-def _write_trace_with_a_deep_sidecar(tmp_path):
-    path = tmp_path / "run.csv"
-    write_csv(Trace([IterationRecord(0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)]), path)
-    (tmp_path / "run.csv.meta.json").write_text(_DEEP_JSON)
-    return ["fit-rate", "--trace", str(path), "--model", "linear"]
+def _write_trace_with_sidecar(tmp_path, sidecar):
+    write_csv(Trace([IterationRecord(0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)]), tmp_path / "run.csv")
+    (tmp_path / "run.csv.meta.json").write_text(sidecar)
+    return ["fit-rate", "--trace", "run.csv", "--model", "linear"]
 
 
 @pytest.mark.parametrize("source, argv, error", [
     ("params", ["solve", "--problem", "quadratic", "--params", _DEEP_JSON],
-     "error: argument --params: not valid JSON: nested too deeply"),
+     "error: malformed params: nested too deeply"),
     ("x0", ["solve", "--problem", "quadratic", "--x0", _DEEP_JSON],
-     "error: nested too deeply"),
+     "error: malformed x0: nested too deeply"),
     ("xbar", ["certify", "kl", "--problem", "quadratic", "--xbar", _DEEP_JSON],
-     "error: nested too deeply"),
+     "error: malformed xbar: nested too deeply"),
     ("x", ["certify", "growth-ppa", "--problem", "quadratic", "--x", _DEEP_JSON],
-     "error: nested too deeply"),
-    ("config", ["compare", "--config", "deep.json"], "error: nested too deeply"),
-    ("sidecar", None, "error: malformed meta sidecar"),
+     "error: malformed x: nested too deeply"),
+    ("config", ["compare", "--config", "deep.json"],
+     "error: malformed experiment config deep.json: nested too deeply"),
+    ("sidecar", None, "error: malformed meta sidecar run.csv.meta.json: nested too deeply"),
 ], ids=["params", "x0", "xbar", "x", "config", "sidecar"])
 def test_json_nested_too_deeply_is_a_config_error(source, argv, error, tmp_path,
                                                   monkeypatch, capsys):
@@ -505,12 +505,53 @@ def test_json_nested_too_deeply_is_a_config_error(source, argv, error, tmp_path,
     if source == "config":
         (tmp_path / "deep.json").write_text(_DEEP_JSON)
     if source == "sidecar":
-        argv = _write_trace_with_a_deep_sidecar(tmp_path)
+        argv = _write_trace_with_sidecar(tmp_path, _DEEP_JSON)
     before = sorted(tmp_path.iterdir())
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(error) and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+# each JSON input: the name its refusal gives it, truncated text for it, and
+# the argv that reads a JSON text from the flag, the config file or the sidecar
+_JSON_INPUTS = {
+    "params": ("params", '{"spectrum": [1.0]',
+               lambda text: ["solve", "--problem", "quadratic", "--params", text]),
+    "x0": ("x0", '{"seed": 1,', lambda text: ["solve", "--problem", "quadratic", "--x0", text]),
+    "xbar-kl": ("xbar", "[1,",
+                lambda text: ["certify", "kl", "--problem", "quadratic", "--xbar", text]),
+    "xbar-growth": ("xbar", "[1,",
+                    lambda text: ["certify", "growth", "--problem", "quadratic", "--xbar", text]),
+    "xbar-moreau": ("xbar", "[1,",
+                    lambda text: ["certify", "moreau", "--problem", "quadratic", "--xbar", text]),
+    "x": ("x", "[2.0", lambda text: ["certify", "growth-ppa", "--problem", "quadratic",
+                                     "--x", text]),
+    "config": ("experiment config exp.json", '{"problem": {"kind": "quadratic"},',
+               lambda text: ["compare", "--config", "exp.json"]),
+    "sidecar": ("meta sidecar run.csv.meta.json", '{"problem": ', None),
+}
+
+
+@pytest.mark.parametrize("form", ["truncated", "deep"])
+@pytest.mark.parametrize("source", sorted(_JSON_INPUTS))
+def test_malformed_json_exits_1_naming_its_input(source, form, tmp_path, monkeypatch, capsys):
+    name, truncated, argv_for = _JSON_INPUTS[source]
+    text = truncated if form == "truncated" else _DEEP_JSON
+    monkeypatch.chdir(tmp_path)
+    if source == "config":
+        (tmp_path / "exp.json").write_text(text)
+    if source == "sidecar":
+        argv = _write_trace_with_sidecar(tmp_path, text)
+    else:
+        argv = argv_for(text)
+        argv += ["--out", "out"] if argv[0] in ("solve", "compare") else []
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: malformed {name}: ") and err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -10,6 +10,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ahbopt
 from ahbopt import certify, cli, errors
@@ -338,8 +340,33 @@ def test_every_bad_input_raises_the_one_class(site):
 
 
 def test_the_input_rules_take_no_error_class():
-    for rule in (errors.as_int, errors.as_real, errors.as_object):
+    for rule in (errors.as_int, errors.as_real, errors.as_object, errors.json_value):
         assert "error" not in inspect.signature(rule).parameters
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[1,", "Expecting value: line 1 column 4 (char 3)"),
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ("[1] 2", "Extra data: line 1 column 5 (char 4)"),
+    ("[" * 5000 + "]" * 5000, "nested too deeply: line 1 column 1 (char 0)"),
+], ids=["bad-key", "truncated", "empty", "extra-data", "deep"])
+def test_malformed_json_raises_the_one_class_naming_its_input(text, reason):
+    with pytest.raises(errors.InvalidInputError) as excinfo:
+        errors.json_value("x0", text)
+    assert type(excinfo.value) is errors.InvalidInputError
+    assert str(excinfo.value) == f"malformed x0: {reason}"
+
+
+@given(st.text(alphabet='[]{}":,.-+eE0123456789 \\\ntrufalsNIiny', max_size=40))
+def test_a_json_decode_error_never_escapes_json_value(text):
+    try:
+        errors.json_value("x0", text)
+    except errors.InvalidInputError as exc:
+        assert not isinstance(exc, json.JSONDecodeError)
+        assert str(exc).startswith("malformed x0: ")
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
 
 
 def test_toolkit_error_has_exactly_three_subclasses():

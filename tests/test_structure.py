@@ -1,7 +1,8 @@
 """Structural rules of the package source: no import cycles inside the
 package, each module importing only the layers below it, no module
-reaching for another module's private names, and no definition that only
-the tests read."""
+reaching for another module's private names, no definition that only
+the tests read, and one function, ``trace.atomic_write``, that writes
+files."""
 
 import ast
 import pathlib
@@ -12,8 +13,12 @@ PACKAGE = "ahbopt"
 SOURCE = pathlib.Path(ahbopt.__file__).parent
 
 # the package's layers, lowest first; a module imports only earlier ones
-LAYERS = ("errors", "_io", "_radon", "objective", "trace", "solvers", "certify", "cli",
-          "__main__", "__init__")
+LAYERS = ("errors", "_radon", "objective", "trace", "solvers", "certify", "cli", "__main__",
+          "__init__")
+
+# the calls that create, write or rename a file, other than open in a mode
+# that writes
+_FILE_CALLS = {"os.open", "os.fdopen", "os.replace", "os.rename"}
 
 
 def _private(name):
@@ -89,6 +94,34 @@ def _unread(sources, public):
                   if name not in read and name not in public and not name.startswith("__"))
 
 
+def _file_writes(sources):
+    """Each call that writes or renames a file, as ``(where, call)``: one of
+    ``_FILE_CALLS``, or ``open`` with a mode holding w, a, x or + (a mode
+    that is not a string literal counts as one). ``where`` is the
+    module-qualified name of the enclosing function or class, or the module
+    for a call outside any."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                call = ast.unparse(child.func)
+                mode = ([kw.value for kw in child.keywords if kw.arg == "mode"]
+                        + child.args[1:2])
+                writes = bool(mode) and not (isinstance(mode[0], ast.Constant)
+                                             and set(str(mode[0].value)).isdisjoint("wax+"))
+                if call in _FILE_CALLS or (call == "open" and writes):
+                    found.append((where, call))
+            visit(child, where)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module)
+    return sorted(found)
+
+
 def _cycle(edges):
     """One import cycle as a list of modules, or None."""
     state = {}
@@ -134,7 +167,7 @@ def test_each_module_imports_only_lower_layers():
 
 def test_no_module_imports_or_reads_another_modules_private_names():
     edges, private = _scan(_package_sources())
-    assert "_radon" in edges["objective"] and "_io" in edges["cli"]
+    assert "_radon" in edges["objective"] and "trace" in edges["cli"]
     assert {name: uses for name, uses in private.items() if uses} == {}
 
 
@@ -158,3 +191,22 @@ def test_every_definition_is_read_by_the_package_or_public():
         "a": "X, Y = 1, 2\ndef f():\n    return Y\n__all__ = []\n",
         "b": "from . import a\na.g()\ndef g():\n    pass\nclass C:\n    pass\n",
     }, {"C"}) == ["a.X", "a.f"]
+
+
+def test_only_atomic_write_writes_files():
+    # every file the CLI writes goes through the one atomic writer
+    assert _file_writes(_package_sources()) == [
+        ("trace.atomic_write", "os.fdopen"), ("trace.atomic_write", "os.open"),
+        ("trace.atomic_write", "os.replace")]
+
+
+def test_the_write_scan_sees_every_writer():
+    assert _file_writes({"a": (
+        "import os\n"
+        "open('r')\nopen('r', 'rb')\nopen('r', mode='r', encoding='utf-8')\n"
+        "def f(p, m):\n    open(p, 'w')\n    open(p, mode='ab')\n    open(p, m)\n"
+        "    def g():\n        os.open(p, 0)\n"
+        "class C:\n    def h(self, p):\n        os.replace(p, p)\n        os.rename(p, p)\n"
+        "open('x', 'x')\nos.fdopen(3, 'r+')\n")}) == [
+        ("a", "open"), ("a", "os.fdopen"), ("a.C.h", "os.rename"), ("a.C.h", "os.replace"),
+        ("a.f", "open"), ("a.f", "open"), ("a.f", "open"), ("a.f.g", "os.open")]
